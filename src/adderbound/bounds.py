@@ -8,11 +8,15 @@ Three bounds on r2 as a function of r1 are provided:
   ul_bound       the Urbanke-Li minimax bound,
   main_bound     the envelope bound through r_sigma (strictly better near r1=1).
 
-All optimizations are grid searches followed by golden-section refinement
-(scalar_maximize); inner maxima are always fully resolved before an outer
-minimum samples them, since an under-resolved inner max would invalidly lower
-an upper bound. Everything here is deterministic: same inputs and config give
-bit-identical results.
+The minimax bounds are a sampled outer minimum of concave inner maxima. Every
+inner objective is concave on its bracket, so each inner maximum is a
+golden-section search (scalar_maximize), run on whole arrays of brackets, one
+per outer point; an under-resolved inner max would invalidly lower an upper
+bound, which is why tests pin that concavity. Each outer minimum samples
+cfg.grid_points points and then zooms in around the best sample; every sample
+is itself an upper bound, so sampling stays sound without any assumption on
+the outer objective. Everything here is deterministic: same inputs and config
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,13 +25,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .entropy import (
     PROB_SLACK,
-    binary_convolve,
+    _as_prob,
+    _as_prob_array,
+    _plogp,
     binary_entropy,
     binary_entropy_inv,
 )
@@ -66,199 +72,151 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid density and refinement depth for the scalar searches."""
+    """Outer samples per pass and golden-section iterations per inner solve."""
 
     grid_points: int = 4096
     refine_iters: int = 64
-    tol: float = 1e-7
 
     def __post_init__(self):
         if self.grid_points < 64:
             raise ValueError(f"grid_points={self.grid_points} < 64")
         if self.refine_iters < 1:
             raise ValueError(f"refine_iters={self.refine_iters} < 1")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol={self.tol} must be positive")
 
 
 DEFAULT_CONFIG = OptimizerConfig()
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# resampling passes of an outer minimum after its first grid; each narrows
+# the interval by a factor of about grid_points / 2
+_ZOOM_PASSES = 2
 
-def _checked(f: Callable[[float], float], x: float) -> float:
-    v = float(f(x))
-    if not math.isfinite(v):
-        raise EvaluationError(x, v)
+
+def _checked(f, x: np.ndarray) -> np.ndarray:
+    v = np.asarray(f(x), dtype=float)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluationError(float(x.flat[i]), float(v.flat[i]))
     return v
 
 
-def _golden_max(f, a: float, b: float, iters: int) -> Tuple[float, float]:
-    # Golden-section search for a maximum on [a, b]. Tracks the best point seen
-    # so kinks inside the bracket cannot lose an already-evaluated value.
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = _checked(f, c)
-    fd = _checked(f, d)
-    if fc >= fd:
-        best_x, best_v = c, fc
-    else:
-        best_x, best_v = d, fd
-    for _ in range(iters):
-        if b - a <= 1e-15:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _checked(f, c)
-            x, v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _checked(f, d)
-            x, v = d, fd
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
-
-
-def scalar_maximize(
-    f,
-    lo: float,
-    hi: float,
-    cfg: OptimizerConfig = DEFAULT_CONFIG,
-    *,
-    vectorized: bool = False,
-) -> Tuple[float, float]:
-    """Maximize f on [lo, hi]: dense grid, then golden-section refinement
-    around the three best grid candidates.
+def scalar_maximize(f, lo, hi, cfg: OptimizerConfig = DEFAULT_CONFIG):
+    """Maximize f on every bracket [lo, hi] at once by golden-section search.
 
     Args:
-        f: objective. With vectorized=True it must also accept a numpy array
-           (used for the grid pass; refinement always calls it with floats).
-        lo, hi: interval endpoints, lo <= hi. A degenerate interval returns
-           (lo, f(lo)).
-        cfg: grid density / refinement depth.
+        f: objective taking an array of points, one per bracket, and returning
+           their values; it must be concave (unimodal suffices) on each
+           bracket.
+        lo, hi: bracket endpoints, floats or arrays that broadcast together,
+           lo <= hi. A degenerate bracket gives (lo, f(lo)).
+        cfg: cfg.refine_iters golden-section iterations.
 
     Returns:
-        (argmax, max); the value is within cfg.tol of the true maximum for
-        objectives smooth at the scale of one grid step.
+        (argmax, max) in the broadcast shape of lo and hi (numpy scalars for
+        scalar brackets): the best point evaluated, the endpoints included.
+        The value never exceeds the true maximum and falls short of it by at
+        most the slope times the final bracket width, about
+        (hi - lo) * 0.618**refine_iters.
 
     Raises:
-        EvaluationError: if f returns a non-finite value.
+        ValueError: on a non-finite or reversed bracket.
+        EvaluationError: if f returns a non-finite value, naming the first
+           offending point.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()) or (b < a).any():
         raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
-    if hi == lo:
-        return lo, _checked(f, lo)
-    xs = np.linspace(lo, hi, cfg.grid_points)
-    if vectorized:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise ValueError("vectorized objective returned wrong shape")
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise EvaluationError(float(xs[i]), float(vals[i]))
-    else:
-        vals = np.empty(cfg.grid_points)
-        for i in range(cfg.grid_points):
-            vals[i] = _checked(f, float(xs[i]))
-    order = np.argsort(vals)
-    best_i = int(order[-1])
-    best_x, best_v = float(xs[best_i]), float(vals[best_i])
-    step = (hi - lo) / (cfg.grid_points - 1)
-    for i in order[-3:]:
-        a = max(lo, float(xs[i]) - step)
-        b = min(hi, float(xs[i]) + step)
-        x, v = _golden_max(f, a, b, cfg.refine_iters)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = _checked(f, c), _checked(f, d)
+    best_x, best_v = a, _checked(f, a)
+    for x, v in ((b, _checked(f, b)), (c, fc), (d, fd)):
+        better = v > best_v
+        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
+    for _ in range(cfg.refine_iters):
+        # keep [a, d] where f(c) >= f(d), else [c, b]; the surviving inner
+        # point becomes d or c, and one new point is evaluated per bracket
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept_x, kept_v = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        v = _checked(f, x)
+        better = v > best_v
+        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
+        c, fc = np.where(left, x, kept_x), np.where(left, v, kept_v)
+        d, fd = np.where(left, kept_x, x), np.where(left, kept_v, v)
+    return best_x[()], best_v[()]
 
 
-def _scalar_minimize(f, lo, hi, cfg, *, vectorized=False):
-    x, v = scalar_maximize(lambda t: -f(t), lo, hi, cfg, vectorized=vectorized)
-    return x, -v
-
-
-def _check_unit(x: float, name: str, hi: float = 1.0) -> float:
-    if math.isnan(x) or x < -PROB_SLACK or x > hi + PROB_SLACK:
-        raise ValueError(f"{name}={x!r} outside [0, {hi}]")
-    return min(max(x, 0.0), hi)
+def _sampled_minimize(f, lo: float, hi: float, cfg: OptimizerConfig) -> float:
+    # min of f on [lo, hi] from cfg.grid_points samples, resampled across the
+    # best sample's two neighbouring cells; f takes an array of points
+    best = math.inf
+    for _ in range(_ZOOM_PASSES + 1):
+        xs = np.linspace(lo, hi, cfg.grid_points)
+        vals = _checked(f, xs)
+        i = int(np.argmin(vals))
+        best = min(best, float(vals[i]))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    return best
 
 
 def sum_rate_envelope(eta):
     """L(eta) = h(eta) + 1 - eta on [0, 1/2]: the largest sum rate compatible
     with sum-variable disagreement probability eta. Peaks at log2(3) at
-    eta = 1/3. Accepts a float or an ndarray."""
-    if isinstance(eta, np.ndarray):
-        if np.any(eta < -PROB_SLACK) or np.any(eta > 0.5 + PROB_SLACK):
-            raise ValueError("eta outside [0, 1/2]")
-        e = np.clip(eta, 0.0, 0.5)
-        return binary_entropy(e) + 1.0 - e
-    e = _check_unit(float(eta), "eta", 0.5)
-    return binary_entropy(e) + 1.0 - e
+    eta = 1/3. Element-wise over arrays."""
+    e = _as_prob_array(eta, "eta", 0.5)
+    return (binary_entropy(e) + 1.0 - e)[()]
 
 
 def _j_branch1(e):
     # 2 h((1 - sqrt(1-2e))/2) - e; radicand clamped against float drift
-    if isinstance(e, np.ndarray):
-        rad = np.maximum(1.0 - 2.0 * e, 0.0)
-        return 2.0 * binary_entropy(0.5 * (1.0 - np.sqrt(rad))) - e
-    rad = 1.0 - 2.0 * e
-    if rad < 0.0:
-        rad = 0.0
-    return 2.0 * binary_entropy(0.5 * (1.0 - math.sqrt(rad))) - e
+    rad = np.maximum(1.0 - 2.0 * e, 0.0)
+    return 2.0 * binary_entropy(0.5 * (1.0 - np.sqrt(rad))) - e
 
 
-def _j_branch2(e, s: float):
+def _j_branch2(e, s):
     # second line of the envelope, valid for e < s = p*p; needs the entropy
     # argument (1 - ratio)/2 nonnegative, i.e. e >= 2p^2 roughly
     denom = 1.0 - 2.0 * s
-    if denom <= 0.0:
+    if (denom <= 0.0).any():
         raise ValueError("conditional envelope singular at p = 1/2 below eta = 1/2")
-    root = math.sqrt(denom)
-    if isinstance(e, np.ndarray):
-        gap = 1.0 - e - s
-        arg = 0.5 * (1.0 - gap / root)
-        if np.any(arg < -PROB_SLACK):
-            raise ValueError("eta below the valid range of the second branch")
-        arg = np.clip(arg, 0.0, 1.0)
-        return 2.0 * binary_entropy(arg) - 0.5 * (1.0 - gap * gap / denom)
     gap = 1.0 - e - s
-    arg = 0.5 * (1.0 - gap / root)
-    if arg < -PROB_SLACK:
+    arg = 0.5 * (1.0 - gap / np.sqrt(denom))
+    if (arg < -PROB_SLACK).any():
         raise ValueError("eta below the valid range of the second branch")
-    arg = min(max(arg, 0.0), 1.0)
+    arg = np.minimum(np.maximum(arg, 0.0), 1.0)
     return 2.0 * binary_entropy(arg) - 0.5 * (1.0 - gap * gap / denom)
 
 
-def conditional_sum_envelope(p: float, eta):
+def conditional_sum_envelope(p, eta):
     """J(p, eta): upper envelope of the conditional sum entropy H(X1+X2|U)
     over joints with P(X1 != X2) = eta and H(X1|U) >= h(p).
 
     Two branches split at eta = p*p (binary convolution of p with itself);
-    they agree at the boundary. Accepts eta as float or ndarray.
+    they agree at the boundary. p and eta broadcast together element-wise.
     """
-    pf = _check_unit(float(p), "p", 0.5)
-    s = binary_convolve(pf, pf)
-    if isinstance(eta, np.ndarray):
-        if np.any(eta < -PROB_SLACK) or np.any(eta > 0.5 + PROB_SLACK):
-            raise ValueError("eta outside [0, 1/2]")
-        e = np.clip(eta, 0.0, 0.5)
-        out = np.empty_like(e, dtype=float)
-        hi_mask = e >= s
-        if hi_mask.any():
-            out[hi_mask] = _j_branch1(e[hi_mask])
-        lo_mask = ~hi_mask
-        if lo_mask.any():
-            out[lo_mask] = _j_branch2(e[lo_mask], s)
-        return out
-    e = _check_unit(float(eta), "eta", 0.5)
-    if e >= s:
-        return _j_branch1(e)
-    return _j_branch2(e, s)
+    p, e = np.broadcast_arrays(_as_prob_array(p, "p", 0.5), _as_prob_array(eta, "eta", 0.5))
+    s = 2.0 * p * (1.0 - p)  # the binary convolution p * p
+    upper = e >= s
+    if upper.all():
+        return _j_branch1(e)[()]
+    out = np.empty(e.shape)
+    out[upper] = _j_branch1(e[upper])
+    out[~upper] = _j_branch2(e[~upper], s[~upper])
+    return out[()]
+
+
+def _sum_rate_objective(eta, r0, p):
+    # min{L(eta), J(p, eta) + r0}: concave in eta on [p, 1/2]
+    return np.minimum(sum_rate_envelope(eta), conditional_sum_envelope(p, eta) + r0)
+
+
+def _sum_rate_max(r0, p, cfg: OptimizerConfig):
+    # R_sigma with p = h_inv(r1) given; r0 and p broadcast together
+    return scalar_maximize(lambda eta: _sum_rate_objective(eta, r0, p), p, 0.5, cfg)[1]
 
 
 def sum_rate_bound(r0: float, r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
@@ -271,63 +229,62 @@ def sum_rate_bound(r0: float, r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) 
     """
     if r0 < 0.0:
         raise ValueError(f"r0={r0!r} must be nonnegative")
-    r1c = _check_unit(float(r1), "r1")
-    p = binary_entropy_inv(r1c)
-
-    def obj(eta):
-        if isinstance(eta, np.ndarray):
-            return np.minimum(
-                sum_rate_envelope(eta), conditional_sum_envelope(p, eta) + r0
-            )
-        lv = sum_rate_envelope(eta)
-        jv = conditional_sum_envelope(p, eta) + r0
-        return lv if lv <= jv else jv
-
-    _, v = scalar_maximize(obj, p, 0.5, cfg, vectorized=True)
-    return v
+    p = binary_entropy_inv(_as_prob(float(r1), "r1"))
+    return float(_sum_rate_max(float(r0), p, cfg))
 
 
 def simple_bound(r1: float) -> float:
     """r2 <= 3/2 - r1: the classical sum-rate bound, floored at 0."""
-    r1c = _check_unit(float(r1), "r1")
+    r1c = _as_prob(float(r1), "r1")
     return max(1.5 - r1c, 0.0)
 
 
 def weldon_bound(r1: float) -> float:
     """r2 <= (1 - r1) log2(3), for systematic first families; clamped to [0,1]."""
-    r1c = _check_unit(float(r1), "r1")
+    r1c = _as_prob(float(r1), "r1")
     return min(max((1.0 - r1c) * LOG2_3, 0.0), 1.0)
 
 
 def weldon_nonsystematic_bound(r1: float) -> float:
     """r2 <= (1 - h_inv(r1)) log2(3), dropping the systematic requirement;
     clamped to [0,1]. Looser than the sum-rate bound everywhere."""
-    r1c = _check_unit(float(r1), "r1")
+    r1c = _as_prob(float(r1), "r1")
     return min(max((1.0 - binary_entropy_inv(r1c)) * LOG2_3, 0.0), 1.0)
 
 
-def _nlog2n(x):
-    if isinstance(x, np.ndarray):
-        out = np.zeros_like(x, dtype=float)
-        m = x > 0.0
-        out[m] = -x[m] * np.log2(x[m])
-        return out
-    return 0.0 if x <= 0.0 else -x * math.log2(x)
+def _mixture_objective(beta, rho):
+    # entropy of a ternary pmf that is linear in beta, hence concave in beta
+    p0 = (1.0 - rho) * (1.0 - beta)
+    p1 = rho * (1.0 - beta) + (1.0 - rho) * beta
+    p2 = rho * beta
+    return _plogp(p0) + _plogp(p1) + _plogp(p2)
 
 
-def ul_mixture_entropy(rho: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
+def ul_mixture_entropy(rho, cfg: OptimizerConfig = DEFAULT_CONFIG):
     """g*(rho) = max over beta in [0,1] of the entropy of the ternary pmf
-    ((1-rho)(1-beta), rho(1-beta) + (1-rho)beta, rho*beta)."""
-    r = _check_unit(float(rho), "rho", 0.5)
+    ((1-rho)(1-beta), rho(1-beta) + (1-rho)beta, rho*beta). Element-wise
+    over arrays of rho."""
+    r = _as_prob_array(rho, "rho", 0.5)
+    return scalar_maximize(lambda beta: _mixture_objective(beta, r), np.zeros_like(r), 1.0, cfg)[1]
 
-    def obj(beta):
-        p0 = (1.0 - r) * (1.0 - beta)
-        p1 = r * (1.0 - beta) + (1.0 - r) * beta
-        p2 = r * beta
-        return _nlog2n(p0) + _nlog2n(p1) + _nlog2n(p2)
 
-    _, v = scalar_maximize(obj, 0.0, 1.0, cfg, vectorized=True)
-    return v
+def _ul_objective(kappa, rho, g, p1):
+    # h(<1 - p1 - kappa>) - h(rho) + min{g, <rho+kappa> + h(<rho+kappa>)},
+    # concave in kappa on [0, 1 - p1]
+    b = np.minimum(rho + kappa, 0.5)
+    first = binary_entropy(np.clip(1.0 - p1 - kappa, 0.0, 0.5))
+    return first - binary_entropy(rho) + np.minimum(g, b + binary_entropy(b))
+
+
+def _ul_inner_max(rho, p1: float, cfg: OptimizerConfig):
+    # max over kappa of _ul_objective, one bracket per rho. The formula's
+    # kappa runs over [0, 1], but past 1 - p1 the first term is 0 and
+    # rho + kappa >= 1/2 (as p1 <= 1/2), so the objective is flat there: it
+    # stays concave only up to 1 - p1, which is all the maximum needs.
+    g = ul_mixture_entropy(rho, cfg)
+    return scalar_maximize(
+        lambda kappa: _ul_objective(kappa, rho, g, p1), np.zeros_like(rho), 1.0 - p1, cfg
+    )[1]
 
 
 def ul_sum_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
@@ -339,38 +296,8 @@ def ul_sum_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
 
     where <a> = min(a, 1/2).
     """
-    r1c = _check_unit(float(r1), "r1")
-    p1 = binary_entropy_inv(r1c)
-
-    def outer(rho):
-        rho = float(rho)
-        g = ul_mixture_entropy(rho, cfg)
-        hrho = binary_entropy(rho)
-
-        def inner(kappa):
-            if isinstance(kappa, np.ndarray):
-                # first term is undefined past kappa = 1 - p1; clipping to 0
-                # leaves the max unchanged (those kappa are dominated by
-                # kappa = 1 - p1, where the term is already 0)
-                a = np.clip(1.0 - p1 - kappa, 0.0, 0.5)
-                b = np.minimum(rho + kappa, 0.5)
-                second = np.minimum(g, b + binary_entropy(b))
-                return binary_entropy(a) - hrho + second
-            a = 1.0 - p1 - kappa
-            a = 0.5 if a > 0.5 else (0.0 if a < 0.0 else a)
-            b = rho + kappa
-            if b > 0.5:
-                b = 0.5
-            sec = b + binary_entropy(b)
-            if g < sec:
-                sec = g
-            return binary_entropy(a) - hrho + sec
-
-        _, v = scalar_maximize(inner, 0.0, 1.0, cfg, vectorized=True)
-        return v
-
-    _, v = _scalar_minimize(outer, 0.0, 0.5, cfg)
-    return v
+    p1 = binary_entropy_inv(_as_prob(float(r1), "r1"))
+    return _sampled_minimize(lambda rho: _ul_inner_max(rho, p1, cfg), 0.0, 0.5, cfg)
 
 
 def ul_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
@@ -380,19 +307,8 @@ def ul_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
     Note this is a bound on the sum converted to a bound on r2; at r1 = 1 it
     evaluates to about 0.492.
     """
-    r1c = _check_unit(float(r1), "r1")
+    r1c = _as_prob(float(r1), "r1")
     return min(max(ul_sum_bound(r1c, cfg) - r1c, 0.0), 1.0)
-
-
-def _gamma(p1: float, alpha: float) -> float:
-    # h((p1 - alpha)/(1 - alpha)); the argument lies in [0, p1] for
-    # alpha in [0, p1], so no singularity (alpha <= 1/2 < 1)
-    ratio = (p1 - alpha) / (1.0 - alpha)
-    if ratio < 0.0:
-        ratio = 0.0
-    elif ratio > 0.5:
-        ratio = 0.5
-    return binary_entropy(ratio)
 
 
 def main_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
@@ -405,17 +321,16 @@ def main_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
     Clamped to [0, 1]. Strictly below ul_bound near r1 = 1 (about 0.4798 at
     r1 = 1 versus 0.492).
     """
-    r1c = _check_unit(float(r1), "r1")
-    p1 = binary_entropy_inv(r1c)
+    p1 = binary_entropy_inv(_as_prob(float(r1), "r1"))
 
     def obj(alpha):
-        alpha = float(alpha)
-        gamma = _gamma(p1, alpha)
-        r0 = alpha / (1.0 - alpha)
-        return (1.0 - alpha) * (sum_rate_bound(r0, gamma, cfg) - gamma)
+        # ratio = h_inv(Gamma) lies in [0, p1] for alpha in [0, p1], so no
+        # singularity (alpha <= 1/2 < 1); r_sigma takes it directly
+        ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
+        r_sigma = _sum_rate_max(alpha / (1.0 - alpha), ratio, cfg)
+        return (1.0 - alpha) * (r_sigma - binary_entropy(ratio))
 
-    _, v = _scalar_minimize(obj, 0.0, p1, cfg)
-    return min(max(v, 0.0), 1.0)
+    return min(max(_sampled_minimize(obj, 0.0, p1, cfg), 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ def _config_from(args) -> OptimizerConfig:
     return OptimizerConfig(
         grid_points=args.grid if args.grid is not None else DEFAULT_CONFIG.grid_points,
         refine_iters=args.refine if args.refine is not None else DEFAULT_CONFIG.refine_iters,
-        tol=DEFAULT_CONFIG.tol,
     )
 
 
@@ -266,13 +265,13 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
         "--grid",
         type=int,
         default=None,
-        help="optimizer grid points (default: library default, 4096)",
+        help="outer-solve samples per pass (default: library default, 4096)",
     )
     p.add_argument(
         "--refine",
         type=int,
         default=None,
-        help="golden-section refinement iterations (default: 64)",
+        help="golden-section iterations per inner solve (default: 64)",
     )
 
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from .entropy import (
     PROB_SLACK,
+    _as_prob,
+    _plogp,
     binary_convolve,
     binary_entropy,
     binary_entropy_inv,
@@ -50,14 +52,8 @@ class InfeasibleRateError(ValueError):
     """Raised when a disagreement probability is below what the rate allows."""
 
 
-def _unit(x: float, name: str, hi: float = 1.0) -> float:
-    if math.isnan(x) or x < -PROB_SLACK or x > hi + PROB_SLACK:
-        raise ValueError(f"{name}={x!r} outside [0, {hi}]")
-    return min(max(x, 0.0), hi)
-
-
 def _prob_tuple(values, name: str) -> Tuple[float, ...]:
-    return tuple(_unit(float(v), name) for v in values)
+    return tuple(_as_prob(float(v), name) for v in values)
 
 
 @dataclass(frozen=True)
@@ -135,13 +131,6 @@ class EntropyTriplet:
         return self.hs, self.hs_cond, self.h1_cond
 
 
-def _plogp(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v, dtype=float)
-    mask = v > 0.0
-    out[mask] = -v[mask] * np.log2(v[mask])
-    return out
-
-
 def entropy_triplet(d: AuxBinaryJoint) -> EntropyTriplet:
     """Evaluate the three entropies of an auxiliary joint.
 
@@ -168,8 +157,8 @@ def bernoulli_sum_entropy(y: float, z: float) -> float:
     convolution and the last term read as 0 when y*z = 0. Symmetric in its
     arguments and jointly concave in (y, z).
     """
-    yf = _unit(float(y), "y")
-    zf = _unit(float(z), "z")
+    yf = _as_prob(float(y), "y")
+    zf = _as_prob(float(z), "z")
     conv = binary_convolve(yf, zf)
     if conv <= 0.0:
         return binary_entropy(yf) + binary_entropy(zf)
@@ -183,7 +172,7 @@ def quad_entropy_envelope(y: float) -> float:
     The argument is a squared deviation of a probability from 1/2, which is
     how second-moment bounds enter the entropy estimates.
     """
-    yc = _unit(float(y), "y", 0.25)
+    yc = _as_prob(float(y), "y", 0.25)
     return binary_entropy(min(0.5 + math.sqrt(yc), 1.0)) + yc
 
 
@@ -194,7 +183,7 @@ def entropy_at_variance(y: float) -> float:
     E h(1/2 + X) <= entropy_at_variance(E X^2), the workhorse inequality for
     converting entropy constraints into variance constraints.
     """
-    yc = _unit(float(y), "y", 0.25)
+    yc = _as_prob(float(y), "y", 0.25)
     return binary_entropy(max(0.5 - math.sqrt(yc), 0.0))
 
 
@@ -221,7 +210,7 @@ def attaining_joint(eta: float) -> AuxBinaryJoint:
     independently with probability p = (1 - sqrt(1 - 2 eta))/2, so that
     P(X1 != X2) = eta. Its triplet is (h(eta) + 1 - eta, 2 h(p) - eta, h(p)).
     """
-    e = _unit(float(eta), "eta", 0.5)
+    e = _as_prob(float(eta), "eta", 0.5)
     p = 0.5 * (1.0 - math.sqrt(max(1.0 - 2.0 * e, 0.0)))
     return AuxBinaryJoint((0.5, 0.5), (p, 1.0 - p), (p, 1.0 - p))
 
@@ -253,8 +242,8 @@ def cond_envelope_via_moments(r1: float, eta: float) -> float:
     branches. Raises InfeasibleRateError when eta < h_inv(r1), which no
     joint can achieve.
     """
-    r1c = _unit(float(r1), "r1")
-    e = _unit(float(eta), "eta", 0.5)
+    r1c = _as_prob(float(r1), "r1")
+    e = _as_prob(float(eta), "eta", 0.5)
     p1 = binary_entropy_inv(r1c)
     if e < p1 - PROB_SLACK:
         raise InfeasibleRateError(

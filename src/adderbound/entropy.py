@@ -23,39 +23,43 @@ __all__ = [
 
 PROB_SLACK = 1e-12
 
+# binary_entropy_inv stops once |h(p) - x| is within _INV_TOL
+_INV_TOL = 1e-12
+_INV_MAX_ITER = 200
+
 ArrayLike = Union[float, np.ndarray]
 
 
-def _as_prob(p: float, name: str = "p") -> float:
-    """Clamp a float into [0, 1], rejecting anything beyond the slack."""
-    if p < 0.0:
-        if p < -PROB_SLACK:
-            raise ValueError(f"{name}={p!r} is not a probability")
-        return 0.0
-    if p > 1.0:
-        if p > 1.0 + PROB_SLACK:
-            raise ValueError(f"{name}={p!r} is not a probability")
-        return 1.0
-    if math.isnan(p):
-        raise ValueError(f"{name} is NaN")
-    return p
+def _as_prob(p: float, name: str = "p", hi: float = 1.0) -> float:
+    """Clamp a float into [0, hi], rejecting anything beyond the slack."""
+    if 0.0 <= p <= hi:
+        return p
+    if math.isnan(p) or p < -PROB_SLACK or p > hi + PROB_SLACK:
+        raise ValueError(f"{name}={p!r} outside [0, {hi}]")
+    return 0.0 if p < 0.0 else hi
 
 
-def _as_prob_array(p: np.ndarray, name: str = "p") -> np.ndarray:
-    if np.any(p < -PROB_SLACK) or np.any(p > 1.0 + PROB_SLACK) or np.any(np.isnan(p)):
-        raise ValueError(f"{name} contains values outside [0, 1]")
-    return np.clip(p, 0.0, 1.0)
+def _as_prob_array(p, name: str = "p", hi: float = 1.0) -> np.ndarray:
+    """Array twin of _as_prob: clamp every element into [0, hi]."""
+    p = np.asarray(p, dtype=float)
+    # NaN fails both comparisons
+    if not ((p >= -PROB_SLACK) & (p <= hi + PROB_SLACK)).all():
+        raise ValueError(f"{name} contains values outside [0, {hi}]")
+    return np.minimum(np.maximum(p, 0.0), hi)
+
+
+def _plogp(v) -> np.ndarray:
+    """-v log2 v element-wise, with 0 log 0 = +0."""
+    v = np.asarray(v, dtype=float)
+    return 0.0 - v * np.log2(v, out=np.zeros_like(v), where=v > 0.0)
 
 
 def binary_entropy(p: ArrayLike) -> ArrayLike:
     """h(p) = -p log2 p - (1-p) log2 (1-p), with h(0) = h(1) = 0."""
     if isinstance(p, np.ndarray):
         q = _as_prob_array(p)
-        out = np.zeros_like(q, dtype=float)
-        mask = (q > 0.0) & (q < 1.0)
-        qm = np.minimum(q[mask], 1.0 - q[mask])
-        out[mask] = -qm * np.log2(qm) - (1.0 - qm) * np.log2(1.0 - qm)
-        return out
+        q = np.minimum(q, 1.0 - q)
+        return _plogp(q) + _plogp(1.0 - q)
     q = _as_prob(float(p))
     if q == 0.0 or q == 1.0:
         return 0.0
@@ -67,10 +71,10 @@ def binary_entropy(p: ArrayLike) -> ArrayLike:
     return -q * math.log2(q) - r * math.log2(r)
 
 
-def binary_entropy_inv(x: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def binary_entropy_inv(x: float) -> float:
     """Inverse of binary_entropy restricted to [0, 1/2], by bisection.
 
-    Returns p with |binary_entropy(p) - x| <= tol. The restriction makes the
+    Returns p with |binary_entropy(p) - x| <= _INV_TOL. The restriction makes the
     inverse single-valued; the other preimage is 1 - p.
     """
     if math.isnan(x) or x < -PROB_SLACK or x > 1.0 + PROB_SLACK:
@@ -81,10 +85,10 @@ def binary_entropy_inv(x: float, tol: float = 1e-12, max_iter: int = 200) -> flo
     if x == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    for _ in range(max_iter):
+    for _ in range(_INV_MAX_ITER):
         mid = 0.5 * (lo + hi)
         val = binary_entropy(mid)
-        if abs(val - x) <= tol:
+        if abs(val - x) <= _INV_TOL:
             return mid
         if val < x:
             lo = mid
@@ -98,8 +102,8 @@ def binary_entropy_inv(x: float, tol: float = 1e-12, max_iter: int = 200) -> flo
 def binary_convolve(p: ArrayLike, q: ArrayLike) -> ArrayLike:
     """p * q = p(1-q) + q(1-p): the probability two independent bits differ."""
     if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
-        pa = _as_prob_array(np.asarray(p, dtype=float), "p")
-        qa = _as_prob_array(np.asarray(q, dtype=float), "q")
+        pa = _as_prob_array(p, "p")
+        qa = _as_prob_array(q, "q")
         return pa * (1.0 - qa) + qa * (1.0 - pa)
     pf = _as_prob(float(p), "p")
     qf = _as_prob(float(q), "q")

@@ -246,18 +246,25 @@ def system_from_json(text: str) -> UnionFreeSystem:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad system JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("bad system JSON: the top level is not an object")
     for key in ("n", "m0", "m1", "m2", "pairs"):
         if key not in payload:
             raise ValueError(f"system JSON is missing the {key!r} field")
-    pairs = tuple(
-        (family_from_text(t1), family_from_text(t2)) for t1, t2 in payload["pairs"]
-    )
-    u = UnionFreeSystem(int(payload["n"]), pairs)
-    for name, got, want in (
-        ("m0", u.m0, int(payload["m0"])),
-        ("m1", u.m1, int(payload["m1"])),
-        ("m2", u.m2, int(payload["m2"])),
+    for key in ("n", "m0", "m1", "m2"):
+        if type(payload[key]) is not int:
+            raise ValueError(f"bad system JSON: {key!r} is not an integer")
+    texts = payload["pairs"]
+    if not isinstance(texts, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(t, str) for t in pair)
+        for pair in texts
     ):
-        if got != want:
-            raise ValueError(f"system JSON declares {name}={want} but the pairs give {got}")
+        raise ValueError("bad system JSON: 'pairs' is not a list of [family, family] texts")
+    pairs = tuple((family_from_text(t1), family_from_text(t2)) for t1, t2 in texts)
+    u = UnionFreeSystem(payload["n"], pairs)
+    for name, got in (("m0", u.m0), ("m1", u.m1), ("m2", u.m2)):
+        if got != payload[name]:
+            raise ValueError(
+                f"system JSON declares {name}={payload[name]} but the pairs give {got}"
+            )
     return u

@@ -40,6 +40,7 @@ from .families import (
     soft_sauer_bound,
 )
 from .systems import (
+    _submasks,
     derive_system,
     is_valid_system,
     log3_construction,
@@ -180,7 +181,7 @@ def _families_suite(seed: int) -> List[CheckResult]:
             bad += 1
             continue
         members = set(g.members)
-        if any(sub not in members for m in g.members for sub in _submasks_of(m)):
+        if any(sub not in members for m in g.members for sub in _submasks(m)):
             bad += 1
             continue
         for s in range(1 << f.n):
@@ -198,15 +199,6 @@ def _families_suite(seed: int) -> List[CheckResult]:
             bad += 1
     out.append(_check("search-desk-ground-truth", len(best), float(bad), 0.0))
     return out
-
-
-def _submasks_of(m: int):
-    sub = m
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & m
 
 
 # ------------------------------------------------------------------- systems

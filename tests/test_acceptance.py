@@ -5,7 +5,8 @@ single PASS line with the measured numbers, so `pytest -s` reads as a
 checklist. The two point reproductions run at the default optimizer
 configuration and are wall-clock limited; the curve sweep uses a coarser
 configuration (documented inline) because the orderings it checks are
-config-robust and the default would take minutes for no extra assurance.
+config-robust and the default would take about 4x longer for no extra
+assurance. One byte pin runs a short curve at the default configuration.
 """
 
 import math
@@ -80,8 +81,8 @@ def test_main_point_reproduction():
 
 def test_curve_ordering_and_reference_points():
     # Coarser config: the 1e-6 orderings hold with ~1e-12 margin already at
-    # this resolution, and the default config over 101 points takes minutes.
-    cfg = OptimizerConfig(grid_points=256, refine_iters=40, tol=1e-6)
+    # this resolution, and the default config over 101 points takes 4x longer.
+    cfg = OptimizerConfig(grid_points=256, refine_iters=40)
     bc = curve(0.9, 1.0, 101, cfg)
     assert len(bc.rows) == 101
     worst = 0.0
@@ -97,6 +98,32 @@ def test_curve_ordering_and_reference_points():
         f"main <= ul <= simple at 101 points on [0.9, 1.0] within 1e-6 "
         f"(worst gap {worst:.1e}); main_bound(1)+1 = {main1 + 1:.5f} >= 1.31781",
     )
+
+
+# `adderbound curve --from 0.99 --to 1.0 --steps 11` at the default config,
+# as the grid-plus-golden solver of the first release printed it
+CURVE_NEAR_ONE_CSV = """\
+r1,simple,ul,main
+0.990000,0.510000,0.510000,0.510000
+0.991000,0.509000,0.509000,0.509000
+0.992000,0.508000,0.508000,0.508000
+0.993000,0.507000,0.507000,0.506994
+0.994000,0.506000,0.506000,0.505900
+0.995000,0.505000,0.505000,0.504245
+0.996000,0.504000,0.504000,0.502145
+0.997000,0.503000,0.503000,0.499568
+0.998000,0.502000,0.502000,0.496303
+0.999000,0.501000,0.501000,0.491774
+1.000000,0.500000,0.492160,0.479830
+"""
+
+
+def test_curve_bytes_at_default_config():
+    t0 = time.perf_counter()
+    text = curve(0.99, 1.0, 11).to_csv()
+    dt = time.perf_counter() - t0
+    assert text == CURVE_NEAR_ONE_CSV
+    _ok("curve bytes", f"curve(0.99, 1.0, 11) at the default config is byte-identical, {dt:.1f}s")
 
 
 def test_sum_rate_reduction_and_log3_progression():

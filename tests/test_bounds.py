@@ -20,11 +20,15 @@ from adderbound.bounds import (
     ul_sum_bound,
     weldon_bound,
     weldon_nonsystematic_bound,
+    _mixture_objective,
+    _sum_rate_objective,
+    _ul_inner_max,
+    _ul_objective,
 )
 from adderbound.entropy import binary_convolve, binary_entropy, binary_entropy_inv
 
 # small config: the unit tests exercise correctness, not headline-digit accuracy
-FAST = OptimizerConfig(grid_points=512, refine_iters=48, tol=1e-6)
+FAST = OptimizerConfig(grid_points=512, refine_iters=48)
 
 # regression fixtures, recorded once from the default config
 UL_AT_ONE = 0.4921598855455906
@@ -38,6 +42,12 @@ def test_scalar_maximize_quadratic():
     arg, val = scalar_maximize(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, FAST)
     assert abs(arg - 0.3) <= 1e-6
     assert abs(val) <= 1e-12
+    # one bracket per peak, solved together; the last bracket ends before
+    # its peak, so its maximum is the endpoint
+    peaks = np.array([0.1, 0.5, 0.9])
+    arg, val = scalar_maximize(lambda x: -((x - peaks) ** 2), 0.0, [1.0, 1.0, 0.6], FAST)
+    assert np.all(np.abs(arg - [0.1, 0.5, 0.6]) <= 1e-6)
+    assert val[2] == -((0.6 - 0.9) ** 2)
 
 
 def test_scalar_maximize_degenerate_interval():
@@ -45,32 +55,30 @@ def test_scalar_maximize_degenerate_interval():
     assert (arg, val) == (0.7, 1.4)
 
 
-def test_scalar_maximize_vectorized_agrees():
-    f = lambda x: np.sin(7.0 * x) + 0.3 * x
-    a1 = scalar_maximize(f, 0.0, 2.0, FAST)
-    a2 = scalar_maximize(f, 0.0, 2.0, FAST, vectorized=True)
-    assert a1 == a2
-
-
 def test_scalar_maximize_entropy_peak():
     # h(eta) + 1 - eta peaks at eta = 1/3 with value log2(3)
-    arg, val = scalar_maximize(sum_rate_envelope, 0.0, 0.5, FAST, vectorized=True)
+    arg, val = scalar_maximize(sum_rate_envelope, 0.0, 0.5, FAST)
     assert abs(arg - 1.0 / 3.0) <= 1e-5
     assert abs(val - LOG2_3) <= 1e-9
 
 
 def test_scalar_maximize_nonfinite_errors():
     def bad(x):
-        return float("nan") if x > 0.5 else x
+        return np.where(x > 0.5, np.nan, x)
 
     with pytest.raises(EvaluationError) as ei:
         scalar_maximize(bad, 0.0, 1.0, FAST)
     assert ei.value.argument > 0.5
+    assert math.isnan(ei.value.value)
 
 
 def test_scalar_maximize_bad_interval():
     with pytest.raises(ValueError):
         scalar_maximize(lambda x: x, 1.0, 0.0, FAST)
+    with pytest.raises(ValueError):
+        scalar_maximize(lambda x: x, 0.0, [1.0, -1.0], FAST)
+    with pytest.raises(ValueError):
+        scalar_maximize(lambda x: x, 0.0, math.inf, FAST)
 
 
 def test_optimizer_config_validation():
@@ -78,8 +86,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(grid_points=8)
     with pytest.raises(ValueError):
         OptimizerConfig(refine_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol=0.0)
 
 
 # ---------------------------------------------------------------- envelopes
@@ -160,7 +166,8 @@ def test_sum_rate_bound_large_r0_hits_cap():
 
 
 def test_sum_rate_bound_against_dense_grid():
-    # independent oracle: plain dense grid, no refinement
+    # independent oracle: plain dense grid, no refinement; the solver can
+    # only improve on a grid
     for r0, r1 in ((0.1, 0.9), (0.3, 0.5), (0.05, 0.2)):
         p = binary_entropy_inv(r1)
         etas = np.linspace(p, 0.5, 200001)
@@ -170,7 +177,64 @@ def test_sum_rate_bound_against_dense_grid():
         want = float(vals.max())
         got = sum_rate_bound(r0, r1, FAST)
         assert abs(got - want) <= 1e-6, (r0, r1, got, want)
-        assert got >= want - 1e-12  # refinement can only improve on a grid
+        assert got >= want - 1e-12
+
+    betas = np.linspace(0.0, 1.0, 200001)
+    for rho in (0.05, 0.2, 0.45):
+        pmf = ((1 - rho) * (1 - betas), rho * (1 - betas) + (1 - rho) * betas, rho * betas)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = sum(np.where(m > 0.0, -m * np.log2(m), 0.0) for m in pmf)
+        want = float(ent.max())
+        got = float(ul_mixture_entropy(rho, FAST))
+        assert abs(got - want) <= 1e-6, (rho, got, want)
+        assert got >= want - 1e-12
+
+    # the UL inner max over the formula's full kappa range [0, 1]; the
+    # solver only searches [0, 1 - h_inv(r1)]
+    kappas = np.linspace(0.0, 1.0, 200001)
+    for rho, r1 in ((0.05, 0.9), (0.2, 0.99), (0.3, 1.0), (0.45, 0.5)):
+        p1 = binary_entropy_inv(r1)
+        g = float(ul_mixture_entropy(rho))
+        b = np.minimum(rho + kappas, 0.5)
+        a = np.clip(1.0 - p1 - kappas, 0.0, 0.5)
+        vals = binary_entropy(a) - binary_entropy(rho) + np.minimum(g, b + binary_entropy(b))
+        want = float(vals.max())
+        got = float(_ul_inner_max(rho, p1, FAST))
+        assert abs(got - want) <= 1e-6, (rho, r1, got, want)
+        assert got >= want - 1e-12
+
+
+def _worst_second_difference(vals):
+    return float(np.max(vals[:-2] - 2.0 * vals[1:-1] + vals[2:]))
+
+
+def test_inner_objectives_are_concave():
+    # scalar_maximize finds an inner maximum only if the objective is concave
+    # on its bracket, and an under-resolved inner maximum would invalidly
+    # lower an upper bound: pin concavity on 20,001-point grids
+    r1s = np.linspace(0.0, 1.0, 41)
+    worst = -math.inf
+    for r1 in r1s:
+        p = binary_entropy_inv(float(r1))
+        etas = np.linspace(p, 0.5, 20001)
+        for r0 in (0.0, 0.05, 0.2, 1.0):
+            worst = max(worst, _worst_second_difference(_sum_rate_objective(etas, r0, p)))
+    assert worst <= 1e-12, ("r_sigma", worst)
+
+    worst = -math.inf
+    betas = np.linspace(0.0, 1.0, 20001)
+    for rho in np.linspace(0.0, 0.5, 11):
+        worst = max(worst, _worst_second_difference(_mixture_objective(betas, rho)))
+    assert worst <= 1e-12, ("g*", worst)
+
+    worst = -math.inf
+    for rho in np.linspace(0.0, 0.5, 11):
+        g = float(ul_mixture_entropy(rho))
+        for r1 in r1s:
+            p1 = binary_entropy_inv(float(r1))
+            kappas = np.linspace(0.0, 1.0 - p1, 20001)
+            worst = max(worst, _worst_second_difference(_ul_objective(kappas, rho, g, p1)))
+    assert worst <= 1e-12, ("ul", worst)
 
 
 def test_sum_rate_bound_range_and_monotonicity():

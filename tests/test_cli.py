@@ -150,9 +150,12 @@ def test_verify_system_rejects_colliding_pairs(tmp_path, capsys):
 
 def test_verify_system_bad_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, "verify", "--system", str(path))
-    assert code == 2 and err.startswith("error:")
+    head = '{"n": 1, "m0": 1, "m1": 1, "m2": 1, '
+    for text in ("{not json", head + '"pairs": [5]}', head + '"pairs": [[1, 2]]}'):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--system", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_verify_pair_files(tmp_path, capsys):

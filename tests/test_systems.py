@@ -244,3 +244,9 @@ def test_json_errors():
         system_from_json("{nope")
     with pytest.raises(ValueError, match="m2=5"):
         system_from_json(js.replace('"m2": 1', '"m2": 5'))
+    # well-formed JSON of the wrong shape
+    head = '{"n": 1, "m0": 1, "m1": 1, "m2": 1, '
+    for text in ("[]", head + '"pairs": [5]}', head + '"pairs": [[1, 2]]}',
+                 head.replace('"n": 1', '"n": [1]') + '"pairs": []}'):
+        with pytest.raises(ValueError, match="bad system JSON"):
+            system_from_json(text)
