@@ -8,7 +8,8 @@ Subcommands:
   search   exhaustive union-free pair search at small n
   system   emit the log2(3) construction
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verification fails or a bound cannot be
+evaluated, 2 on usage errors.
 Output is deterministic: identical argv (and seed) give identical bytes.
 """
 
@@ -22,6 +23,7 @@ from typing import Optional, Sequence
 
 from .bounds import (
     DEFAULT_CONFIG,
+    EvaluationError,
     OptimizerConfig,
     curve,
     main_bound,
@@ -318,7 +320,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="best union-free pair at small n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=float, default=10.0, help="seconds of node budget")
+    p.add_argument(
+        "--budget",
+        type=float,
+        default=10.0,
+        help="seconds of node budget, 150,000 nodes per second",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 
@@ -340,6 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

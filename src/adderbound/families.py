@@ -413,11 +413,17 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     broken toward the lexicographically smallest (f1, f2) member tuples,
     which the ascending-mask enumeration yields for free. For n <= 3 the
     search completes exactly well within the default budget.
+
+    Sums are Python-int bitsets: `sums1` has bit s_a set for each a in f1,
+    `used` bit s_a + s_c for each a in f1 and c in f2. Spreads have base-4
+    digits <= 1, so their sums have digits <= 2 and never carry: they are
+    exactly the vector sums a + c, `sums1 << s_c` is exactly {s_a + s_c},
+    and c collides iff that set meets `used`. Bits stay below 4^n.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"n {n} outside [1, 6]")
-    if budget_secs <= 0:
-        raise ValueError(f"budget must be positive, got {budget_secs}")
+    if not math.isfinite(budget_secs) or budget_secs <= 0:
+        raise ValueError(f"budget must be positive and finite, got {budget_secs}")
     node_budget = int(budget_secs * 150_000)
     num = 1 << n
     spreads = [_spread(m) for m in range(num)]
@@ -430,11 +436,12 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
 
     f1: List[int] = []
     f2: List[int] = []
-    used: set = set()
+    sums1 = 0
+    used = 0
 
     def extend_f2(start: int) -> None:
         # grow f2 with masks >= start, keeping all pairwise sums distinct
-        nonlocal nodes, best_product, best_pair, exhausted
+        nonlocal nodes, best_product, best_pair, exhausted, used
         if exhausted:
             return
         nodes += 1
@@ -449,19 +456,19 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         if len(f1) * (len(f2) + num - start) <= best_product:
             return
         for c in range(start, num):
-            sums = [sa + spreads[c] for sa in map(spreads.__getitem__, f1)]
-            if any(s in used for s in sums):
+            block = sums1 << spreads[c]
+            if used & block:
                 continue
-            used.update(sums)
+            used |= block
             f2.append(c)
             extend_f2(c + 1)
             f2.pop()
-            used.difference_update(sums)
+            used ^= block
             if exhausted:
                 return
 
     def extend_f1(start: int) -> None:
-        nonlocal nodes, exhausted
+        nonlocal nodes, exhausted, sums1
         if exhausted:
             return
         nodes += 1
@@ -476,8 +483,10 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
             if (len(f1) + 1 + num - a - 1) * num <= best_product:
                 break
             f1.append(a)
+            sums1 |= 1 << spreads[a]
             extend_f1(a + 1)
             f1.pop()
+            sums1 ^= 1 << spreads[a]
             if exhausted:
                 return
 

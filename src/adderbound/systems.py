@@ -104,10 +104,11 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     for i, (f1, f2) in enumerate(u.pairs):
         if not is_multiset_union_free(f1, f2):
             return f"pair {i} is not multiset-union-free"
+        s2 = [_spread(c) for c in f2.members]
         for a in f1.members:
             sa = _spread(a)
-            for c in f2.members:
-                key = sa + _spread(c)
+            for sc in s2:
+                key = sa + sc
                 if key in seen:
                     return f"pairs {seen[key]} and {i} share a sum vector"
                 seen[key] = i

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from adderbound.bounds import BoundCurve
+from adderbound.bounds import BoundCurve, EvaluationError
 from adderbound.cli import main
 from adderbound.families import Family, family_from_text, is_multiset_union_free
 from adderbound.systems import log3_construction, system_from_json, system_to_json
@@ -202,6 +202,24 @@ def test_search_json_families_check_out(capsys):
 def test_search_deterministic(capsys):
     runs = [run_cli(capsys, "search", "--n", "3", "--budget", "1") for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan"])
+def test_search_rejects_nonfinite_budget(capsys, budget):
+    code, out, err = run_cli(capsys, "search", "--n", "3", "--budget", budget)
+    assert code == 2 and out == ""
+    assert err.startswith("error: budget must be positive")
+    assert err.count("\n") == 1
+
+
+def test_evaluation_error_exits_1(capsys, monkeypatch):
+    def failing(*_):
+        raise EvaluationError(0.25, float("nan"))
+
+    monkeypatch.setattr("adderbound.cli.main_bound", failing)
+    code, out, err = run_cli(capsys, "bound", "--r1", "1.0", "--which", "main")
+    assert code == 1 and out == ""
+    assert err == "error: objective returned nan at x=0.25\n"
 
 
 def test_system_log3_writes_roundtrippable_json(tmp_path, capsys):

@@ -421,6 +421,29 @@ def test_search_validation():
         exhaustive_pair_search(7)
     with pytest.raises(ValueError):
         exhaustive_pair_search(3, budget_secs=0.0)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        exhaustive_pair_search(3, budget_secs=math.inf)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        exhaustive_pair_search(3, budget_secs=math.nan)
+
+
+@pytest.mark.parametrize(
+    "n, budget, product, nodes, f1, f2",
+    [
+        (3, 0.01, 14, 1_500, (0, 1, 2, 3, 4, 5, 6), (0, 7)),
+        (4, 1.0, 36, 150_000, (0, 1, 2, 3, 4, 5, 8, 10, 12), (0, 6, 9, 15)),
+        (5, 0.1, 32, 15_000, (0,), tuple(range(32))),
+    ],
+)
+def test_search_results_pinned(n, budget, product, nodes, f1, f2):
+    # budget-limited runs: the node count and incumbent pin the enumeration
+    # order and both prune rules, not only the optimum
+    res = exhaustive_pair_search(n, budget_secs=budget)
+    assert (res.product, res.exact, res.nodes) == (product, False, nodes)
+    assert (res.f1.members, res.f2.members) == (f1, f2)
+    assert is_multiset_union_free(res.f1, res.f2)
+    sums = {tuple((a >> i & 1) + (c >> i & 1) for i in range(n)) for a in f1 for c in f2}
+    assert len(sums) == len(f1) * len(f2) == product
 
 
 def test_complement_pair_count_capped():
