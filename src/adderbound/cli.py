@@ -158,6 +158,12 @@ def _verify_suites(args) -> int:
     return 0 if passed else 1
 
 
+def _print_system_summary(u, r, reason) -> None:
+    print(f"n = {u.n}, pairs = {u.m0}, m1 = {u.m1}, m2 = {u.m2}")
+    print(f"rates = ({r.r0:.6f}, {r.r1:.6f}, {r.r2:.6f}), total = {r.total:.6f}")
+    print("valid" if reason is None else f"invalid: {reason}")
+
+
 def _verify_system(args) -> int:
     with open(args.system) as fh:
         u = system_from_json(fh.read())
@@ -176,11 +182,7 @@ def _verify_system(args) -> int:
             }
         )
     else:
-        print(f"n = {u.n}, pairs = {u.m0}, m1 = {u.m1}, m2 = {u.m2}")
-        print(
-            f"rates = ({r.r0:.6f}, {r.r1:.6f}, {r.r2:.6f}), total = {r.total:.6f}"
-        )
-        print("valid" if reason is None else f"invalid: {reason}")
+        _print_system_summary(u, r, reason)
     return 0 if reason is None else 1
 
 
@@ -252,11 +254,7 @@ def _cmd_system(args) -> int:
             }
         )
     else:
-        print(f"n = {u.n}, pairs = {u.m0}, m1 = {u.m1}, m2 = {u.m2}")
-        print(
-            f"rates = ({r.r0:.6f}, {r.r1:.6f}, {r.r2:.6f}), total = {r.total:.6f}"
-        )
-        print("valid" if reason is None else f"invalid: {reason}")
+        _print_system_summary(u, r, reason)
         if args.out:
             print(f"wrote {args.out}")
     return 0 if reason is None else 1

@@ -5,7 +5,10 @@ each subset stored as an integer mask with bit i standing for element i+1.
 This module provides the pieces the rate bounds are built from:
 
   * multiset-union-freeness of a pair of families (all vector sums distinct),
-  * projection multisets and k-shattered sets,
+  * projection multisets and k-shattered sets: shattering_profile finds a
+    largest k-shattered set for several k in one pass, max_k_shattered(f, k)
+    is shattering_profile(f, (k,))[k], and both raise SearchBudgetError
+    when the subsets they might scan outnumber an internal budget,
   * the shifting/monotonization procedure,
   * a soft Sauer-Perles-Shelah counting bound (exact rational arithmetic),
   * Hamming balls, the guaranteed shattered-size formula, and a small-n
@@ -23,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -122,36 +125,34 @@ def _check_same_ground(f1: Family, f2: Family) -> None:
 def _spread(mask: int) -> int:
     """Embed a binary mask into base 4 (a zero bit between every pair of bits).
 
-    Sums of two spread masks have digits at most 2, so no carries occur and
-    integer equality of spread sums is equality of the element-wise vector
-    sums a+c in {0,1,2}^n.
+    The binary digits of `mask`, read as base-4 digits. Sums of two spread
+    masks have digits at most 2, so no carries occur and integer equality of
+    spread sums is equality of the element-wise vector sums a+c in {0,1,2}^n.
     """
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << (2 * i)
-        mask >>= 1
-        i += 1
-    return out
+    return int(f"{mask:b}", 4)
 
 
-def is_multiset_union_free(f1: Family, f2: Family) -> bool:
-    """True iff all |f1|*|f2| vector sums a+c are distinct.
+def _pair_sums(f1: Family, f2: Family) -> List[int]:
+    """The |f1|*|f2| spread sums a+c, a-major in member order.
 
     Requires duplicate-free families on a common ground set; a duplicated
-    member would make the count trivially collide.
+    member would make the sums trivially collide.
     """
     _check_same_ground(f1, f2)
     if f1.has_duplicates or f2.has_duplicates:
         raise ValueError("union-freeness is only defined for duplicate-free families")
     s1 = [_spread(a) for a in f1.members]
     s2 = [_spread(c) for c in f2.members]
-    seen = set()
-    for a in s1:
-        for c in s2:
-            seen.add(a + c)
-    return len(seen) == len(s1) * len(s2)
+    return [sa + sc for sa in s1 for sc in s2]
+
+
+def is_multiset_union_free(f1: Family, f2: Family) -> bool:
+    """True iff all |f1|*|f2| vector sums a+c are distinct.
+
+    Requires duplicate-free families on a common ground set.
+    """
+    sums = _pair_sums(f1, f2)
+    return len(set(sums)) == len(sums)
 
 
 def project(f: Family, s_mask: int) -> ProjectionMultiset:
@@ -188,59 +189,29 @@ def is_k_shattered(f: Family, s_mask: int, k: int) -> bool:
     return _min_multiplicity(f.members, s_mask) >= k
 
 
-def _gosper(n: int, size: int) -> Iterator[int]:
-    """All masks with `size` bits set that fit in n bits, in increasing order."""
-    if size == 0:
-        yield 0
-        return
-    if size > n:
-        return
-    v = (1 << size) - 1
-    limit = 1 << n
-    while v < limit:
-        yield v
-        # Gosper's hack: next larger integer with the same popcount
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
+def max_k_shattered(f: Family, k: int) -> Tuple[int, int]:
+    """A largest k-shattered set, as (mask, size): shattering_profile(f, (k,))[k].
 
-
-def max_k_shattered(f: Family, k: int, size_cap: int = 25) -> Tuple[int, int]:
-    """A largest k-shattered set, as (mask, size).
-
-    Scans sizes from the counting cap floor(log2(|f|/k)) downward and returns
-    on the first hit, which by the enumeration order is the numerically
-    smallest mask of the largest k-shattered size. The empty set qualifies
-    whenever |f| >= k, so the scan always terminates with an answer.
+    Raises SearchBudgetError, and ValueError, as shattering_profile does.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= size_cap <= 25:
-        raise ValueError(f"size_cap {size_cap} outside [0, 25]")
-    if len(f) < k:
-        raise ValueError(f"family of size {len(f)} cannot {k}-shatter any set, even the empty one")
-    # a k-shattered S needs k * 2^|S| members, so sizes above this floor are dead
-    start = min(f.n, size_cap, (len(f) // k).bit_length() - 1)
-    total = sum(math.comb(f.n, s) for s in range(1, start + 1))
-    if total > _SUBSET_BUDGET:
-        raise SearchBudgetError(
-            f"scanning sizes 1..{start} on n={f.n} needs {total} subsets (budget {_SUBSET_BUDGET})"
-        )
-    for size in range(start, 0, -1):
-        for mask in _gosper(f.n, size):
-            if _min_multiplicity(f.members, mask) >= k:
-                return mask, size
-    return 0, 0
+    return shattering_profile(f, (k,))[k]
 
 
 def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tuple[int, int]]:
-    """max_k_shattered for several k values in a single bottom-up pass.
+    """A largest k-shattered set, as (mask, size), for every k in ks at once.
 
-    Builds the complex of 1-shattered sets level by level (a set can only be
-    shattered if all its one-element-smaller subsets are), recording the
-    minimum projection multiplicity of each set. One pass therefore answers
-    every k at once; results agree with max_k_shattered exactly, including
-    the smallest-mask tie-break.
+    Builds the complex of min(ks)-shattered sets level by level (a set can
+    only be k-shattered if all its one-element-smaller subsets are, since
+    projecting onto fewer coordinates only merges cells), recording the
+    minimum projection multiplicity of each set. The answer for k is the
+    numerically smallest mask of the largest size whose multiplicity is at
+    least k; (0, 0) when only the empty set qualifies, as it does whenever
+    |f| >= k.
+
+    A k-shattered set S needs k * 2^|S| members, so no level above
+    floor(log2(|f| / min(ks))) can be reached. If the subsets of sizes up
+    to that cap number more than the internal budget, SearchBudgetError is
+    raised before any work.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -249,30 +220,31 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
         raise ValueError(f"k must be >= 1, got {ks[0]}")
     if len(f) < ks[-1]:
         raise ValueError(f"family of size {len(f)} cannot {ks[-1]}-shatter any set")
+    k_min = ks[0]
+    top = min(f.n, (len(f) // k_min).bit_length() - 1)
+    total = sum(math.comb(f.n, s) for s in range(1, top + 1))
+    if total > _SUBSET_BUDGET:
+        raise SearchBudgetError(
+            f"scanning sizes 1..{top} on n={f.n} needs {total} subsets (budget {_SUBSET_BUDGET})"
+        )
     members = np.asarray(f.members, dtype=np.uint64)
     best = {k: (0, 0) for k in ks}
     level: Dict[int, int] = {0: len(f)}
     size = 0
     elems = [1 << i for i in range(f.n)]
-    while level:
+    while level and size < top:
         size += 1
         prev = level
-        prev_keys = set(prev)
-        cand = set()
-        for s in prev:
-            for e in elems:
-                if not s & e:
-                    cand.add(s | e)
+        cand = {s | e for s in prev for e in elems if not s & e}
         cells = 1 << size
         level = {}
         for s in sorted(cand):
-            if any((s & ~e) not in prev_keys for e in elems if s & e):
+            if any((s & ~e) not in prev for e in elems if s & e):
                 continue
-            proj = members & np.uint64(s)
-            vals, counts = np.unique(proj, return_counts=True)
-            if len(vals) < cells:
-                continue
-            level[s] = int(counts.min())
+            vals, counts = np.unique(members & np.uint64(s), return_counts=True)
+            least = int(counts.min())
+            if len(vals) == cells and least >= k_min:
+                level[s] = least
         for k in ks:
             hits = [s for s, m in level.items() if m >= k]
             if hits:

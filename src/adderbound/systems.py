@@ -24,7 +24,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .families import (
     Family,
-    _spread,
+    _check_mask,
+    _check_same_ground,
+    _pair_sums,
     family_from_text,
     family_to_text,
     is_k_shattered,
@@ -102,16 +104,13 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     """None if the system is valid, else a message naming the first failure."""
     seen: Dict[int, int] = {}
     for i, (f1, f2) in enumerate(u.pairs):
-        if not is_multiset_union_free(f1, f2):
+        sums = _pair_sums(f1, f2)
+        if len(set(sums)) != len(sums):
             return f"pair {i} is not multiset-union-free"
-        s2 = [_spread(c) for c in f2.members]
-        for a in f1.members:
-            sa = _spread(a)
-            for sc in s2:
-                key = sa + sc
-                if key in seen:
-                    return f"pairs {seen[key]} and {i} share a sum vector"
-                seen[key] = i
+        for key in sums:
+            j = seen.setdefault(key, i)
+            if j != i:
+                return f"pairs {j} and {i} share a sum vector"
     return None
 
 
@@ -185,11 +184,9 @@ def derive_system(
     complement of S the system inherits union-freeness and disjoint supports
     from the input pair.
     """
-    if f1.n != f2.n:
-        raise ValueError(f"ground set mismatch: {f1.n} vs {f2.n}")
+    _check_same_ground(f1, f2)
     n = f1.n
-    if s_mask < 0 or s_mask >> n:
-        raise ValueError(f"subset mask {s_mask} does not fit a {n}-element ground set")
+    _check_mask(n, s_mask)
     if s_mask == (1 << n) - 1:
         raise DerivationError("S covers the whole ground set; nothing remains to project onto")
     if len(f2) == 0:
@@ -245,7 +242,8 @@ def system_to_json(u: UnionFreeSystem) -> str:
 def system_from_json(text: str) -> UnionFreeSystem:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # deep nesting exhausts the decoder's recursion before any shape check
         raise ValueError(f"bad system JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("bad system JSON: the top level is not an object")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,27 @@ def test_union_free_symmetric():
         assert is_multiset_union_free(f1, f2) == is_multiset_union_free(f2, f1)
 
 
+def test_union_free_matches_naive_up_to_64_bits():
+    # members vary on at most 4 scattered coordinates over a fixed random
+    # background, so collisions are common even on wide ground sets
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 64)
+        active = rng.sample(range(n), min(n, 4))
+        cells = [0]
+        for i in active:
+            cells += [c | 1 << i for c in cells]
+        background = rng.getrandbits(n) & ~cells[-1]
+        size1, size2 = (rng.randint(1, min(len(cells), 6)) for _ in range(2))
+        f1 = Family(n, tuple(background | c for c in rng.sample(cells, size1)))
+        f2 = Family(n, tuple(rng.sample(cells, size2)))
+        want = naive_union_free(f1, f2)
+        assert is_multiset_union_free(f1, f2) == want, (n, f1.members, f2.members)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_union_free_rejects_bad_input():
     with pytest.raises(ValueError):
         is_multiset_union_free(Family(2, (0,)), Family(3, (0,)))
@@ -181,9 +203,18 @@ def test_max_k_shattered_budget_guard():
     f = Family(50, members)
     with pytest.raises(SearchBudgetError):
         max_k_shattered(f, 1)
+    with pytest.raises(SearchBudgetError):
+        shattering_profile(f, (1, 2, 4))
 
 
-def test_shattering_profile_matches_max_k_shattered():
+def brute_max_k_shattered(f, k):
+    # every mask through is_k_shattered, largest size first, then smallest mask
+    for mask in sorted(range(1 << f.n), key=lambda m: (-m.bit_count(), m)):
+        if is_k_shattered(f, mask, k):
+            return mask, mask.bit_count()
+
+
+def test_shattering_matches_brute_force():
     rng = np.random.default_rng(23)
     for _ in range(60):
         n = int(rng.integers(2, 9))
@@ -191,7 +222,47 @@ def test_shattering_profile_matches_max_k_shattered():
         f = Family(n, tuple(int(m) for m in rng.choice(1 << n, size=size, replace=False)))
         prof = shattering_profile(f, (1, 2, 4))
         for k in (1, 2, 4):
-            assert prof[k] == max_k_shattered(f, k), (f.members, k)
+            want = brute_max_k_shattered(f, k)
+            assert prof[k] == want, (f.members, k)
+            assert max_k_shattered(f, k) == want, (f.members, k)
+
+
+def pinned_families():
+    rng = random.Random(31)
+    fams = []
+    for _ in range(12):
+        n = rng.randint(3, 12)
+        size = rng.randint(4, min(1 << n, 120))
+        fams.append(Family(n, tuple(rng.sample(range(1 << n), size))))
+    return fams + [hamming_ball(9, 3), hamming_ball(10, 5)]
+
+
+# shattering_profile(f, (1, 2, 3, 4)) on pinned_families(), as recorded when
+# max_k_shattered was still a separate top-down scan; both must keep them
+PINNED_PROFILES = [
+    {1: (3, 2), 2: (1, 1), 3: (1, 1), 4: (0, 0)},
+    {1: (54, 4), 2: (7, 3), 3: (50, 3), 4: (3, 2)},
+    {1: (31, 5), 2: (1618, 5), 3: (15, 4), 4: (29, 4)},
+    {1: (7, 3), 2: (7, 3), 3: (3, 2), 4: (3, 2)},
+    {1: (7, 3), 2: (3, 2), 3: (1, 1), 4: (1, 1)},
+    {1: (31, 5), 2: (15, 4), 3: (15, 4), 4: (15, 4)},
+    {1: (31, 5), 2: (421, 5), 3: (15, 4), 4: (15, 4)},
+    {1: (119, 6), 2: (47, 5), 3: (15, 4), 4: (15, 4)},
+    {1: (87, 5), 2: (15, 4), 3: (23, 4), 4: (23, 4)},
+    {1: (23, 4), 2: (102, 4), 3: (7, 3), 4: (11, 3)},
+    {1: (31, 5), 2: (665, 5), 3: (39, 4), 4: (92, 4)},
+    {1: (1, 1), 2: (1, 1), 3: (0, 0), 4: (0, 0)},
+    {1: (7, 3), 2: (3, 2), 3: (3, 2), 4: (3, 2)},
+    {1: (31, 5), 2: (15, 4), 3: (15, 4), 4: (15, 4)},
+]
+
+
+def test_shattering_results_pinned():
+    fams = pinned_families()
+    assert len(fams) == len(PINNED_PROFILES)
+    for f, want in zip(fams, PINNED_PROFILES):
+        assert shattering_profile(f, (1, 2, 3, 4)) == want, f.members
+        assert {k: max_k_shattered(f, k) for k in want} == want, f.members
 
 
 # ------------------------------------------------------------------- shifting

@@ -1,6 +1,7 @@
 """Tests for union-free systems: validity, the log2(3) family, the reduction."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from adderbound.systems import (
     system_to_json,
     validate_system,
 )
-from adderbound.families import _spread
 
 
 # ------------------------------------------------------------------ the type
@@ -72,21 +72,78 @@ def test_non_union_free_pair_invalid():
     assert "not multiset-union-free" in validate_system(u)
 
 
+def test_duplicated_member_is_rejected():
+    # union-freeness is undefined for a family that repeats a member
+    u = UnionFreeSystem(2, ((Family(2, (1, 1)), Family(2, (0, 2))),))
+    with pytest.raises(ValueError, match="duplicate-free"):
+        validate_system(u)
+
+
+def pinned_systems():
+    rng = random.Random(37)
+    base = log3_construction(6)
+    out = []
+    for _ in range(4):
+        pairs = list(base.pairs)
+        i, j = rng.sample(range(len(pairs)), 2)
+        pairs[j] = pairs[i]
+        out.append(UnionFreeSystem(6, tuple(pairs)))
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        pairs = tuple(
+            (
+                Family(n, tuple(rng.sample(range(1 << n), 2))),
+                Family(n, tuple(rng.sample(range(1 << n), 2))),
+            )
+            for _ in range(rng.randint(1, 4))
+        )
+        out.append(UnionFreeSystem(n, pairs))
+    return out
+
+
+# validate_system on pinned_systems(), as recorded when it still called
+# is_multiset_union_free and spread every member a second time
+PINNED_REASONS = [
+    "pairs 9 and 10 share a sum vector",
+    "pairs 1 and 9 share a sum vector",
+    "pairs 10 and 13 share a sum vector",
+    "pairs 11 and 13 share a sum vector",
+    "pairs 0 and 1 share a sum vector",
+    "pair 1 is not multiset-union-free",
+    None,
+    "pair 0 is not multiset-union-free",
+    "pair 2 is not multiset-union-free",
+    None,
+    None,
+    "pairs 0 and 2 share a sum vector",
+    "pairs 0 and 1 share a sum vector",
+    "pair 0 is not multiset-union-free",
+    "pairs 0 and 1 share a sum vector",
+    None,
+]
+
+
+def test_validate_system_reasons_pinned():
+    assert [validate_system(u) for u in pinned_systems()] == PINNED_REASONS
+
+
 def test_distinct_sum_count_iff_valid():
     def distinct_sums(u):
         seen = set()
         for f1, f2 in u.pairs:
             for a in f1.members:
                 for c in f2.members:
-                    seen.add(_spread(a) + _spread(c))
+                    seen.add(tuple((a >> b & 1) + (c >> b & 1) for b in range(u.n)))
         return len(seen)
 
     good = log3_construction(3)
     assert distinct_sums(good) == good.m0 * good.m1 * good.m2
+    assert is_valid_system(good)
 
     a = Family(1, (0,))
     bad = UnionFreeSystem(1, ((a, a), (a, a)))
     assert distinct_sums(bad) < bad.m0 * bad.m1 * bad.m2
+    assert not is_valid_system(bad)
 
 
 # ------------------------------------------------------------------- rates
