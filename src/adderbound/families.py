@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from .entropy import binary_entropy, binary_entropy_inv
 
 __all__ = [
@@ -64,6 +62,10 @@ _BALL_CAP = 4_000_000
 
 class SearchBudgetError(RuntimeError):
     """Raised when an exhaustive subset scan would exceed the internal budget."""
+
+
+class _NodeBudgetSpent(Exception):
+    """Unwinds the pair search once its node budget is spent."""
 
 
 @dataclass(frozen=True)
@@ -200,15 +202,16 @@ def max_k_shattered(f: Family, k: int) -> Tuple[int, int]:
 def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tuple[int, int]]:
     """A largest k-shattered set, as (mask, size), for every k in ks at once.
 
-    Builds the complex of min(ks)-shattered sets level by level (a set can
-    only be k-shattered if all its one-element-smaller subsets are, since
-    projecting onto fewer coordinates only merges cells), recording the
-    minimum projection multiplicity of each set. The answer for k is the
-    numerically smallest mask of the largest size whose multiplicity is at
-    least k; (0, 0) when only the empty set qualifies, as it does whenever
-    |f| >= k.
+    A depth-first search over sets, each grown only by elements below its
+    least one, so every size is met in increasing mask order. A set carries
+    its projection cells as bitsets of member positions (a repeated member
+    counts twice); adding element i splits every cell by i, and a branch
+    stops once its smallest cell, the multiplicity, is below min(ks). The
+    answer for k is the first, so numerically smallest, set of the largest
+    size with multiplicity at least k; (0, 0) when only the empty set
+    qualifies, as it does whenever |f| >= k.
 
-    A k-shattered set S needs k * 2^|S| members, so no level above
+    A k-shattered set S needs k * 2^|S| members, so no set larger than
     floor(log2(|f| / min(ks))) can be reached. If the subsets of sizes up
     to that cap number more than the internal budget, SearchBudgetError is
     raised before any work.
@@ -227,28 +230,26 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
         raise SearchBudgetError(
             f"scanning sizes 1..{top} on n={f.n} needs {total} subsets (budget {_SUBSET_BUDGET})"
         )
-    members = np.asarray(f.members, dtype=np.uint64)
+    cols = [sum(1 << p for p, m in enumerate(f.members) if m >> i & 1) for i in range(f.n)]
     best = {k: (0, 0) for k in ks}
-    level: Dict[int, int] = {0: len(f)}
-    size = 0
-    elems = [1 << i for i in range(f.n)]
-    while level and size < top:
-        size += 1
-        prev = level
-        cand = {s | e for s in prev for e in elems if not s & e}
-        cells = 1 << size
-        level = {}
-        for s in sorted(cand):
-            if any((s & ~e) not in prev for e in elems if s & e):
+
+    def grow(mask: int, cells: List[int], below: int, child_size: int) -> None:
+        for i in range(below):
+            col = cols[i]
+            split = []
+            for c in cells:
+                on = c & col
+                split += (on, c ^ on)
+            least = min(map(int.bit_count, split))
+            if least < k_min:
                 continue
-            vals, counts = np.unique(members & np.uint64(s), return_counts=True)
-            least = int(counts.min())
-            if len(vals) == cells and least >= k_min:
-                level[s] = least
-        for k in ks:
-            hits = [s for s, m in level.items() if m >= k]
-            if hits:
-                best[k] = (min(hits), size)
+            for k in ks:
+                if least >= k and best[k][1] < child_size:
+                    best[k] = (mask | 1 << i, child_size)
+            if child_size < top:
+                grow(mask | 1 << i, split, i, child_size + 1)
+
+    grow(0, [(1 << len(f)) - 1], f.n, 1)
     return best
 
 
@@ -404,7 +405,6 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     best_product = 0
     best_pair: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
     nodes = 0
-    exhausted = False
 
     f1: List[int] = []
     f2: List[int] = []
@@ -413,13 +413,10 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
 
     def extend_f2(start: int) -> None:
         # grow f2 with masks >= start, keeping all pairwise sums distinct
-        nonlocal nodes, best_product, best_pair, exhausted, used
-        if exhausted:
-            return
+        nonlocal nodes, best_product, best_pair, used
         nodes += 1
         if nodes >= node_budget:
-            exhausted = True
-            return
+            raise _NodeBudgetSpent
         prod = len(f1) * len(f2)
         if f2 and prod > best_product:
             best_product = prod
@@ -436,17 +433,12 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
             extend_f2(c + 1)
             f2.pop()
             used ^= block
-            if exhausted:
-                return
 
     def extend_f1(start: int) -> None:
-        nonlocal nodes, exhausted, sums1
-        if exhausted:
-            return
+        nonlocal nodes, sums1
         nodes += 1
         if nodes >= node_budget:
-            exhausted = True
-            return
+            raise _NodeBudgetSpent
         if f1:
             # the partner family can never push the product past 3^n
             if len(f1) * min(num, cap // len(f1)) > best_product:
@@ -459,13 +451,15 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
             extend_f1(a + 1)
             f1.pop()
             sums1 ^= 1 << spreads[a]
-            if exhausted:
-                return
 
-    extend_f1(0)
+    exact = True
+    try:
+        extend_f1(0)
+    except _NodeBudgetSpent:
+        exact = False
     fam1 = Family(n, best_pair[0])
     fam2 = Family(n, best_pair[1])
-    return PairSearchResult(fam1, fam2, best_product, not exhausted, nodes)
+    return PairSearchResult(fam1, fam2, best_product, exact, nodes)
 
 
 def family_to_text(f: Family) -> str:
@@ -476,10 +470,12 @@ def family_to_text(f: Family) -> str:
     """
     lines = [f"n={f.n}"]
     for m in f.members:
-        if m == 0:
-            lines.append("-")
-        else:
-            lines.append(",".join(str(i + 1) for i in range(f.n) if m >> i & 1))
+        elems = []
+        while m:
+            low = m & -m
+            elems.append(str(low.bit_length()))
+            m ^= low
+        lines.append(",".join(elems) or "-")
     return "\n".join(lines) + "\n"
 
 
@@ -493,6 +489,9 @@ def family_from_text(text: str) -> Family:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad ground set line {lines[0]!r}") from None
+    if not 1 <= n <= MAX_GROUND:
+        # before any 1 << (elem - 1): a huge n would admit a huge element
+        raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
     members = []
     for ln in lines[1:]:
         if ln == "-":

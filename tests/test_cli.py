@@ -152,7 +152,8 @@ def test_verify_system_bad_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     head = '{"n": 1, "m0": 1, "m1": 1, "m2": 1, '
     deep = "[" * 100_000
-    for text in ("{not json", head + '"pairs": [5]}', head + '"pairs": [[1, 2]]}', deep):
+    huge = head + '"pairs": [["n=99999999999999999999\\n99999999999999999999", "n=1\\n-"]]}'
+    for text in ("{not json", head + '"pairs": [5]}', head + '"pairs": [[1, 2]]}', deep, huge):
         path.write_text(text)
         code, out, err = run_cli(capsys, "verify", "--system", str(path))
         assert code == 2 and out == ""

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adderbound.entropy import binary_entropy, binary_entropy_inv
 from adderbound.families import (
@@ -216,10 +218,19 @@ def brute_max_k_shattered(f, k):
 
 def test_shattering_matches_brute_force():
     rng = np.random.default_rng(23)
+    fams = []
     for _ in range(60):
         n = int(rng.integers(2, 9))
         size = int(rng.integers(4, min(2**n, 40) + 1))
-        f = Family(n, tuple(int(m) for m in rng.choice(1 << n, size=size, replace=False)))
+        fams.append(Family(n, tuple(int(m) for m in rng.choice(1 << n, size=size, replace=False))))
+    # duplicated members: every copy counts toward a cell's multiplicity
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        pool = rng.choice(1 << n, size=int(rng.integers(1, min(2**n, 16) + 1)), replace=False)
+        size = int(rng.integers(4, 41))
+        fams.append(Family(n, tuple(int(m) for m in rng.choice(pool, size=size))))
+    assert sum(f.has_duplicates for f in fams) >= 30
+    for f in fams:
         prof = shattering_profile(f, (1, 2, 4))
         for k in (1, 2, 4):
             want = brute_max_k_shattered(f, k)
@@ -234,11 +245,25 @@ def pinned_families():
         n = rng.randint(3, 12)
         size = rng.randint(4, min(1 << n, 120))
         fams.append(Family(n, tuple(rng.sample(range(1 << n), size))))
-    return fams + [hamming_ball(9, 3), hamming_ball(10, 5)]
+    fams += [hamming_ball(9, 3), hamming_ball(10, 5)]
+    # members vary on 5 scattered coordinates over a fixed background and are
+    # drawn with replacement, so cells fill through repeats
+    for _ in range(4):
+        n = rng.randint(13, 64)
+        active = rng.sample(range(n), 5)
+        cells = [0]
+        for i in active:
+            cells += [c | 1 << i for c in cells]
+        background = rng.getrandbits(n) & ~cells[-1]
+        size = rng.randint(16, 31)
+        fams.append(Family(n, tuple(background | rng.choice(cells) for _ in range(size))))
+    return fams
 
 
 # shattering_profile(f, (1, 2, 3, 4)) on pinned_families(), as recorded when
-# max_k_shattered was still a separate top-down scan; both must keep them
+# max_k_shattered was still a separate top-down scan (the last four, with
+# duplicated members, when shattering_profile built the complex level by
+# level); both must keep them
 PINNED_PROFILES = [
     {1: (3, 2), 2: (1, 1), 3: (1, 1), 4: (0, 0)},
     {1: (54, 4), 2: (7, 3), 3: (50, 3), 4: (3, 2)},
@@ -254,6 +279,10 @@ PINNED_PROFILES = [
     {1: (1, 1), 2: (1, 1), 3: (0, 0), 4: (0, 0)},
     {1: (7, 3), 2: (3, 2), 3: (3, 2), 4: (3, 2)},
     {1: (31, 5), 2: (15, 4), 3: (15, 4), 4: (15, 4)},
+    {1: (196, 3), 2: (4228, 3), 3: (68, 2), 4: (68, 2)},
+    {1: (641, 3), 2: (8705, 3), 3: (129, 2), 4: (129, 2)},
+    {1: (1179650, 3), 2: (131074, 2), 3: (1048578, 2), 4: (2, 1)},
+    {1: (8393728, 3), 2: (8393728, 3), 3: (5120, 2), 4: (5120, 2)},
 ]
 
 
@@ -573,3 +602,28 @@ def test_family_text_errors():
         family_from_text("n=2\n1,3\n")
     with pytest.raises(ValueError):
         family_from_text("n=2\n1,x\n")
+
+
+# numerals with signs, underscores and blanks, small ones more often
+_number = st.one_of(st.integers(-2, 70).map(str), st.text("+-_ 0123456789", min_size=1, max_size=22))
+_member_line = st.one_of(
+    st.just("-"), st.lists(_number, min_size=1, max_size=4).map(",".join), st.text(max_size=8)
+)
+family_texts = st.one_of(
+    st.text(),
+    st.tuples(_number, st.lists(_member_line, max_size=6)).map(
+        lambda t: "\n".join(["n=" + t[0], *t[1]])
+    ),
+)
+
+
+@given(family_texts)
+@settings(max_examples=200, derandomize=True, deadline=None)
+@example("n=99999999999999999999\n99999999999999999999")
+def test_family_from_text_fuzz(text):
+    # any text is either a family that round-trips or a ValueError
+    try:
+        f = family_from_text(text)
+    except ValueError:
+        return
+    assert family_from_text(family_to_text(f)) == f

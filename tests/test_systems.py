@@ -1,10 +1,13 @@
 """Tests for union-free systems: validity, the log2(3) family, the reduction."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adderbound.bounds import LOG2_3
 from adderbound.families import Family, exhaustive_pair_search, is_multiset_union_free, max_k_shattered
@@ -289,6 +292,40 @@ def test_derive_errors():
 
 def test_json_roundtrip():
     u = log3_construction(3)
+    assert system_from_json(system_to_json(u)) == u
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# small fields and family texts, so that some payloads are whole systems
+_field = st.one_of(st.integers(-1, 3), json_values)
+_text = st.one_of(st.sampled_from(["n=1\n-\n", "n=1\n1\n", "n=1\n-\n1\n", "n=2\n1\n2\n"]), st.text(max_size=12))
+_pairs = st.one_of(st.lists(st.lists(_text, min_size=2, max_size=2), max_size=3), json_values)
+_whole = json.loads(system_to_json(log3_construction(3)))
+system_payloads = st.one_of(
+    # a whole system with one field replaced ("extra" leaves it whole)
+    st.builds(
+        lambda key, value: {**_whole, key: value},
+        st.sampled_from(["extra", "n", "m0", "m1", "m2", "pairs"]),
+        st.one_of(_field, _pairs),
+    ),
+    st.fixed_dictionaries({"n": _field, "m0": _field, "m1": _field, "m2": _field, "pairs": _pairs}),
+    json_values,
+)
+
+
+@given(system_payloads)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_system_from_json_fuzz(payload):
+    # any JSON value is either a system that round-trips or a ValueError
+    try:
+        u = system_from_json(json.dumps(payload))
+    except ValueError:
+        return
+    assert isinstance(u, UnionFreeSystem)
     assert system_from_json(system_to_json(u)) == u
 
 
