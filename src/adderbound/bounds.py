@@ -70,6 +70,13 @@ class EvaluationError(RuntimeError):
         super().__init__(f"objective returned {value!r} at x={argument!r}")
 
 
+# fixed caps, far above any documented use: a mistyped size fails at once
+# instead of allocating terabytes or solving for hours
+_MAX_GRID_POINTS = 1 << 20
+_MAX_REFINE_ITERS = 1000
+_MAX_CURVE_STEPS = 100_000
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Outer samples per pass and golden-section iterations per inner solve."""
@@ -78,10 +85,10 @@ class OptimizerConfig:
     refine_iters: int = 64
 
     def __post_init__(self):
-        if self.grid_points < 64:
-            raise ValueError(f"grid_points={self.grid_points} < 64")
-        if self.refine_iters < 1:
-            raise ValueError(f"refine_iters={self.refine_iters} < 1")
+        if not 64 <= self.grid_points <= _MAX_GRID_POINTS:
+            raise ValueError(f"grid_points={self.grid_points} outside [64, {_MAX_GRID_POINTS}]")
+        if not 1 <= self.refine_iters <= _MAX_REFINE_ITERS:
+            raise ValueError(f"refine_iters={self.refine_iters} outside [1, {_MAX_REFINE_ITERS}]")
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -385,8 +392,8 @@ def curve(
     """Evaluate simple_bound, ul_bound and main_bound on a uniform r1 grid."""
     if not 0.0 <= r1_lo < r1_hi <= 1.0 + PROB_SLACK:
         raise ValueError(f"bad range [{r1_lo!r}, {r1_hi!r}]")
-    if steps < 2:
-        raise ValueError(f"steps={steps} < 2")
+    if not 2 <= steps <= _MAX_CURVE_STEPS:
+        raise ValueError(f"steps={steps} outside [2, {_MAX_CURVE_STEPS}]")
     rows = []
     for r1 in np.linspace(r1_lo, min(r1_hi, 1.0), steps):
         r1 = float(r1)

@@ -23,6 +23,9 @@ from typing import Optional, Sequence
 
 from .bounds import (
     DEFAULT_CONFIG,
+    _MAX_CURVE_STEPS,
+    _MAX_GRID_POINTS,
+    _MAX_REFINE_ITERS,
     EvaluationError,
     OptimizerConfig,
     curve,
@@ -265,13 +268,13 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
         "--grid",
         type=int,
         default=None,
-        help="outer-solve samples per pass (default: library default, 4096)",
+        help=f"outer-solve samples per pass, 64 to {_MAX_GRID_POINTS} (default: 4096)",
     )
     p.add_argument(
         "--refine",
         type=int,
         default=None,
-        help="golden-section iterations per inner solve (default: 64)",
+        help=f"golden-section iterations per inner solve, 1 to {_MAX_REFINE_ITERS} (default: 64)",
     )
 
 
@@ -296,7 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="CSV of the bounds over an r1 grid")
     p.add_argument("--from", dest="lo", type=float, default=0.9)
     p.add_argument("--to", dest="hi", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument(
+        "--steps", type=int, default=101, help=f"r1 grid points, 2 to {_MAX_CURVE_STEPS} (default: 101)"
+    )
     p.add_argument("--out", type=str, default=None)
     _add_optimizer_flags(p)
     p.set_defaults(func=_cmd_curve)

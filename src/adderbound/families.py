@@ -79,10 +79,10 @@ class Family:
         if not 1 <= self.n <= MAX_GROUND:
             raise ValueError(f"ground set size {self.n} outside [1, {MAX_GROUND}]")
         full = (1 << self.n) - 1
-        ms = tuple(sorted(int(m) for m in self.members))
-        for m in ms:
-            if m < 0 or m > full:
-                raise ValueError(f"member {m} does not fit a {self.n}-element ground set")
+        ms = tuple(sorted(map(int, self.members)))
+        if ms and (ms[0] < 0 or ms[-1] > full):
+            bad = ms[0] if ms[0] < 0 else next(m for m in ms if m > full)
+            raise ValueError(f"member {bad} does not fit a {self.n}-element ground set")
         object.__setattr__(self, "members", ms)
 
     def __len__(self) -> int:
@@ -134,8 +134,8 @@ def _spread(mask: int) -> int:
     return int(f"{mask:b}", 4)
 
 
-def _pair_sums(f1: Family, f2: Family) -> List[int]:
-    """The |f1|*|f2| spread sums a+c, a-major in member order.
+def is_multiset_union_free(f1: Family, f2: Family) -> bool:
+    """True iff all |f1|*|f2| vector sums a+c are distinct.
 
     Requires duplicate-free families on a common ground set; a duplicated
     member would make the sums trivially collide.
@@ -145,15 +145,7 @@ def _pair_sums(f1: Family, f2: Family) -> List[int]:
         raise ValueError("union-freeness is only defined for duplicate-free families")
     s1 = [_spread(a) for a in f1.members]
     s2 = [_spread(c) for c in f2.members]
-    return [sa + sc for sa in s1 for sc in s2]
-
-
-def is_multiset_union_free(f1: Family, f2: Family) -> bool:
-    """True iff all |f1|*|f2| vector sums a+c are distinct.
-
-    Requires duplicate-free families on a common ground set.
-    """
-    sums = _pair_sums(f1, f2)
+    sums = [sa + sc for sa in s1 for sc in s2]
     return len(set(sums)) == len(sums)
 
 
@@ -462,6 +454,20 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     return PairSearchResult(fam1, fam2, best_product, exact, nodes)
 
 
+def _elems_text(m: int, first: int) -> str:
+    """The elements of mask m, each offset by `first`, comma-separated, ascending."""
+    elems = []
+    while m:
+        low = m & -m
+        elems.append(str(first + low.bit_length()))
+        m ^= low
+    return ",".join(elems)
+
+
+# the element text of every low byte, e.g. _LOW_TEXT[0b10000101] == "1,3,8"
+_LOW_TEXT = tuple(_elems_text(b, 0) for b in range(256))
+
+
 def family_to_text(f: Family) -> str:
     """Serialize a family: `n=<int>` then one line per member.
 
@@ -469,20 +475,42 @@ def family_to_text(f: Family) -> str:
     `-` standing for the empty set.
     """
     lines = [f"n={f.n}"]
+    # members are sorted, so their elements past 8 change rarely: their text
+    # is rebuilt only when they do
+    high = -1
     for m in f.members:
-        elems = []
-        while m:
-            low = m & -m
-            elems.append(str(low.bit_length()))
-            m ^= low
-        lines.append(",".join(elems) or "-")
+        if m >> 8 != high:
+            high = m >> 8
+            tail = _elems_text(high, 8)
+        low = _LOW_TEXT[m & 255]
+        lines.append(f"{low},{tail}" if low and tail else low or tail or "-")
     return "\n".join(lines) + "\n"
 
 
+def _parse_member(ln: str, n: int) -> int:
+    """One member line, element by element through int()."""
+    m = 0
+    for part in ln.split(","):
+        try:
+            elem = int(part)
+        except ValueError:
+            raise ValueError(f"bad element {part!r} in line {ln!r}") from None
+        if not 1 <= elem <= n:
+            raise ValueError(f"element {elem} outside [1, {n}]")
+        m |= 1 << (elem - 1)
+    return m
+
+
 def family_from_text(text: str) -> Family:
-    """Parse the family text format; inverse of family_to_text."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Parse the family text format; inverse of family_to_text.
+
+    The first nonblank line is `n=<int>`; every further nonblank line is a
+    member, `-` for the empty set or comma-separated elements in [1, n].
+    Blank lines and blanks around a line are ignored. Each element is read
+    like int(), so signs, leading zeros, underscores and blanks around it
+    are accepted ("+1, 03" is {1, 3}), and a repeated element counts once.
+    """
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("family text must start with an n=<int> line")
     try:
@@ -492,19 +520,20 @@ def family_from_text(text: str) -> Family:
     if not 1 <= n <= MAX_GROUND:
         # before any 1 << (elem - 1): a huge n would admit a huge element
         raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
+    # canonical spellings only; the rest takes _parse_member
+    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
     members = []
     for ln in lines[1:]:
         if ln == "-":
             members.append(0)
             continue
-        m = 0
-        for part in ln.split(","):
-            try:
-                elem = int(part)
-            except ValueError:
-                raise ValueError(f"bad element {part!r} in line {ln!r}") from None
-            if not 1 <= elem <= n:
-                raise ValueError(f"element {elem} outside [1, {n}]")
-            m |= 1 << (elem - 1)
+        parts = ln.split(",")
+        try:
+            m = sum(map(bit, parts))
+        except KeyError:
+            m = 0
+        # a repeated element carries and the 0 of a miss has no bits: both fall short
+        if m.bit_count() != len(parts):
+            m = _parse_member(ln, n)
         members.append(m)
     return Family(n, tuple(members))

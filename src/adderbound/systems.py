@@ -26,7 +26,7 @@ from .families import (
     Family,
     _check_mask,
     _check_same_ground,
-    _pair_sums,
+    _spread,
     family_from_text,
     family_to_text,
     is_k_shattered,
@@ -100,17 +100,41 @@ class DerivationError(ValueError):
     """The pair/shattered-set reduction cannot produce a system."""
 
 
+class _Spreads(dict):
+    """Memo of _spread: a miss computes and keeps the spread of its mask."""
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = _spread(mask)
+        return value
+
+
 def validate_system(u: UnionFreeSystem) -> Optional[str]:
-    """None if the system is valid, else a message naming the first failure."""
+    """None if the system is valid, else a message naming the first failure.
+
+    Pairs are checked in order, so the message names the first failing pair
+    i: "pair i is not multiset-union-free" when two of its own sums agree,
+    else "pairs j and i share a sum vector", where j is the earlier pair
+    that owns the first sum of pair i (a-major) already taken. Raises
+    ValueError, as is_multiset_union_free does, at the first pair whose
+    families differ in ground set or repeat a member.
+    """
+    spread = _Spreads()
     seen: Dict[int, int] = {}
     for i, (f1, f2) in enumerate(u.pairs):
-        sums = _pair_sums(f1, f2)
-        if len(set(sums)) != len(sums):
+        _check_same_ground(f1, f2)
+        if f1.has_duplicates or f2.has_duplicates:
+            raise ValueError("union-freeness is only defined for duplicate-free families")
+        s2 = list(map(spread.__getitem__, f2.members))
+        sums: List[int] = []
+        for a in f1.members:
+            sums += map(spread[a].__add__, s2)
+        mine = dict.fromkeys(sums, i)
+        if len(mine) != len(sums):
             return f"pair {i} is not multiset-union-free"
-        for key in sums:
-            j = seen.setdefault(key, i)
-            if j != i:
-                return f"pairs {j} and {i} share a sum vector"
+        if not seen.keys().isdisjoint(mine):
+            j = next(seen[key] for key in sums if key in seen)
+            return f"pairs {j} and {i} share a sum vector"
+        seen.update(mine)
     return None
 
 

@@ -86,6 +86,12 @@ def test_optimizer_config_validation():
         OptimizerConfig(grid_points=8)
     with pytest.raises(ValueError):
         OptimizerConfig(refine_iters=0)
+    # fixed caps far above any documented use
+    OptimizerConfig(grid_points=1 << 20, refine_iters=1000)
+    with pytest.raises(ValueError):
+        OptimizerConfig(grid_points=(1 << 20) + 1)
+    with pytest.raises(ValueError):
+        OptimizerConfig(refine_iters=1001)
 
 
 # ---------------------------------------------------------------- envelopes

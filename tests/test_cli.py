@@ -214,6 +214,33 @@ def test_search_rejects_nonfinite_budget(capsys, budget):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["bound", "--r1", "0.5", "--grid", "99999999999999"],
+            "grid_points=99999999999999 outside [64, 1048576]",
+        ),
+        (
+            ["bound", "--r1", "0.5", "--refine", "99999999999"],
+            "refine_iters=99999999999 outside [1, 1000]",
+        ),
+        (["curve", "--steps", "1000000000000"], "steps=1000000000000 outside [2, 100000]"),
+    ],
+    ids=["grid", "refine", "steps"],
+)
+def test_huge_sizes_fail_before_the_solve(capsys, monkeypatch, argv, message):
+    def started(*_, **__):
+        raise AssertionError("the solve or its grid started")
+
+    for target in ("cli.ul_bound", "cli.main_bound", "bounds.ul_bound", "bounds.main_bound"):
+        monkeypatch.setattr(f"adderbound.{target}", started)
+    monkeypatch.setattr("numpy.linspace", started)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_evaluation_error_exits_1(capsys, monkeypatch):
     def failing(*_):
         raise EvaluationError(0.25, float("nan"))

@@ -76,6 +76,16 @@ def test_family_validation():
         Family(2, (-1,))
 
 
+@pytest.mark.parametrize(
+    "members, bad", [((-1, 5), -1), ((9, 8, 3), 8), ((3, 300, 10), 10)]
+)
+def test_family_names_the_member_that_does_not_fit(members, bad):
+    # a negative member first, else the smallest one above the full set
+    with pytest.raises(ValueError) as exc:
+        Family(3, members)
+    assert str(exc.value) == f"member {bad} does not fit a 3-element ground set"
+
+
 def test_family_duplicates_allowed_but_flagged():
     f = Family(2, (1, 1))
     assert f.has_duplicates
@@ -591,6 +601,74 @@ def test_family_text_roundtrip_random():
         members = tuple(int(m) for m in rng.integers(0, 1 << n, size=size))
         f = Family(n, members)
         assert family_from_text(family_to_text(f)) == f
+
+
+def reference_text(f):
+    # one element per set bit, bit by bit
+    lines = [f"n={f.n}"]
+    for m in f.members:
+        lines.append(",".join(str(i + 1) for i in range(f.n) if m >> i & 1) or "-")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 33, 63, 64])
+def test_family_text_bytes_across_byte_boundaries(n):
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    # a bit in every byte, both ends of every byte, and runs of members that
+    # share their bits from bit 8 up or their low byte
+    every_byte = sum(1 << i for i in range(0, n, 8)) | sum(1 << i for i in range(7, n, 8))
+    members = [0, full, every_byte, full ^ every_byte, 1 << (n - 1)]
+    for _ in range(40):
+        m = rng.getrandbits(n)
+        members += [m, m ^ 1, m | 255 & full, m & ~255, (m + 256) & full]
+    f = Family(n, members)
+    text = family_to_text(f)
+    assert text == reference_text(f)
+    assert family_from_text(text) == f
+
+
+def test_family_text_fixture_above_one_byte():
+    f = Family(12, (0, 255, 256, 257, 0xFFF, 0x900))
+    assert family_to_text(f) == (
+        "n=12\n-\n1,2,3,4,5,6,7,8\n9\n1,9\n9,12\n1,2,3,4,5,6,7,8,9,10,11,12\n"
+    )
+
+
+# non-canonical member lines on n=10: elements are read like int()
+NONCANONICAL_LINES = [
+    ("1, 2", (3,)),
+    ("+1,03", (5,)),
+    ("1,1", (1,)),
+    ("2,+1", (3,)),
+    ("1 ,3", (5,)),
+    ("1_0", (512,)),
+    ("10", (512,)),
+    ("1,,2", "bad element '' in line '1,,2'"),
+    (",", "bad element '' in line ','"),
+    ("-1", "element -1 outside [1, 10]"),
+    ("0", "element 0 outside [1, 10]"),
+    ("11", "element 11 outside [1, 10]"),
+    ("3,-", "bad element '-' in line '3,-'"),
+    ("1,x,11", "bad element 'x' in line '1,x,11'"),
+    ("1,11,x", "element 11 outside [1, 10]"),
+]
+
+
+@pytest.mark.parametrize("line, want", NONCANONICAL_LINES)
+def test_family_from_text_noncanonical_lines(line, want):
+    text = f"n=10\n4\n{line}\n"
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            family_from_text(text)
+        assert str(exc.value) == want
+    else:
+        assert family_from_text(text).members == tuple(sorted((8, *want)))
+
+
+def test_family_from_text_blank_and_indented_lines():
+    text = "\n  n=10  \n\n   \n  2,1  \n\t-\n\n 10\t\n"
+    assert family_from_text(text) == Family(10, (0, 3, 512))
 
 
 def test_family_text_errors():

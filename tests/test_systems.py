@@ -130,6 +130,31 @@ def test_validate_system_reasons_pinned():
     assert [validate_system(u) for u in pinned_systems()] == PINNED_REASONS
 
 
+def test_pair_colliding_inside_and_across_is_not_union_free():
+    # pair 1 repeats sum (1, 0) itself and meets pair 0's sums 0 and (1, 0)
+    u = UnionFreeSystem(
+        2, ((Family(2, (0, 2)), Family(2, (0, 1))), (Family(2, (0, 1)), Family(2, (0, 1))))
+    )
+    assert validate_system(u) == "pair 1 is not multiset-union-free"
+
+
+@pytest.mark.parametrize("later, j", [(1 << 33 | 1 << 5, 1), ((1 << 63 | 1 << 40) + 1, 0)])
+def test_collision_names_the_owner_of_the_first_shared_sum(later, j):
+    # pair 2's sums are its second family, ascending: c < a, but a < a + 1;
+    # sum a is pair 0's, sum c pair 1's
+    a = 1 << 63 | 1 << 40
+    c = 1 << 33 | 1 << 5
+    u = UnionFreeSystem(
+        64,
+        (
+            (Family(64, (a,)), Family(64, (0, 1 << 50))),
+            (Family(64, (c,)), Family(64, (0, 1 << 45))),
+            (Family(64, (0,)), Family(64, (later, a))),
+        ),
+    )
+    assert validate_system(u) == f"pairs {j} and 2 share a sum vector"
+
+
 def test_distinct_sum_count_iff_valid():
     def distinct_sums(u):
         seen = set()
