@@ -43,6 +43,9 @@ __all__ = [
     "EvaluationError",
     "OptimizerConfig",
     "DEFAULT_CONFIG",
+    "MAX_GRID_POINTS",
+    "MAX_REFINE_ITERS",
+    "MAX_CURVE_STEPS",
     "scalar_maximize",
     "sum_rate_envelope",
     "conditional_sum_envelope",
@@ -72,9 +75,9 @@ class EvaluationError(RuntimeError):
 
 # fixed caps, far above any documented use: a mistyped size fails at once
 # instead of allocating terabytes or solving for hours
-_MAX_GRID_POINTS = 1 << 20
-_MAX_REFINE_ITERS = 1000
-_MAX_CURVE_STEPS = 100_000
+MAX_GRID_POINTS = 1 << 20
+MAX_REFINE_ITERS = 1000
+MAX_CURVE_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,10 @@ class OptimizerConfig:
     refine_iters: int = 64
 
     def __post_init__(self):
-        if not 64 <= self.grid_points <= _MAX_GRID_POINTS:
-            raise ValueError(f"grid_points={self.grid_points} outside [64, {_MAX_GRID_POINTS}]")
-        if not 1 <= self.refine_iters <= _MAX_REFINE_ITERS:
-            raise ValueError(f"refine_iters={self.refine_iters} outside [1, {_MAX_REFINE_ITERS}]")
+        if not 64 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points={self.grid_points} outside [64, {MAX_GRID_POINTS}]")
+        if not 1 <= self.refine_iters <= MAX_REFINE_ITERS:
+            raise ValueError(f"refine_iters={self.refine_iters} outside [1, {MAX_REFINE_ITERS}]")
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -392,8 +395,8 @@ def curve(
     """Evaluate simple_bound, ul_bound and main_bound on a uniform r1 grid."""
     if not 0.0 <= r1_lo < r1_hi <= 1.0 + PROB_SLACK:
         raise ValueError(f"bad range [{r1_lo!r}, {r1_hi!r}]")
-    if not 2 <= steps <= _MAX_CURVE_STEPS:
-        raise ValueError(f"steps={steps} outside [2, {_MAX_CURVE_STEPS}]")
+    if not 2 <= steps <= MAX_CURVE_STEPS:
+        raise ValueError(f"steps={steps} outside [2, {MAX_CURVE_STEPS}]")
     rows = []
     for r1 in np.linspace(r1_lo, min(r1_hi, 1.0), steps):
         r1 = float(r1)

@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 
 from .bounds import (
     DEFAULT_CONFIG,
-    _MAX_CURVE_STEPS,
-    _MAX_GRID_POINTS,
-    _MAX_REFINE_ITERS,
+    MAX_CURVE_STEPS,
+    MAX_GRID_POINTS,
+    MAX_REFINE_ITERS,
     EvaluationError,
     OptimizerConfig,
     curve,
@@ -268,13 +268,13 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
         "--grid",
         type=int,
         default=None,
-        help=f"outer-solve samples per pass, 64 to {_MAX_GRID_POINTS} (default: 4096)",
+        help=f"outer-solve samples per pass, 64 to {MAX_GRID_POINTS} (default: 4096)",
     )
     p.add_argument(
         "--refine",
         type=int,
         default=None,
-        help=f"golden-section iterations per inner solve, 1 to {_MAX_REFINE_ITERS} (default: 64)",
+        help=f"golden-section iterations per inner solve, 1 to {MAX_REFINE_ITERS} (default: 64)",
     )
 
 
@@ -300,7 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="lo", type=float, default=0.9)
     p.add_argument("--to", dest="hi", type=float, default=1.0)
     p.add_argument(
-        "--steps", type=int, default=101, help=f"r1 grid points, 2 to {_MAX_CURVE_STEPS} (default: 101)"
+        "--steps",
+        type=int,
+        default=101,
+        help=f"r1 grid points, 2 to {MAX_CURVE_STEPS} (default: 101)",
     )
     p.add_argument("--out", type=str, default=None)
     _add_optimizer_flags(p)

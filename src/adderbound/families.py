@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .entropy import binary_entropy, binary_entropy_inv
 
@@ -134,18 +134,38 @@ def _spread(mask: int) -> int:
     return int(f"{mask:b}", 4)
 
 
-def is_multiset_union_free(f1: Family, f2: Family) -> bool:
-    """True iff all |f1|*|f2| vector sums a+c are distinct.
+class _Spreads(dict):
+    """Memo of _spread: a miss computes and keeps the spread of its mask."""
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = _spread(mask)
+        return value
+
+
+def _pair_sums(f1: Family, f2: Family, spread: Callable[[int], int] = _spread) -> List[int]:
+    """The |f1|*|f2| spread sums a+c, a-major in member order.
 
     Requires duplicate-free families on a common ground set; a duplicated
-    member would make the sums trivially collide.
+    member would make the sums trivially collide. A caller checking many
+    pairs passes the lookup of one _Spreads memo as `spread`, so each
+    distinct mask is spread once.
     """
     _check_same_ground(f1, f2)
     if f1.has_duplicates or f2.has_duplicates:
         raise ValueError("union-freeness is only defined for duplicate-free families")
-    s1 = [_spread(a) for a in f1.members]
-    s2 = [_spread(c) for c in f2.members]
-    sums = [sa + sc for sa in s1 for sc in s2]
+    s2 = list(map(spread, f2.members))
+    sums: List[int] = []
+    for a in f1.members:
+        sums += map(spread(a).__add__, s2)
+    return sums
+
+
+def is_multiset_union_free(f1: Family, f2: Family) -> bool:
+    """True iff all |f1|*|f2| vector sums a+c are distinct.
+
+    Requires duplicate-free families on a common ground set.
+    """
+    sums = _pair_sums(f1, f2)
     return len(set(sums)) == len(sums)
 
 
@@ -454,18 +474,21 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     return PairSearchResult(fam1, fam2, best_product, exact, nodes)
 
 
-def _elems_text(m: int, first: int) -> str:
-    """The elements of mask m, each offset by `first`, comma-separated, ascending."""
-    elems = []
-    while m:
-        low = m & -m
-        elems.append(str(first + low.bit_length()))
-        m ^= low
-    return ",".join(elems)
+def _byte_text(first: int) -> Tuple[str, ...]:
+    """The element text of every byte value, its elements offset by `first`.
+
+    Entry b lists the set bits of b as `first` + 1 .. `first` + 8, ascending
+    and comma-separated: _byte_text(8)[0b101] == "9,11".
+    """
+    texts = [""]
+    for e in range(first + 1, first + 9):
+        # the entries with bit e - first - 1 set: the ones before, plus e
+        texts += [f"{t},{e}" if t else str(e) for t in texts]
+    return tuple(texts)
 
 
-# the element text of every low byte, e.g. _LOW_TEXT[0b10000101] == "1,3,8"
-_LOW_TEXT = tuple(_elems_text(b, 0) for b in range(256))
+# one table per byte offset of a mask, shared by every n
+_BYTE_TEXT = tuple(_byte_text(8 * k) for k in range(MAX_GROUND // 8))
 
 
 def family_to_text(f: Family) -> str:
@@ -475,14 +498,18 @@ def family_to_text(f: Family) -> str:
     `-` standing for the empty set.
     """
     lines = [f"n={f.n}"]
-    # members are sorted, so their elements past 8 change rarely: their text
-    # is rebuilt only when they do
+    low_text = _BYTE_TEXT[0]
+    high_text = _BYTE_TEXT[1 : (f.n + 7) // 8]
+    # members are sorted, so for small n neighbours mostly share their
+    # elements past 8: that text is rebuilt, one lookup per byte, only when
+    # it changes
     high = -1
     for m in f.members:
         if m >> 8 != high:
             high = m >> 8
-            tail = _elems_text(high, 8)
-        low = _LOW_TEXT[m & 255]
+            high_bytes = high.to_bytes(len(high_text), "little")
+            tail = ",".join(filter(None, map(tuple.__getitem__, high_text, high_bytes)))
+        low = low_text[m & 255]
         lines.append(f"{low},{tail}" if low and tail else low or tail or "-")
     return "\n".join(lines) + "\n"
 

@@ -26,7 +26,8 @@ from .families import (
     Family,
     _check_mask,
     _check_same_ground,
-    _spread,
+    _pair_sums,
+    _Spreads,
     family_from_text,
     family_to_text,
     is_k_shattered,
@@ -100,14 +101,6 @@ class DerivationError(ValueError):
     """The pair/shattered-set reduction cannot produce a system."""
 
 
-class _Spreads(dict):
-    """Memo of _spread: a miss computes and keeps the spread of its mask."""
-
-    def __missing__(self, mask: int) -> int:
-        value = self[mask] = _spread(mask)
-        return value
-
-
 def validate_system(u: UnionFreeSystem) -> Optional[str]:
     """None if the system is valid, else a message naming the first failure.
 
@@ -118,16 +111,10 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     ValueError, as is_multiset_union_free does, at the first pair whose
     families differ in ground set or repeat a member.
     """
-    spread = _Spreads()
+    spread = _Spreads().__getitem__
     seen: Dict[int, int] = {}
     for i, (f1, f2) in enumerate(u.pairs):
-        _check_same_ground(f1, f2)
-        if f1.has_duplicates or f2.has_duplicates:
-            raise ValueError("union-freeness is only defined for duplicate-free families")
-        s2 = list(map(spread.__getitem__, f2.members))
-        sums: List[int] = []
-        for a in f1.members:
-            sums += map(spread[a].__add__, s2)
+        sums = _pair_sums(f1, f2, spread)
         mine = dict.fromkeys(sums, i)
         if len(mine) != len(sums):
             return f"pair {i} is not multiset-union-free"
