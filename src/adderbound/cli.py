@@ -8,6 +8,10 @@ Subcommands:
   search   exhaustive union-free pair search at small n
   system   emit the log2(3) construction
 
+Handlers return (exit code, JSON record, text lines) and print nothing; main
+prints one of the two, so a command that stops on an error leaves stdout
+empty.
+
 Exit codes: 0 on success, 1 when a verification fails or a bound cannot be
 evaluated, 2 on usage errors.
 Output is deterministic: identical argv (and seed) give identical bytes.
@@ -18,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .bounds import (
@@ -35,6 +39,8 @@ from .bounds import (
     weldon_bound,
 )
 from .families import (
+    MAX_SAUER_N,
+    SEARCH_NODES_PER_SEC,
     exhaustive_pair_search,
     family_from_text,
     family_to_text,
@@ -52,74 +58,46 @@ from .verify import SUITE_NAMES, run_all, run_suite
 
 __all__ = ["main"]
 
-
-def _config_from(args) -> OptimizerConfig:
-    if args.grid is None and args.refine is None:
-        return DEFAULT_CONFIG
-    return OptimizerConfig(
-        grid_points=args.grid if args.grid is not None else DEFAULT_CONFIG.grid_points,
-        refine_iters=args.refine if args.refine is not None else DEFAULT_CONFIG.refine_iters,
-    )
-
-
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+# `bound --which` names in `all` order; the lambdas look each bound up when
+# called, so a patched module attribute is the one that runs
+_BOUNDS = {
+    "simple": lambda r1, cfg: simple_bound(r1),
+    "weldon": lambda r1, cfg: weldon_bound(r1),
+    "ul": lambda r1, cfg: ul_bound(r1, cfg),
+    "main": lambda r1, cfg: main_bound(r1, cfg),
+}
 
 
-def _cmd_bound(args) -> int:
-    cfg = _config_from(args)
-    order = ("simple", "weldon", "ul", "main")
-    values = {}
-    for name in order if args.which == "all" else (args.which,):
-        if name == "simple":
-            values[name] = simple_bound(args.r1)
-        elif name == "weldon":
-            values[name] = weldon_bound(args.r1)
-        elif name == "ul":
-            values[name] = ul_bound(args.r1, cfg)
-        else:
-            values[name] = main_bound(args.r1, cfg)
-    if args.json:
-        _emit_json({"r1": args.r1, "bounds": values})
-    else:
-        for name, v in values.items():
-            print(f"{name:<7} {v:.6f}")
-    return 0
+def _cmd_bound(args):
+    cfg = OptimizerConfig(args.grid, args.refine)
+    names = _BOUNDS if args.which == "all" else (args.which,)
+    values = {name: _BOUNDS[name](args.r1, cfg) for name in names}
+    lines = [f"{name:<7} {v:.6f}" for name, v in values.items()]
+    return 0, {"r1": args.r1, "bounds": values}, lines
 
 
-def _cmd_curve(args) -> int:
-    bc = curve(args.lo, args.hi, args.steps, _config_from(args))
+def _cmd_curve(args):
+    bc = curve(args.lo, args.hi, args.steps, OptimizerConfig(args.grid, args.refine))
     text = bc.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(bc.rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    if not args.out:
+        return 0, None, text.splitlines()
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    return 0, None, [f"wrote {len(bc.rows)} rows to {args.out}"]
 
 
-def _cmd_sauer(args) -> int:
+def _cmd_sauer(args):
     res = soft_sauer_bound(args.n, args.d, args.k)
-    if args.json:
-        _emit_json(
-            {
-                "n": res.n,
-                "d": res.d,
-                "k": res.k,
-                "t_star": res.t_star,
-                "exact": str(res.exact),
-                "value": res.value,
-            }
-        )
-    else:
-        print(f"t_star = {res.t_star}")
-        print(f"exact  = {res.exact}")
-        print(f"value  = {res.value:.6f}")
-    return 0
+    record = {**asdict(res), "exact": str(res.exact), "value": res.value}
+    lines = [
+        f"t_star = {res.t_star}",
+        f"exact  = {res.exact}",
+        f"value  = {res.value:.6f}",
+    ]
+    return 0, record, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     modes = sum(x is not None for x in (args.suite, args.system, args.pair))
     if modes > 1:
         raise ValueError("choose one of --suite, --system, --pair")
@@ -130,151 +108,125 @@ def _cmd_verify(args) -> int:
     return _verify_suites(args)
 
 
-def _verify_suites(args) -> int:
-    name = args.suite or "all"
-    if name == "all":
+def _verify_suites(args):
+    if args.suite in (None, "all"):
         suites = run_all(args.seed)
     else:
-        suites = {name: run_suite(name, args.seed)}
+        suites = {args.suite: run_suite(args.suite, args.seed)}
     checks = [(s, c) for s, cs in suites.items() for c in cs]
-    passed = all(c.passed for _, c in checks)
-    if args.json:
-        _emit_json(
-            {
-                "seed": args.seed,
-                "passed": passed,
-                "suites": {s: [c.to_dict() for c in cs] for s, cs in suites.items()},
-            }
-        )
+    bad = sum(1 for _, c in checks if not c.passed)
+    record = {
+        "seed": args.seed,
+        "passed": bad == 0,
+        "suites": {s: [c.to_dict() for c in cs] for s, cs in suites.items()},
+    }
+    lines = [
+        f"{'PASS' if c.passed else 'FAIL'} {s}/{c.name}  samples={c.samples}"
+        f"  max_violation={c.max_violation:.3e}  tolerance={c.tolerance:.0e}"
+        for s, c in checks
+    ]
+    if bad:
+        lines.append(f"{bad} of {len(checks)} checks failed")
     else:
-        for s, c in checks:
-            verdict = "PASS" if c.passed else "FAIL"
-            print(
-                f"{verdict} {s}/{c.name}  samples={c.samples}"
-                f"  max_violation={c.max_violation:.3e}  tolerance={c.tolerance:.0e}"
-            )
-        bad = sum(1 for _, c in checks if not c.passed)
-        if bad:
-            print(f"{bad} of {len(checks)} checks failed")
-        else:
-            print(f"all {len(checks)} checks passed")
-    return 0 if passed else 1
+        lines.append(f"all {len(checks)} checks passed")
+    return 0 if bad == 0 else 1, record, lines
 
 
-def _print_system_summary(u, r, reason) -> None:
-    print(f"n = {u.n}, pairs = {u.m0}, m1 = {u.m1}, m2 = {u.m2}")
-    print(f"rates = ({r.r0:.6f}, {r.r1:.6f}, {r.r2:.6f}), total = {r.total:.6f}")
-    print("valid" if reason is None else f"invalid: {reason}")
-
-
-def _verify_system(args) -> int:
-    with open(args.system) as fh:
-        u = system_from_json(fh.read())
+def _system_summary(u):
+    """Validate u; return (reason, record fields, text lines) shared by two commands."""
     reason = validate_system(u)
     r = system_rates(u)
-    if args.json:
-        _emit_json(
-            {
-                "file": args.system,
-                "valid": reason is None,
-                "reason": reason,
-                "n": u.n,
-                "m": [u.m0, u.m1, u.m2],
-                "rates": list(r.as_tuple()),
-                "total": r.total,
-            }
-        )
-    else:
-        _print_system_summary(u, r, reason)
-    return 0 if reason is None else 1
+    fields = {
+        "n": u.n,
+        "m": [u.m0, u.m1, u.m2],
+        "rates": list(r.as_tuple()),
+        "total": r.total,
+    }
+    lines = [
+        f"n = {u.n}, pairs = {u.m0}, m1 = {u.m1}, m2 = {u.m2}",
+        f"rates = ({r.r0:.6f}, {r.r1:.6f}, {r.r2:.6f}), total = {r.total:.6f}",
+        "valid" if reason is None else f"invalid: {reason}",
+    ]
+    return reason, fields, lines
 
 
-def _verify_pair(args) -> int:
+def _verify_system(args):
+    with open(args.system) as fh:
+        u = system_from_json(fh.read())
+    reason, fields, lines = _system_summary(u)
+    record = {"file": args.system, "valid": reason is None, "reason": reason, **fields}
+    return 0 if reason is None else 1, record, lines
+
+
+def _verify_pair(args):
     fams = []
     for path in args.pair:
         with open(path) as fh:
             fams.append(family_from_text(fh.read()))
     f1, f2 = fams
     ok = is_multiset_union_free(f1, f2)
-    if args.json:
-        _emit_json(
-            {
-                "files": list(args.pair),
-                "n": f1.n,
-                "sizes": [len(f1), len(f2)],
-                "product": len(f1) * len(f2),
-                "union_free": ok,
-            }
-        )
-    else:
-        print(f"n = {f1.n}, sizes = {len(f1)} x {len(f2)} = {len(f1) * len(f2)}")
-        print("union-free" if ok else "not union-free")
-    return 0 if ok else 1
+    record = {
+        "files": list(args.pair),
+        "n": f1.n,
+        "sizes": [len(f1), len(f2)],
+        "product": len(f1) * len(f2),
+        "union_free": ok,
+    }
+    lines = [
+        f"n = {f1.n}, sizes = {len(f1)} x {len(f2)} = {len(f1) * len(f2)}",
+        "union-free" if ok else "not union-free",
+    ]
+    return 0 if ok else 1, record, lines
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     res = exhaustive_pair_search(args.n, args.budget)
-    if args.json:
-        _emit_json(
-            {
-                "n": args.n,
-                "product": res.product,
-                "exact": res.exact,
-                "nodes": res.nodes,
-                "f1": family_to_text(res.f1),
-                "f2": family_to_text(res.f2),
-            }
-        )
-    else:
-        print(f"product = {res.product}")
-        print(f"exact   = {'yes' if res.exact else 'no'}")
-        print(f"nodes   = {res.nodes}")
-        print("f1:")
-        sys.stdout.write(family_to_text(res.f1))
-        print("f2:")
-        sys.stdout.write(family_to_text(res.f2))
-    return 0
+    record = {
+        "n": args.n,
+        "product": res.product,
+        "exact": res.exact,
+        "nodes": res.nodes,
+        "f1": family_to_text(res.f1),
+        "f2": family_to_text(res.f2),
+    }
+    lines = [
+        f"product = {res.product}",
+        f"exact   = {'yes' if res.exact else 'no'}",
+        f"nodes   = {res.nodes}",
+        "f1:",
+        *record["f1"].splitlines(),
+        "f2:",
+        *record["f2"].splitlines(),
+    ]
+    return 0, record, lines
 
 
-def _cmd_system(args) -> int:
+def _cmd_system(args):
     if not args.log3:
         raise ValueError("the only available construction is --log3")
     u = log3_construction(args.n)
-    reason = validate_system(u)
-    r = system_rates(u)
+    reason, fields, lines = _system_summary(u)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(system_to_json(u))
-    if args.json:
-        _emit_json(
-            {
-                "n": u.n,
-                "m": [u.m0, u.m1, u.m2],
-                "rates": list(r.as_tuple()),
-                "total": r.total,
-                "valid": reason is None,
-                "out": args.out,
-            }
-        )
-    else:
-        _print_system_summary(u, r, reason)
-        if args.out:
-            print(f"wrote {args.out}")
-    return 0 if reason is None else 1
+        lines.append(f"wrote {args.out}")
+    record = {**fields, "valid": reason is None, "out": args.out}
+    return 0 if reason is None else 1, record, lines
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--grid",
         type=int,
-        default=None,
-        help=f"outer-solve samples per pass, 64 to {MAX_GRID_POINTS} (default: 4096)",
+        default=DEFAULT_CONFIG.grid_points,
+        help=f"outer-solve samples per pass, at most {MAX_GRID_POINTS} (default: %(default)s)",
     )
     p.add_argument(
         "--refine",
         type=int,
-        default=None,
-        help=f"golden-section iterations per inner solve, 1 to {MAX_REFINE_ITERS} (default: 64)",
+        default=DEFAULT_CONFIG.refine_iters,
+        help=f"golden-section iterations per inner solve, at most {MAX_REFINE_ITERS}"
+        " (default: %(default)s)",
     )
 
 
@@ -289,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, required=True)
     p.add_argument(
         "--which",
-        choices=["main", "ul", "simple", "weldon", "all"],
+        choices=[*_BOUNDS, "all"],
         default="all",
     )
     p.add_argument("--json", action="store_true")
@@ -303,14 +255,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--steps",
         type=int,
         default=101,
-        help=f"r1 grid points, 2 to {MAX_CURVE_STEPS} (default: 101)",
+        help=f"r1 grid points, 2 to {MAX_CURVE_STEPS} (default: %(default)s)",
     )
     p.add_argument("--out", type=str, default=None)
     _add_optimizer_flags(p)
-    p.set_defaults(func=_cmd_curve)
+    p.set_defaults(func=_cmd_curve, json=False)
 
     p = sub.add_parser("sauer", help="soft shattering bound, exact")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help=f"ground-set size, at most {MAX_SAUER_N}",
+    )
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", action="store_true")
@@ -330,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=float,
         default=10.0,
-        help="seconds of node budget, 150,000 nodes per second",
+        help=f"seconds of node budget, {SEARCH_NODES_PER_SEC:,} nodes per second",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
@@ -346,16 +303,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        code, record, lines = args.func(args)
+    except (ValueError, OSError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, EvaluationError) else 2
+    if args.json:
+        print(json.dumps(record, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

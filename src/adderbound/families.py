@@ -32,6 +32,8 @@ from .entropy import binary_entropy, binary_entropy_inv
 
 __all__ = [
     "MAX_GROUND",
+    "MAX_SAUER_N",
+    "SEARCH_NODES_PER_SEC",
     "Family",
     "ProjectionMultiset",
     "SearchBudgetError",
@@ -52,6 +54,13 @@ __all__ = [
 ]
 
 MAX_GROUND = 64
+
+# largest n for soft_sauer_bound: its exact value then has at most about 1,200
+# digits and its float stays finite (the bound is below (n + 1) * 2^n)
+MAX_SAUER_N = 1000
+
+# the fixed rate at which exhaustive_pair_search turns budget seconds into nodes
+SEARCH_NODES_PER_SEC = 150_000
 
 # cap on the number of candidate subsets a shattering search may enumerate
 _SUBSET_BUDGET = 2_000_000
@@ -322,6 +331,8 @@ def soft_sauer_bound(n: int, d: int, k: int) -> SoftSauerBound:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if n > MAX_SAUER_N:
+        raise ValueError(f"n={n} outside [1, {MAX_SAUER_N}]")
     t_star = n
     for t in range(d, n + 1):
         if math.comb(n - d, t - d) >= k:
@@ -393,7 +404,7 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
 
     Maximizes |f1|*|f2| over ordered pairs of nonempty duplicate-free
     families. The budget is converted to a deterministic node count
-    (150000 nodes per second), so identical arguments give identical results
+    (SEARCH_NODES_PER_SEC per second), so identical arguments give identical results
     on any machine; `exact` reports whether the space was exhausted. Ties are
     broken toward the lexicographically smallest (f1, f2) member tuples,
     which the ascending-mask enumeration yields for free. For n <= 3 the
@@ -409,7 +420,7 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         raise ValueError(f"n {n} outside [1, 6]")
     if not math.isfinite(budget_secs) or budget_secs <= 0:
         raise ValueError(f"budget must be positive and finite, got {budget_secs}")
-    node_budget = int(budget_secs * 150_000)
+    node_budget = int(budget_secs * SEARCH_NODES_PER_SEC)
     num = 1 << n
     spreads = [_spread(m) for m in range(num)]
     cap = 3**n

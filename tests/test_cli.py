@@ -4,15 +4,33 @@ Commands run in-process through cli.main so stdout can be captured and
 compared byte for byte; one subprocess test covers the module entry point.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adderbound.bounds import BoundCurve, EvaluationError
+from adderbound.bounds import (
+    DEFAULT_CONFIG,
+    MAX_CURVE_STEPS,
+    MAX_GRID_POINTS,
+    MAX_REFINE_ITERS,
+    BoundCurve,
+    EvaluationError,
+)
 from adderbound.cli import main
-from adderbound.families import Family, family_from_text, is_multiset_union_free
+from adderbound.families import (
+    MAX_SAUER_N,
+    SEARCH_NODES_PER_SEC,
+    Family,
+    family_from_text,
+    is_multiset_union_free,
+)
 from adderbound.systems import log3_construction, system_from_json, system_to_json
 
 # Coarse optimizer settings keep the heavy subcommands fast in tests.
@@ -273,3 +291,263 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "t_star = 2\nexact  = 14\nvalue  = 14.000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sauer", "--n", "2000", "--d", "1000", "--k", "1"],
+        ["sauer", "--n", "20000", "--d", "1", "--k", "1"],
+        ["sauer", "--n", "1000000000", "--d", "2", "--k", "100"],
+    ],
+    ids=["float-overflow", "digit-limit", "endless-tail"],
+)
+def test_sauer_huge_n_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: n={argv[2]} outside [1, {MAX_SAUER_N}]\n"
+
+
+# Full stdout of --json commands, recorded before the renderer was shared;
+# {tmp} stands for the test's directory.
+PINNED_JSON = [
+    (
+        ["system", "--log3", "--n", "6", "--json"],
+        """{
+  "n": 6,
+  "m": [
+    15,
+    1,
+    16
+  ],
+  "rates": [
+    0.6511484326014197,
+    0.0,
+    0.6666666666666666
+  ],
+  "total": 1.3178150992680864,
+  "valid": true,
+  "out": null
+}
+""",
+    ),
+    (
+        ["verify", "--system", "{tmp}/log3.json", "--json"],
+        """{
+  "file": "{tmp}/log3.json",
+  "valid": true,
+  "reason": null,
+  "n": 6,
+  "m": [
+    15,
+    1,
+    16
+  ],
+  "rates": [
+    0.6511484326014197,
+    0.0,
+    0.6666666666666666
+  ],
+  "total": 1.3178150992680864
+}
+""",
+    ),
+    (
+        ["verify", "--pair", "{tmp}/f1.txt", "{tmp}/f2.txt", "--json"],
+        """{
+  "files": [
+    "{tmp}/f1.txt",
+    "{tmp}/f2.txt"
+  ],
+  "n": 2,
+  "sizes": [
+    3,
+    2
+  ],
+  "product": 6,
+  "union_free": true
+}
+""",
+    ),
+    (
+        ["search", "--n", "3", "--json"],
+        """{
+  "n": 3,
+  "product": 14,
+  "exact": true,
+  "nodes": 6148,
+  "f1": "n=3\\n-\\n1\\n2\\n1,2\\n3\\n1,3\\n2,3\\n",
+  "f2": "n=3\\n-\\n1,2,3\\n"
+}
+""",
+    ),
+    (
+        ["sauer", "--n", "6", "--d", "1", "--k", "1", "--json"],
+        """{
+  "n": 6,
+  "d": 1,
+  "k": 1,
+  "t_star": 1,
+  "exact": "157/10",
+  "value": 15.7
+}
+""",
+    ),
+    (
+        ["bound", "--r1", "0.5", "--which", "weldon", "--json"],
+        """{
+  "r1": 0.5,
+  "bounds": {
+    "weldon": 0.792481250360578
+  }
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    PINNED_JSON,
+    ids=["system", "verify-system", "verify-pair", "search", "sauer", "bound"],
+)
+def test_json_bytes_pinned(tmp_path, capsys, argv, expected):
+    (tmp_path / "f1.txt").write_text("n=2\n-\n1\n2\n")
+    (tmp_path / "f2.txt").write_text("n=2\n-\n1,2\n")
+    (tmp_path / "log3.json").write_text(system_to_json(log3_construction(6)))
+    code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 0 and err == ""
+    assert out == expected.replace("{tmp}", str(tmp_path))
+
+
+def test_help_renders_library_values(capsys):
+    # argparse formats help strings (and any %(default)s in them) only here
+    helps = {}
+    for cmd in ("bound", "curve", "sauer", "verify", "search", "system"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        helps[cmd] = " ".join(capsys.readouterr().out.split())
+    for cmd in ("bound", "curve"):
+        assert f"at most {MAX_GRID_POINTS} (default: {DEFAULT_CONFIG.grid_points})" in helps[cmd]
+        assert f"at most {MAX_REFINE_ITERS} (default: {DEFAULT_CONFIG.refine_iters})" in helps[cmd]
+    assert f"2 to {MAX_CURVE_STEPS} (default: 101)" in helps["curve"]
+    assert f"at most {MAX_SAUER_N}" in helps["sauer"]
+    assert f"{SEARCH_NODES_PER_SEC:,} nodes per second" in helps["search"]
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _mostly(valid, other):
+    """Draw from `valid` three times in four, else from `other`."""
+    return st.integers(0, 3).flatmap(lambda i: other if i == 3 else valid)
+
+
+# Argv fuzz of main. Every draw is cheap to run: bounds that solve use the
+# smallest config, searches a budget of at most 1,500 nodes, systems n <= 9,
+# and no draw runs a self-check suite. Junk never parses as an integer, so it
+# cannot select a large size.
+_junk = st.one_of(
+    st.sampled_from(["", "-", "x", "1e999", "nan", "-inf", "0x10", "--json", "\x00"]),
+    st.text(max_size=8),
+).filter(lambda s: not _is_int(s))
+_extra = _mostly(st.just([]), st.lists(st.one_of(st.just("--bogus"), _junk), min_size=1, max_size=2))
+_rate = _mostly(st.floats(0.0, 1.0).map(repr), st.one_of(st.floats().map(repr), _junk))
+_config = _mostly(
+    st.tuples(st.sampled_from(["ul", "main", "all"]), st.just(64), st.just(1)),
+    st.tuples(st.sampled_from(["simple", "weldon"]), st.integers(-5, 1 << 21), st.integers(-5, 2000)),
+).map(lambda t: ["--which", t[0], "--grid", str(t[1]), "--refine", str(t[2])])
+_bound = st.tuples(st.just(["bound", "--r1"]), _rate.map(lambda x: [x]), _config)
+_curve = st.tuples(
+    st.just(["curve", "--grid", "64", "--refine", "1", "--steps"]),
+    _mostly(st.sampled_from(["2", "3"]), st.sampled_from(["0", "1000000000000", "x"])).map(
+        lambda x: [x]
+    ),
+    st.tuples(st.just("--from"), _rate, st.just("--to"), _rate).map(list),
+)
+_sauer = st.tuples(
+    st.just(["sauer", "--n"]),
+    _mostly(st.integers(-2, 1000), st.integers(1001, 5000)).map(lambda n: [str(n)]),
+    st.tuples(st.just("--d"), _mostly(st.integers(-2, 1000).map(str), _junk)).map(list),
+    _mostly(st.integers(-2, 10**30).map(str), _junk).map(lambda x: ["--k", x]),
+)
+_search = st.tuples(
+    st.just(["search", "--n"]),
+    _mostly(st.integers(-2, 8).map(str), _junk).map(lambda x: [x]),
+    _mostly(st.floats(1e-5, 0.01), st.floats(max_value=0.01)).map(lambda x: ["--budget", repr(x)]),
+)
+_system = st.tuples(
+    st.just(["system", "--n"]),
+    _mostly(st.sampled_from(["3", "6", "9"]), st.sampled_from(["-3", "0", "4", "18", "x"])).map(
+        lambda x: [x]
+    ),
+    st.lists(st.sampled_from([["--log3"], ["--out", "{tmp}/sys.json"], ["--out", "{tmp}/no/x"]])).map(
+        lambda groups: [a for g in groups for a in g]
+    ),
+)
+_verify = st.tuples(
+    st.just(["verify"]),
+    st.sampled_from(
+        [
+            ["--pair", "{tmp}/a.txt", "{tmp}/b.txt"],
+            ["--pair", "{tmp}/a.txt", "{tmp}/a.txt"],
+            ["--system", "{tmp}/s.json"],
+            ["--system", "{tmp}/s.json", "--suite", "entropy"],
+            ["--system", "{tmp}/missing.json"],
+        ]
+    ),
+    _mostly(st.integers(-1, 3).map(str), _junk).map(lambda x: ["--seed", x]),
+)
+argvs = st.tuples(
+    st.one_of(_bound, _curve, _sauer, _search, _system, _verify),
+    _extra,
+    st.booleans().map(lambda j: ["--json"] if j else []),
+).map(lambda t: [a for part in (*t[0], t[1], t[2]) for a in part])
+_family_text = _mostly(
+    st.sampled_from(["n=2\n-\n1\n2\n", "n=2\n-\n1,2\n", "n=1\n1\n1\n", "n=99999999999999999999\n1\n"]),
+    st.text(max_size=20),
+)
+_system_text = _mostly(
+    st.sampled_from(
+        [
+            system_to_json(log3_construction(3)),
+            '{"n": 1, "m0": 1, "m1": 1, "m2": 1, "pairs": [["n=1\\n-", "n=1\\n-"]]}',
+            '{"n": 1, "m0": 2, "m1": 1, "m2": 1, "pairs": [["n=1\\n1", "n=1\\n-"], ["n=1\\n1", "n=1\\n-"]]}',
+            "[" * 100_000,
+        ]
+    ),
+    st.text(max_size=30),
+)
+
+
+@given(argvs, _family_text, _family_text, _system_text)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_main_argv_fuzz(argv, text_a, text_b, text_s):
+    # any argv stops in argparse or exits 0, 1 or 2; exit 2 (and exit 1
+    # without a report) leaves stdout empty and one line on stderr
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("a.txt", text_a), ("b.txt", text_b), ("s.json", text_s)):
+            with open(f"{tmp}/{name}", "w") as fh:
+                fh.write(text)
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse: a usage error, or help for an abbreviated --help
+                assert exc.code == 2 or (exc.code == 0 and "usage:" in out.getvalue()), argv
+                return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 0 or (code == 1 and out):
+        assert err == "", argv
+    else:
+        assert out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)

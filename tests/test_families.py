@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from adderbound.entropy import binary_entropy, binary_entropy_inv
 from adderbound.families import (
+    MAX_SAUER_N,
     Family,
     PairSearchResult,
     SearchBudgetError,
@@ -405,6 +406,17 @@ def test_soft_sauer_validation():
         soft_sauer_bound(3, 0, 1)
     with pytest.raises(ValueError):
         soft_sauer_bound(3, 2, 0)
+
+
+def test_soft_sauer_cap():
+    # at the cap the float is finite and the exact value still converts to
+    # text (Python refuses ints of more than 4,300 digits); above it, ValueError
+    for d, k in ((1, 1), (MAX_SAUER_N // 2, 1), (MAX_SAUER_N // 2, 10**100), (MAX_SAUER_N, 1)):
+        res = soft_sauer_bound(MAX_SAUER_N, d, k)
+        assert math.isfinite(res.value)
+        assert len(str(res.exact)) < 4300
+    with pytest.raises(ValueError, match=f"outside \\[1, {MAX_SAUER_N}\\]"):
+        soft_sauer_bound(MAX_SAUER_N + 1, 2, 1)
 
 
 def test_soft_sauer_vs_classical_sauer():
