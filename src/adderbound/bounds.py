@@ -82,9 +82,18 @@ MAX_CURVE_STEPS = 100_000
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Outer samples per pass and golden-section iterations per inner solve."""
+    """Outer samples per pass and golden-section iterations per inner solve.
 
-    grid_points: int = 4096
+    The default 1024 outer samples suffice. The first pass over [0, 1/2],
+    the widest outer range, is spaced 4.9e-4 apart; each zoom pass narrows
+    the spacing by about 511x, so the third pass is spaced about 1.9e-9
+    apart, where a smooth outer minimum is sampled far below float
+    resolution. At r1 in {0.9, 0.95, 0.99, 1.0} the bounds land at most
+    1e-15 above their (4096, 64) values and never below them
+    (tests/test_bounds.py).
+    """
+
+    grid_points: int = 1024
     refine_iters: int = 64
 
     def __post_init__(self):

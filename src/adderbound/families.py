@@ -408,7 +408,8 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     on any machine; `exact` reports whether the space was exhausted. Ties are
     broken toward the lexicographically smallest (f1, f2) member tuples,
     which the ascending-mask enumeration yields for free. For n <= 3 the
-    search completes exactly well within the default budget.
+    search completes exactly well within the default budget. A budget spent
+    before the first pair is found raises ValueError.
 
     Sums are Python-int bitsets: `sums1` has bit s_a set for each a in f1,
     `used` bit s_a + s_c for each a in f1 and c in f2. Spreads have base-4
@@ -480,6 +481,10 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         extend_f1(0)
     except _NodeBudgetSpent:
         exact = False
+    if best_product == 0:
+        raise ValueError(
+            f"budget {budget_secs!r} s ({node_budget} nodes) ran out before the first pair"
+        )
     fam1 = Family(n, best_pair[0])
     fam2 = Family(n, best_pair[1])
     return PairSearchResult(fam1, fam2, best_product, exact, nodes)

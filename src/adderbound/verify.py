@@ -356,9 +356,11 @@ def run_suite(name: str, seed: int = 0) -> List[CheckResult]:
     """Run one named suite with a fixed seed."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be non-negative")
     return _SUITES[name](seed)
 
 
 def run_all(seed: int = 0) -> Dict[str, List[CheckResult]]:
     """Run every suite; the per-suite seeds are offset so samples differ."""
-    return {name: _SUITES[name](seed + i) for i, name in enumerate(SUITE_NAMES)}
+    return {name: run_suite(name, seed + i) for i, name in enumerate(SUITE_NAMES)}

@@ -81,7 +81,7 @@ def test_main_point_reproduction():
 
 def test_curve_ordering_and_reference_points():
     # Coarser config: the 1e-6 orderings hold with ~1e-12 margin already at
-    # this resolution, and the default config over 101 points takes 4x longer.
+    # this resolution, and the default config over 101 points takes 2x longer.
     cfg = OptimizerConfig(grid_points=256, refine_iters=40)
     bc = curve(0.9, 1.0, 101, cfg)
     assert len(bc.rows) == 101

@@ -332,6 +332,16 @@ def test_bounds_deterministic():
     assert c == d
 
 
+@pytest.mark.parametrize("r1", [0.9, 0.95, 0.99, 1.0])
+def test_default_grid_matches_dense_grid(r1):
+    # the default outer grid lands on the (4096, 64) values or at most 1e-15
+    # above them, never below: a sparser grid costs no soundness here
+    dense = OptimizerConfig(4096, 64)
+    for bound in (ul_bound, main_bound):
+        ref = bound(r1, dense)
+        assert ref <= bound(r1) <= ref + 1e-15
+
+
 # ---------------------------------------------------------------- curve
 
 

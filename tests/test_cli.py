@@ -147,6 +147,14 @@ def test_verify_output_is_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("suite", [[], ["--suite", "entropy"], ["--suite", "systems"]])
+def test_verify_rejects_negative_seed(capsys, suite):
+    # checked before any suite runs, the seedless systems suite included
+    code, out, err = run_cli(capsys, "verify", "--seed", "-5", *suite)
+    assert code == 2 and out == ""
+    assert err == "error: seed=-5 must be non-negative\n"
+
+
 def test_verify_system_file(tmp_path, capsys):
     path = tmp_path / "sys.json"
     path.write_text(system_to_json(log3_construction(3)))
@@ -222,6 +230,12 @@ def test_search_json_families_check_out(capsys):
 def test_search_deterministic(capsys):
     runs = [run_cli(capsys, "search", "--n", "3", "--budget", "1") for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_search_rejects_budget_spent_before_first_pair(capsys):
+    code, out, err = run_cli(capsys, "search", "--n", "3", "--budget", "1e-9")
+    assert code == 2 and out == ""
+    assert err == "error: budget 1e-09 s (0 nodes) ran out before the first pair\n"
 
 
 @pytest.mark.parametrize("budget", ["inf", "nan"])

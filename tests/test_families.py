@@ -530,6 +530,14 @@ def test_search_budget_exhaustion_is_flagged():
     assert res.nodes <= 150  # 0.001 s * 150000 nodes/s
 
 
+def test_search_budget_spent_before_first_pair_raises():
+    # 2e-5 s is 3 nodes, spent before f2 gets its first member
+    message = r"budget 2e-05 s \(3 nodes\) ran out before the first pair"
+    with pytest.raises(ValueError, match=message):
+        exhaustive_pair_search(3, budget_secs=2e-5)
+    assert exhaustive_pair_search(3, budget_secs=3.4e-5).product == 1  # 5 nodes
+
+
 def test_search_deterministic():
     a = exhaustive_pair_search(3)
     b = exhaustive_pair_search(3)
