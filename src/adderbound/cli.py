@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -306,13 +307,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, record, lines = args.func(args)
+        print(json.dumps(record, indent=2) if args.json else "\n".join(lines), flush=True)
     except (ValueError, OSError, EvaluationError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: the flush at exit then writes to devnull, not raising again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, EvaluationError) else 2
-    if args.json:
-        print(json.dumps(record, indent=2))
-    else:
-        print("\n".join(lines))
     return code
 
 

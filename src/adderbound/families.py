@@ -507,27 +507,31 @@ def _byte_text(first: int) -> Tuple[str, ...]:
 _BYTE_TEXT = tuple(_byte_text(8 * k) for k in range(MAX_GROUND // 8))
 
 
-def family_to_text(f: Family) -> str:
-    """Serialize a family: `n=<int>` then one line per member.
-
-    Members are written as sorted comma-separated 1-indexed elements, with
-    `-` standing for the empty set.
-    """
-    lines = [f"n={f.n}"]
+def _member_lines(masks: Sequence[int], n: int) -> List[str]:
+    """The text line of each mask, `-` for the empty set."""
     low_text = _BYTE_TEXT[0]
-    high_text = _BYTE_TEXT[1 : (f.n + 7) // 8]
-    # members are sorted, so for small n neighbours mostly share their
-    # elements past 8: that text is rebuilt, one lookup per byte, only when
-    # it changes
+    high_text = _BYTE_TEXT[1 : (n + 7) // 8]
+    # masks come sorted, so for small n neighbours mostly share their elements
+    # past 8: that text is rebuilt, one lookup per byte, only when it changes
+    lines = []
     high = -1
-    for m in f.members:
+    for m in masks:
         if m >> 8 != high:
             high = m >> 8
             high_bytes = high.to_bytes(len(high_text), "little")
             tail = ",".join(filter(None, map(tuple.__getitem__, high_text, high_bytes)))
         low = low_text[m & 255]
         lines.append(f"{low},{tail}" if low and tail else low or tail or "-")
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def family_to_text(f: Family) -> str:
+    """Serialize a family: `n=<int>` then one line per member.
+
+    Members are written as sorted comma-separated 1-indexed elements, with
+    `-` standing for the empty set.
+    """
+    return "\n".join([f"n={f.n}", *_member_lines(f.members, f.n)]) + "\n"
 
 
 def _parse_member(ln: str, n: int) -> int:
@@ -544,15 +548,27 @@ def _parse_member(ln: str, n: int) -> int:
     return m
 
 
-def family_from_text(text: str) -> Family:
-    """Parse the family text format; inverse of family_to_text.
+def _parse_members(lines: Sequence[str], n: int) -> List[int]:
+    """The mask of each stripped, nonblank member line, for ground set size n."""
+    # canonical spellings only; the rest takes _parse_member
+    bit = {"-": 0, **{str(e): 1 << (e - 1) for e in range(1, n + 1)}}.__getitem__
+    members = []
+    for ln in lines:
+        parts = ln.split(",")
+        try:
+            m = sum(map(bit, parts))
+        except KeyError:
+            m = 0
+        # a repeated element carries and the 0 of a miss has no bits: both fall
+        # short, as does "-", which is the empty set only as the whole line
+        if m.bit_count() != len(parts) and ln != "-":
+            m = _parse_member(ln, n)
+        members.append(m)
+    return members
 
-    The first nonblank line is `n=<int>`; every further nonblank line is a
-    member, `-` for the empty set or comma-separated elements in [1, n].
-    Blank lines and blanks around a line are ignored. Each element is read
-    like int(), so signs, leading zeros, underscores and blanks around it
-    are accepted ("+1, 03" is {1, 3}), and a repeated element counts once.
-    """
+
+def _family_lines(text: str) -> Tuple[int, List[str]]:
+    """The ground set size and the stripped, nonblank member lines of a family text."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("family text must start with an n=<int> line")
@@ -563,20 +579,17 @@ def family_from_text(text: str) -> Family:
     if not 1 <= n <= MAX_GROUND:
         # before any 1 << (elem - 1): a huge n would admit a huge element
         raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
-    # canonical spellings only; the rest takes _parse_member
-    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
-    members = []
-    for ln in lines[1:]:
-        if ln == "-":
-            members.append(0)
-            continue
-        parts = ln.split(",")
-        try:
-            m = sum(map(bit, parts))
-        except KeyError:
-            m = 0
-        # a repeated element carries and the 0 of a miss has no bits: both fall short
-        if m.bit_count() != len(parts):
-            m = _parse_member(ln, n)
-        members.append(m)
-    return Family(n, tuple(members))
+    return n, lines[1:]
+
+
+def family_from_text(text: str) -> Family:
+    """Parse the family text format; inverse of family_to_text.
+
+    The first nonblank line is `n=<int>`; every further nonblank line is a
+    member, `-` for the empty set or comma-separated elements in [1, n].
+    Blank lines and blanks around a line are ignored. Each element is read
+    like int(), so signs, leading zeros, underscores and blanks around it
+    are accepted ("+1, 03" is {1, 3}), and a repeated element counts once.
+    """
+    n, lines = _family_lines(text)
+    return Family(n, tuple(_parse_members(lines, n)))

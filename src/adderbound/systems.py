@@ -26,10 +26,11 @@ from .families import (
     Family,
     _check_mask,
     _check_same_ground,
+    _family_lines,
+    _member_lines,
     _pair_sums,
+    _parse_members,
     _Spreads,
-    family_from_text,
-    family_to_text,
     is_k_shattered,
     is_multiset_union_free,
 )
@@ -139,14 +140,12 @@ def system_rates(u: UnionFreeSystem) -> SystemRates:
 
 
 def _submasks(mask: int) -> List[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    out.reverse()
+    # ascending: each set bit, lowest first, doubles the list
+    out = [0]
+    while mask:
+        b = mask & -mask
+        out += [x | b for x in out]
+        mask ^= b
     return out
 
 
@@ -240,17 +239,21 @@ def derive_system(
 
 
 def system_to_json(u: UnionFreeSystem) -> str:
+    """Each distinct member line printed once; the family texts are family_to_text's bytes."""
+    masks = sorted({m for pair in u.pairs for f in pair for m in f.members})
+    line = dict(zip(masks, (ln + "\n" for ln in _member_lines(masks, u.n)))).__getitem__
     payload = {
         "n": u.n,
         "m0": u.m0,
         "m1": u.m1,
         "m2": u.m2,
-        "pairs": [[family_to_text(f1), family_to_text(f2)] for f1, f2 in u.pairs],
+        "pairs": [[f"n={u.n}\n" + "".join(map(line, f.members)) for f in pair] for pair in u.pairs],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def system_from_json(text: str) -> UnionFreeSystem:
+    """Each distinct member line parsed once per n; results and messages are family_from_text's."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -270,8 +273,16 @@ def system_from_json(text: str) -> UnionFreeSystem:
         for pair in texts
     ):
         raise ValueError("bad system JSON: 'pairs' is not a list of [family, family] texts")
-    pairs = tuple((family_from_text(t1), family_from_text(t2)) for t1, t2 in texts)
-    u = UnionFreeSystem(payload["n"], pairs)
+    # each line new to its n is parsed once, in order, so errors come as in family_from_text
+    memos: Dict[int, Dict[str, int]] = {}
+    fams = []
+    for t in itertools.chain.from_iterable(texts):
+        n, lines = _family_lines(t)
+        memo = memos.setdefault(n, {})
+        new = list(dict.fromkeys([ln for ln in lines if ln not in memo]))
+        memo.update(zip(new, _parse_members(new, n)))
+        fams.append(Family(n, tuple(map(memo.__getitem__, lines))))
+    u = UnionFreeSystem(payload["n"], tuple(zip(fams[::2], fams[1::2])))
     for name, got in (("m0", u.m0), ("m1", u.m1), ("m2", u.m2)):
         if got != payload[name]:
             raise ValueError(

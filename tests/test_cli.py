@@ -7,6 +7,7 @@ compared byte for byte; one subprocess test covers the module entry point.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -305,6 +306,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "t_star = 2\nexact  = 14\nvalue  = 14.000000\n"
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "adderbound", "search", "--n", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") <= 1
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Tests for union-free systems: validity, the log2(3) family, the reduction."""
 
+import hashlib
 import json
 import math
 import random
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adderbound import systems
 from adderbound.bounds import LOG2_3
 from adderbound.families import Family, exhaustive_pair_search, is_multiset_union_free, max_k_shattered
 from adderbound.systems import (
     DerivationError,
     UnionFreeSystem,
+    _submasks,
     derive_system,
     is_valid_system,
     log3_construction,
@@ -220,6 +223,24 @@ def test_log3_validation():
         log3_construction(0)
 
 
+def _submasks_by_walk(mask):
+    # every submask by the (sub - 1) & mask walk down from mask, reversed
+    out = []
+    sub = mask
+    while True:
+        out.append(sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+    return out[::-1]
+
+
+def test_submasks_match_the_decrement_walk():
+    rng = random.Random(2024)
+    for mask in [*range(1 << 12), *(rng.getrandbits(20) for _ in range(200))]:
+        assert _submasks(mask) == _submasks_by_walk(mask)
+
+
 # ----------------------------------------------------------- derive_system
 
 
@@ -318,6 +339,67 @@ def test_derive_errors():
 def test_json_roundtrip():
     u = log3_construction(3)
     assert system_from_json(system_to_json(u)) == u
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (3, "ab8254ab4b7a2ab6b9328a4f408f2fdd8ac6bac492dc1208632a0a4b6864e8b3"),
+        (6, "7bccec29cb12a828ac954cb1a6c265597e515aed6254526abf4922184c6e37eb"),
+        (9, "fb64bfe91b0ef1e849b0dc23a44475062c89ed41901939bbe034167677b398e4"),
+        (12, "c9167ae9e27b416407883266284e1daf5080a7cfc0db9028d4ef266d38f8f608"),
+    ],
+)
+def test_log3_json_bytes_pinned(n, digest):
+    text = system_to_json(log3_construction(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_system_from_json_parses_each_distinct_line_once(monkeypatch):
+    text = system_to_json(log3_construction(12))
+    distinct = {ln for pair in json.loads(text)["pairs"] for t in pair for ln in t.splitlines()[1:]}
+    parsed = []
+    parse = systems._parse_members
+
+    def counting(lines, n):
+        parsed.extend(lines)
+        return parse(lines, n)
+
+    monkeypatch.setattr(systems, "_parse_members", counting)
+    assert system_from_json(text) == log3_construction(12)
+    # the subsets of [12] with at most 8 elements
+    assert len(parsed) == len(distinct) == sum(math.comb(12, k) for k in range(9)) == 3797
+
+
+def _two_pairs(*texts):
+    pairs = [list(texts[:2]), list(texts[2:])]
+    return json.dumps({"n": 3, "m0": 2, "m1": 1, "m2": 1, "pairs": pairs})
+
+
+@pytest.mark.parametrize(
+    "texts, expected",
+    [
+        # one line spelled canonically in one family and loosely in another
+        (("n=3\n1,3\n", "n=3\n+1, 03\n", "n=3\n+1, 03\n", "n=3\n1,3\n"), [(5,)] * 4),
+        # "1,3" fits n=3 but not n=2, whichever family comes first
+        (("n=3\n1,3\n", "n=3\n-\n", "n=2\n1,3\n", "n=2\n2\n"), "element 3 outside [1, 2]"),
+        (("n=2\n1,3\n", "n=3\n-\n", "n=3\n1,3\n", "n=3\n2\n"), "element 3 outside [1, 2]"),
+        (("n=3\n1,2\n", "n=3\n-\n", "n=2\n1,2\n", "n=2\n2\n"), "pair 1 lives on a different ground set"),
+        # a bad header comes before a bad line that first shows in a later family
+        (("n=3\n1\n", "n=x\n1\n", "n=3\n1,9\n", "n=3\n2\n"), "bad ground set line 'n=x'"),
+        (("n=3\n1\n", "3\n1\n", "n=3\n1,9\n", "n=3\n2\n"), "family text must start with an n=<int> line"),
+        # the first bad line of a family, though a later one repeats in the next family
+        (("n=3\n1\n", "n=3\n1,x\n1,9\n", "n=3\n1,9\n", "n=3\n2\n"), "bad element 'x' in line '1,x'"),
+    ],
+)
+def test_system_from_json_shared_lines_pinned(texts, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            system_from_json(_two_pairs(*texts))
+        assert str(exc.value) == expected
+    else:
+        u = system_from_json(_two_pairs(*texts))
+        assert [f.members for pair in u.pairs for f in pair] == expected
 
 
 json_values = st.recursive(
