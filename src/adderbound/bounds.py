@@ -15,8 +15,11 @@ per outer point; an under-resolved inner max would invalidly lower an upper
 bound, which is why tests pin that concavity. Each outer minimum samples
 cfg.grid_points points and then zooms in around the best sample; every sample
 is itself an upper bound, so sampling stays sound without any assumption on
-the outer objective. Everything here is deterministic: same inputs and config
-give bit-identical results.
+the outer objective. Range checks run where values enter: in the public
+functions, and once per inner solve on its parameters and bracket endpoints;
+the objectives then run on unchecked kernels, as golden-section points never
+leave their bracket (scalar_maximize). Everything here is deterministic: same
+inputs and config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .entropy import (
     PROB_SLACK,
     _as_prob,
     _as_prob_array,
+    _h_half,
     _plogp,
     binary_entropy,
     binary_entropy_inv,
@@ -114,11 +118,10 @@ _ZOOM_PASSES = 2
 
 def _checked(f, x: np.ndarray) -> np.ndarray:
     v = np.asarray(f(x), dtype=float)
-    bad = ~np.isfinite(v)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EvaluationError(float(x.flat[i]), float(v.flat[i]))
-    return v
+    if np.isfinite(v).all():
+        return v
+    i = int(np.argmax(~np.isfinite(v)))
+    raise EvaluationError(float(x.flat[i]), float(v.flat[i]))
 
 
 def scalar_maximize(f, lo, hi, cfg: OptimizerConfig = DEFAULT_CONFIG):
@@ -147,8 +150,8 @@ def scalar_maximize(f, lo, hi, cfg: OptimizerConfig = DEFAULT_CONFIG):
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     if not (np.isfinite(a).all() and np.isfinite(b).all()) or (b < a).any():
         raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    t = _INVPHI * (b - a)
+    c, d = b - t, a + t
     fc, fd = _checked(f, c), _checked(f, d)
     best_x, best_v = a, _checked(f, a)
     for x, v in ((b, _checked(f, b)), (c, fc), (d, fd)):
@@ -159,13 +162,15 @@ def scalar_maximize(f, lo, hi, cfg: OptimizerConfig = DEFAULT_CONFIG):
         # point becomes d or c, and one new point is evaluated per bracket
         left = fc >= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
-        kept_x, kept_v = np.where(left, c, d), np.where(left, fc, fd)
-        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        # t = fl(phi fl(b - a)) <= phi (b - a)(1 + 2^-53)^2 < b - a for a < b, so
+        # b - t > a, a + t < b, and monotone rounding keeps both points in [a, b]
+        t = _INVPHI * (b - a)
+        x = np.where(left, b - t, a + t)
         v = _checked(f, x)
         better = v > best_v
         best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
-        c, fc = np.where(left, x, kept_x), np.where(left, v, kept_v)
-        d, fd = np.where(left, kept_x, x), np.where(left, kept_v, v)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, v, fd), np.where(left, fc, v)
     return best_x[()], best_v[()]
 
 
@@ -182,32 +187,46 @@ def _sampled_minimize(f, lo: float, hi: float, cfg: OptimizerConfig) -> float:
     return best
 
 
+def _l_kernel(e):
+    # a 0-d e becomes a scalar, so h takes its math.log2 path, as after the clamp
+    return _h_half(e[()]) + 1.0 - e
+
+
 def sum_rate_envelope(eta):
     """L(eta) = h(eta) + 1 - eta on [0, 1/2]: the largest sum rate compatible
     with sum-variable disagreement probability eta. Peaks at log2(3) at
     eta = 1/3. Element-wise over arrays."""
-    e = _as_prob_array(eta, "eta", 0.5)
-    return (binary_entropy(e) + 1.0 - e)[()]
+    return _l_kernel(_as_prob_array(eta, "eta", 0.5))[()]
 
 
-def _j_branch1(e):
-    # 2 h((1 - sqrt(1-2e))/2) - e; radicand clamped against float drift
-    rad = np.maximum(1.0 - 2.0 * e, 0.0)
-    return 2.0 * binary_entropy(0.5 * (1.0 - np.sqrt(rad))) - e
-
-
-def _j_branch2(e, s):
-    # second line of the envelope, valid for e < s = p*p; needs the entropy
-    # argument (1 - ratio)/2 nonnegative, i.e. e >= 2p^2 roughly
-    denom = 1.0 - 2.0 * s
+def _j_branch2(e, s, denom):
+    # second line of the envelope, valid for e < s = p*p (denom = 1 - 2s); its entropy
+    # argument (1 - ratio)/2 must be >= 0, i.e. e >= 2p^2 roughly; gap >= 0 keeps it <= 1/2
     if (denom <= 0.0).any():
         raise ValueError("conditional envelope singular at p = 1/2 below eta = 1/2")
     gap = 1.0 - e - s
     arg = 0.5 * (1.0 - gap / np.sqrt(denom))
     if (arg < -PROB_SLACK).any():
         raise ValueError("eta below the valid range of the second branch")
-    arg = np.minimum(np.maximum(arg, 0.0), 1.0)
-    return 2.0 * binary_entropy(arg) - 0.5 * (1.0 - gap * gap / denom)
+    arg = np.asarray(np.maximum(arg, 0.0))  # h's array path, as always, even if 0-d
+    return 2.0 * _h_half(arg) - 0.5 * (1.0 - gap * gap / denom)
+
+
+def _j_kernel(e, s, denom):
+    # J with (s, denom) = _j_consts(p); its first line, 2 h((1 - sqrt(1-2e))/2) - e
+    # (radicand clamped against float drift), holds where e >= s
+    upper = e >= s
+    if not upper.any():
+        return _j_branch2(e, s, denom)
+    out = 2.0 * _h_half(0.5 * (1.0 - np.sqrt(np.maximum(1.0 - 2.0 * e, 0.0)))) - e
+    if not upper.all():
+        out[~upper] = _j_branch2(e[~upper], s[~upper], denom[~upper])
+    return out
+
+
+def _j_consts(p):
+    s = 2.0 * p * (1.0 - p)  # the binary convolution p * p
+    return s, 1.0 - 2.0 * s
 
 
 def conditional_sum_envelope(p, eta):
@@ -218,24 +237,19 @@ def conditional_sum_envelope(p, eta):
     they agree at the boundary. p and eta broadcast together element-wise.
     """
     p, e = np.broadcast_arrays(_as_prob_array(p, "p", 0.5), _as_prob_array(eta, "eta", 0.5))
-    s = 2.0 * p * (1.0 - p)  # the binary convolution p * p
-    upper = e >= s
-    if upper.all():
-        return _j_branch1(e)[()]
-    out = np.empty(e.shape)
-    out[upper] = _j_branch1(e[upper])
-    out[~upper] = _j_branch2(e[~upper], s[~upper])
-    return out[()]
+    return _j_kernel(e, *_j_consts(p))[()]
 
 
-def _sum_rate_objective(eta, r0, p):
+def _sum_rate_objective(eta, r0, s, denom):
     # min{L(eta), J(p, eta) + r0}: concave in eta on [p, 1/2]
-    return np.minimum(sum_rate_envelope(eta), conditional_sum_envelope(p, eta) + r0)
+    return np.minimum(_l_kernel(eta), _j_kernel(eta, s, denom) + r0)
 
 
 def _sum_rate_max(r0, p, cfg: OptimizerConfig):
     # R_sigma with p = h_inv(r1) given; r0 and p broadcast together
-    return scalar_maximize(lambda eta: _sum_rate_objective(eta, r0, p), p, 0.5, cfg)[1]
+    p = _as_prob_array(p, "p", 0.5)  # the solve's one check: [p, 1/2] in [0, 1/2]
+    s, denom = _j_consts(p)
+    return scalar_maximize(lambda eta: _sum_rate_objective(eta, r0, s, denom), p, 0.5, cfg)[1]
 
 
 def sum_rate_bound(r0: float, r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
@@ -246,7 +260,7 @@ def sum_rate_bound(r0: float, r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) 
     first-family rate is r1 and pair-index rate is r0. Always in
     [3/2, log2(3)]; equals exactly 3/2 at r0 = 0.
     """
-    if r0 < 0.0:
+    if not r0 >= 0.0:
         raise ValueError(f"r0={r0!r} must be nonnegative")
     p = binary_entropy_inv(_as_prob(float(r1), "r1"))
     return float(_sum_rate_max(float(r0), p, cfg))
@@ -273,10 +287,8 @@ def weldon_nonsystematic_bound(r1: float) -> float:
 
 def _mixture_objective(beta, rho):
     # entropy of a ternary pmf that is linear in beta, hence concave in beta
-    p0 = (1.0 - rho) * (1.0 - beta)
-    p1 = rho * (1.0 - beta) + (1.0 - rho) * beta
-    p2 = rho * beta
-    return _plogp(p0) + _plogp(p1) + _plogp(p2)
+    nb, nr = 1.0 - beta, 1.0 - rho
+    return _plogp(nr * nb) + _plogp(rho * nb + nr * beta) + _plogp(rho * beta)
 
 
 def ul_mixture_entropy(rho, cfg: OptimizerConfig = DEFAULT_CONFIG):
@@ -287,12 +299,12 @@ def ul_mixture_entropy(rho, cfg: OptimizerConfig = DEFAULT_CONFIG):
     return scalar_maximize(lambda beta: _mixture_objective(beta, r), np.zeros_like(r), 1.0, cfg)[1]
 
 
-def _ul_objective(kappa, rho, g, p1):
+def _ul_objective(kappa, rho, g, p1, h_rho):
     # h(<1 - p1 - kappa>) - h(rho) + min{g, <rho+kappa> + h(<rho+kappa>)},
     # concave in kappa on [0, 1 - p1]
     b = np.minimum(rho + kappa, 0.5)
-    first = binary_entropy(np.clip(1.0 - p1 - kappa, 0.0, 0.5))
-    return first - binary_entropy(rho) + np.minimum(g, b + binary_entropy(b))
+    first = _h_half(np.clip(1.0 - p1 - kappa, 0.0, 0.5))
+    return first - h_rho + np.minimum(g, b + _h_half(b))
 
 
 def _ul_inner_max(rho, p1: float, cfg: OptimizerConfig):
@@ -300,9 +312,9 @@ def _ul_inner_max(rho, p1: float, cfg: OptimizerConfig):
     # kappa runs over [0, 1], but past 1 - p1 the first term is 0 and
     # rho + kappa >= 1/2 (as p1 <= 1/2), so the objective is flat there: it
     # stays concave only up to 1 - p1, which is all the maximum needs.
-    g = ul_mixture_entropy(rho, cfg)
+    g, h_rho = ul_mixture_entropy(rho, cfg), binary_entropy(rho)
     return scalar_maximize(
-        lambda kappa: _ul_objective(kappa, rho, g, p1), np.zeros_like(rho), 1.0 - p1, cfg
+        lambda kappa: _ul_objective(kappa, rho, g, p1, h_rho), np.zeros_like(rho), 1.0 - p1, cfg
     )[1]
 
 
@@ -347,7 +359,7 @@ def main_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
         # singularity (alpha <= 1/2 < 1); r_sigma takes it directly
         ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
         r_sigma = _sum_rate_max(alpha / (1.0 - alpha), ratio, cfg)
-        return (1.0 - alpha) * (r_sigma - binary_entropy(ratio))
+        return (1.0 - alpha) * (r_sigma - _h_half(ratio))
 
     return min(max(_sampled_minimize(obj, 0.0, p1, cfg), 0.0), 1.0)
 

@@ -51,24 +51,26 @@ def _as_prob_array(p, name: str = "p", hi: float = 1.0) -> np.ndarray:
 def _plogp(v) -> np.ndarray:
     """-v log2 v element-wise, with 0 log 0 = +0."""
     v = np.asarray(v, dtype=float)
-    return 0.0 - v * np.log2(v, out=np.zeros_like(v), where=v > 0.0)
+    return 0.0 - v * np.log2(v, out=np.zeros(v.shape), where=v > 0.0)
+
+
+def _h_half(q: ArrayLike) -> ArrayLike:
+    """h(q) for q in [0, 1/2], unchecked; by math.log2 unless q is an ndarray."""
+    r = 1.0 - q
+    if not isinstance(q, np.ndarray):
+        return -q * math.log2(q) - r * math.log2(r) if q > 0.0 else 0.0
+    return _plogp(q) - r * np.log2(r)  # r >= 1/2: no zero guard; bits of + _plogp(r)
 
 
 def binary_entropy(p: ArrayLike) -> ArrayLike:
     """h(p) = -p log2 p - (1-p) log2 (1-p), with h(0) = h(1) = 0."""
     if isinstance(p, np.ndarray):
         q = _as_prob_array(p)
-        q = np.minimum(q, 1.0 - q)
-        return _plogp(q) + _plogp(1.0 - q)
+        return _h_half(np.asarray(np.minimum(q, 1.0 - q)))  # a 0-d q stays an array
     q = _as_prob(float(p))
-    if q == 0.0 or q == 1.0:
-        return 0.0
     # canonicalize to the smaller argument: 1-q is exact for q >= 1/2
     # (Sterbenz), which makes h(p) and h(1-p) agree to the last few ulps
-    if q > 0.5:
-        q = 1.0 - q
-    r = 1.0 - q
-    return -q * math.log2(q) - r * math.log2(r)
+    return _h_half(1.0 - q if q > 0.5 else q)
 
 
 def binary_entropy_inv(x: float) -> float:
@@ -87,7 +89,7 @@ def binary_entropy_inv(x: float) -> float:
     lo, hi = 0.0, 0.5
     for _ in range(_INV_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        val = binary_entropy(mid)
+        val = -mid * math.log2(mid) - (1.0 - mid) * math.log2(1.0 - mid)  # h(mid) inline
         if abs(val - x) <= _INV_TOL:
             return mid
         if val < x:

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from adderbound import bounds
 from adderbound.bounds import (
     LOG2_3,
     BoundCurve,
@@ -20,12 +22,15 @@ from adderbound.bounds import (
     ul_sum_bound,
     weldon_bound,
     weldon_nonsystematic_bound,
+    _j_consts,
+    _j_kernel,
+    _l_kernel,
     _mixture_objective,
     _sum_rate_objective,
     _ul_inner_max,
     _ul_objective,
 )
-from adderbound.entropy import binary_convolve, binary_entropy, binary_entropy_inv
+from adderbound.entropy import _h_half, binary_convolve, binary_entropy, binary_entropy_inv
 
 # small config: the unit tests exercise correctness, not headline-digit accuracy
 FAST = OptimizerConfig(grid_points=512, refine_iters=48)
@@ -141,6 +146,33 @@ def test_conditional_envelope_vectorized_matches_scalar():
         assert v == conditional_sum_envelope(p, float(e))
 
 
+def test_kernels_match_public_envelopes_bit_for_bit():
+    # the unchecked kernels the solves run must give the checked functions'
+    # bits; q, eta and p include the ends of [0, 1/2]
+    rng = np.random.default_rng(2024)
+    q = np.concatenate([[0.0, 0.5, 5e-324, 1e-300], rng.uniform(0.0, 0.5, 4000)])
+    assert _h_half(q).tobytes() == binary_entropy(q).tobytes()
+    for x in q[:200]:
+        assert _h_half(float(x)) == binary_entropy(float(x))
+    assert _l_kernel(q).tobytes() == sum_rate_envelope(q).tobytes()
+    # eta on [p, 1/2], the inner solve's bracket: both J branches
+    p = rng.uniform(0.0, 0.5, 4000)
+    p[:3] = 0.0, 0.5, 0.25
+    eta = p + (0.5 - p) * rng.uniform(0.0, 1.0, p.size) ** 3
+    upper = eta >= binary_convolve(p, p)
+    assert 0 < upper.sum() < upper.size
+    got = _j_kernel(eta, *_j_consts(p))
+    assert got.tobytes() == conditional_sum_envelope(p, eta).tobytes()
+    for mask in (upper, ~upper):  # all of one branch at once
+        sub = _j_kernel(eta[mask], *_j_consts(p[mask]))
+        assert sub.tobytes() == conditional_sum_envelope(p[mask], eta[mask]).tobytes()
+    # 0-d arguments, as in a scalar solve
+    for pi, ei in zip(p[:100], eta[:100]):
+        want = conditional_sum_envelope(float(pi), float(ei))
+        assert _j_kernel(np.array(ei), *_j_consts(pi)) == want
+        assert _l_kernel(np.array(ei)) == sum_rate_envelope(float(ei))
+
+
 def test_conditional_envelope_domain_errors():
     # second branch is singular at p = 1/2 and invalid far below eta = 2p^2
     with pytest.raises(ValueError):
@@ -162,6 +194,15 @@ def test_sum_rate_bound_degenerate_at_r1_one():
     # value is min{3/2, 3/2 + r0} = 3/2 for every r0
     assert sum_rate_bound(0.1, 1.0, FAST) == 1.5
     assert sum_rate_bound(5.0, 1.0, FAST) == 1.5
+
+
+def test_sum_rate_bound_rejects_nan_r0():
+    # NaN fails r0 >= 0 at the boundary instead of surfacing from the solve
+    with pytest.raises(ValueError, match=r"^r0=nan must be nonnegative$"):
+        sum_rate_bound(float("nan"), 0.5)
+    with pytest.raises(ValueError, match=r"^r0=-1.0 must be nonnegative$"):
+        sum_rate_bound(-1.0, 0.5)
+    assert abs(sum_rate_bound(math.inf, 0.5) - LOG2_3) <= 1e-15
 
 
 def test_sum_rate_bound_large_r0_hits_cap():
@@ -224,7 +265,8 @@ def test_inner_objectives_are_concave():
         p = binary_entropy_inv(float(r1))
         etas = np.linspace(p, 0.5, 20001)
         for r0 in (0.0, 0.05, 0.2, 1.0):
-            worst = max(worst, _worst_second_difference(_sum_rate_objective(etas, r0, p)))
+            s, denom = _j_consts(np.full_like(etas, p))
+            worst = max(worst, _worst_second_difference(_sum_rate_objective(etas, r0, s, denom)))
     assert worst <= 1e-12, ("r_sigma", worst)
 
     worst = -math.inf
@@ -239,7 +281,8 @@ def test_inner_objectives_are_concave():
         for r1 in r1s:
             p1 = binary_entropy_inv(float(r1))
             kappas = np.linspace(0.0, 1.0 - p1, 20001)
-            worst = max(worst, _worst_second_difference(_ul_objective(kappas, rho, g, p1)))
+            objective = _ul_objective(kappas, rho, g, p1, binary_entropy(rho))
+            worst = max(worst, _worst_second_difference(objective))
     assert worst <= 1e-12, ("ul", worst)
 
 
@@ -330,6 +373,63 @@ def test_bounds_deterministic():
     c = main_bound(0.997, FAST)
     d = main_bound(0.997, FAST)
     assert c == d
+
+
+# repr of (ul_bound, main_bound) at the default config: the solver's outputs
+# pinned to the bit, so any change to the arithmetic of the inner or outer
+# solves shows here
+BOUND_PINS = {
+    0.0: ("1.0", "1.0"),
+    0.25: ("1.0", "1.0"),
+    0.5: ("1.0", "1.0"),
+    0.9: ("0.6", "0.6000000000009902"),
+    0.93: ("0.57", "0.5699999999992427"),
+    0.95: ("0.55", "0.5499999999994736"),
+    0.99: ("0.51", "0.5100000000004012"),
+    0.999: ("0.501", "0.4917743512700185"),
+    1.0: ("0.4921598855455893", "0.4798303244979498"),
+}
+
+# repr of sum_rate_bound(r0, r1); the solves at (0.1, 0.9) and (0.02, 0.99)
+# evaluate points on both branches of J
+SUM_RATE_PINS = {
+    (0.1, 0.9): "1.5318491081950982",
+    (0.3, 0.5): "1.5755026415050088",
+    (0.02, 0.99): "1.50682373137205",
+    (math.inf, 0.5): "1.5849625007211563",
+}
+
+MIXTURE_101_SHA256 = "a249fded21fea2e393619de9251a1464b13563a5ece4ae6ca07b9df53b1d2522"
+
+
+@pytest.mark.parametrize("r1", sorted(BOUND_PINS))
+def test_bound_bit_pins(r1):
+    assert (repr(ul_bound(r1)), repr(main_bound(r1))) == BOUND_PINS[r1]
+
+
+def test_sum_rate_and_mixture_bit_pins():
+    for (r0, r1), want in SUM_RATE_PINS.items():
+        assert repr(sum_rate_bound(r0, r1)) == want, (r0, r1)
+    g = ul_mixture_entropy(np.linspace(0.0, 0.5, 101))
+    assert hashlib.sha256(g.tobytes()).hexdigest() == MIXTURE_101_SHA256
+
+
+@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 411, 420_864), (main_bound, 207, 211_968)])
+def test_solver_work_counts(monkeypatch, bound, calls, elems):
+    # every objective evaluation passes bounds._checked; the counts are the
+    # solver's work at the default config: 3 outer grids of 1024 points and
+    # 68 evaluations per golden-section solve (ul runs two per outer grid)
+    seen = [0, 0]
+    checked = bounds._checked
+
+    def counting(f, x):
+        seen[0] += 1
+        seen[1] += x.size
+        return checked(f, x)
+
+    monkeypatch.setattr(bounds, "_checked", counting)
+    bound(1.0)
+    assert seen == [calls, elems]
 
 
 @pytest.mark.parametrize("r1", [0.9, 0.95, 0.99, 1.0])
