@@ -4,14 +4,12 @@ Rate bounds at a glance
 
 Evaluates the second-sender rate bounds at the fully loaded point r1 = 1,
 then sweeps r1 over [0.9, 1.0] and writes the curve to a CSV next to this
-script. A coarse optimizer configuration makes the sweep about 4x faster
-than the default would; the printed point values use the library default.
+script, all at the library's default optimizer configuration.
 """
 
 import os
 
 from adderbound.bounds import (
-    OptimizerConfig,
     curve,
     main_bound,
     simple_bound,
@@ -28,8 +26,7 @@ print(f"  ul       {ul_bound(r1):.6f}   (mixture-entropy argument)")
 print(f"  main     {main_bound(r1):.6f}   (conditional-envelope argument)")
 
 # a quick sweep; each row is (r1, simple, ul, main), already sorted
-coarse = OptimizerConfig(grid_points=256, refine_iters=40)
-bc = curve(0.9, 1.0, 21, coarse)
+bc = curve(0.9, 1.0, 21)
 
 print("\n  r1       simple   ul       main")
 for row in bc.rows[::5]:

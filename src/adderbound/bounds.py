@@ -20,6 +20,11 @@ functions, and once per inner solve on its parameters and bracket endpoints;
 the objectives then run on unchecked kernels, as golden-section points never
 leave their bracket (scalar_maximize). Everything here is deterministic: same
 inputs and config give bit-identical results.
+
+At the time-sharing endpoint of its outer range (alpha = 0, rho = 1/2) each
+minimax bound equals the sum-rate bound 3/2 - r1, and it goes below only near
+r1 = 1; where the endpoint is the minimum, the bound returns that value without
+sampling (main_bound, ul_sum_bound say when). Both are capped by simple_bound.
 """
 
 from __future__ import annotations
@@ -92,9 +97,8 @@ class OptimizerConfig:
     the widest outer range, is spaced 4.9e-4 apart; each zoom pass narrows
     the spacing by about 511x, so the third pass is spaced about 1.9e-9
     apart, where a smooth outer minimum is sampled far below float
-    resolution. At r1 in {0.9, 0.95, 0.99, 1.0} the bounds land at most
-    1e-15 above their (4096, 64) values and never below them
-    (tests/test_bounds.py).
+    resolution. At seven r1 in [0.9, 1] the bounds land at most 1e-15 above
+    their (4096, 64) values and never below them (tests/test_bounds.py).
     """
 
     grid_points: int = 1024
@@ -114,6 +118,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # resampling passes of an outer minimum after its first grid; each narrows
 # the interval by a factor of about grid_points / 2
 _ZOOM_PASSES = 2
+
+# the largest r1 at which the sampled ul_sum_bound of DEFAULT_CONFIG returns
+# exactly 3/2; one float higher it is 2.9e-8 lower (tests/test_bounds.py)
+_UL_DEPARTURE = 0.9994783125457343
 
 
 def _checked(f, x: np.ndarray) -> np.ndarray:
@@ -326,20 +334,36 @@ def ul_sum_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
         + min{ g*(rho), <rho+kappa> + h(<rho+kappa>) }
 
     where <a> = min(a, 1/2).
+
+    The kappa-maximum is exactly 3/2 at rho = 1/2 and never rises with r1
+    (each kappa-objective is nonincreasing in h_inv(r1)), so the minimum is
+    3/2 on an interval of r1 from 0; up to _UL_DEPARTURE, where the default
+    config's sampled minimum is still 3/2, this returns 3/2 without sampling.
     """
-    p1 = binary_entropy_inv(_as_prob(float(r1), "r1"))
+    r1c = _as_prob(float(r1), "r1")
+    if r1c <= _UL_DEPARTURE:
+        return 1.5
+    p1 = binary_entropy_inv(r1c)
     return _sampled_minimize(lambda rho: _ul_inner_max(rho, p1, cfg), 0.0, 0.5, cfg)
 
 
 def ul_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
     """The r2 value implied by the Urbanke-Li sum bound: ul_sum_bound(r1) - r1,
-    clamped to [0, 1].
+    clamped to [0, 1] and capped by simple_bound.
 
     Note this is a bound on the sum converted to a bound on r2; at r1 = 1 it
     evaluates to about 0.492.
     """
     r1c = _as_prob(float(r1), "r1")
-    return min(max(ul_sum_bound(r1c, cfg) - r1c, 0.0), 1.0)
+    return min(max(ul_sum_bound(r1c, cfg) - r1c, 0.0), 1.0, 1.5 - r1c)
+
+
+def _main_objective(alpha, p1: float, cfg: OptimizerConfig):
+    # ratio = h_inv(Gamma) lies in [0, p1] for alpha in [0, p1], so no
+    # singularity (alpha <= 1/2 < 1); r_sigma takes it directly
+    ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
+    r_sigma = _sum_rate_max(alpha / (1.0 - alpha), ratio, cfg)
+    return (1.0 - alpha) * (r_sigma - _h_half(ratio))
 
 
 def main_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
@@ -349,19 +373,20 @@ def main_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
         (1 - alpha) * (r_sigma(alpha/(1-alpha), Gamma) - Gamma),
     Gamma = h((h_inv(r1) - alpha)/(1 - alpha)).
 
-    Clamped to [0, 1]. Strictly below ul_bound near r1 = 1 (about 0.4798 at
-    r1 = 1 versus 0.492).
+    Clamped to [0, 1] and capped by simple_bound. Strictly below ul_bound near
+    r1 = 1 (about 0.4798 at r1 = 1 versus 0.492).
+
+    The objective has a single minimum on [0, h_inv(r1)] and at alpha = 0
+    equals 3/2 - h(h_inv(r1)), as r_sigma(0, .) = 3/2. Where one inner solve
+    at alpha = 1e-6 h_inv(r1) is no lower, this returns simple_bound(r1),
+    clamped to 1, without sampling.
     """
-    p1 = binary_entropy_inv(_as_prob(float(r1), "r1"))
-
-    def obj(alpha):
-        # ratio = h_inv(Gamma) lies in [0, p1] for alpha in [0, p1], so no
-        # singularity (alpha <= 1/2 < 1); r_sigma takes it directly
-        ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
-        r_sigma = _sum_rate_max(alpha / (1.0 - alpha), ratio, cfg)
-        return (1.0 - alpha) * (r_sigma - _h_half(ratio))
-
-    return min(max(_sampled_minimize(obj, 0.0, p1, cfg), 0.0), 1.0)
+    r1c = _as_prob(float(r1), "r1")
+    p1 = binary_entropy_inv(r1c)
+    obj = lambda alpha: _main_objective(alpha, p1, cfg)
+    if p1 > 0.0 and _checked(obj, np.array([1e-6 * p1]))[0] >= 1.5 - _h_half(p1):
+        return min(1.5 - r1c, 1.0)
+    return min(max(_sampled_minimize(obj, 0.0, p1, cfg), 0.0), 1.0, 1.5 - r1c)
 
 
 @dataclass(frozen=True)

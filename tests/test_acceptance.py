@@ -2,11 +2,9 @@
 
 One test per guarantee, asserting the stated tolerance and printing a
 single PASS line with the measured numbers, so `pytest -s` reads as a
-checklist. The two point reproductions run at the default optimizer
-configuration and are wall-clock limited; the curve sweep uses a coarser
-configuration (documented inline) because the orderings it checks are
-config-robust and the default would take about 4x longer for no extra
-assurance. One byte pin runs a short curve at the default configuration.
+checklist. The two point reproductions, the 101-point curve sweep and the
+byte pin of a short curve run at the default optimizer configuration; the
+point reproductions are wall-clock limited.
 """
 
 import math
@@ -17,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from adderbound.bounds import (
-    OptimizerConfig,
     conditional_sum_envelope,
     curve,
     main_bound,
@@ -80,10 +77,9 @@ def test_main_point_reproduction():
 
 
 def test_curve_ordering_and_reference_points():
-    # Coarser config: the 1e-6 orderings hold with ~1e-12 margin already at
-    # this resolution, and the default config over 101 points takes 2x longer.
-    cfg = OptimizerConfig(grid_points=256, refine_iters=40)
-    bc = curve(0.9, 1.0, 101, cfg)
+    # default config: both bounds stop at the time-sharing endpoint wherever
+    # they equal the sum-rate bound, so 101 points take about a second
+    bc = curve(0.9, 1.0, 101)
     assert len(bc.rows) == 101
     worst = 0.0
     for _, simple, ul, main in bc.rows:

@@ -25,7 +25,9 @@ from adderbound.bounds import (
     _j_consts,
     _j_kernel,
     _l_kernel,
+    _main_objective,
     _mixture_objective,
+    _sampled_minimize,
     _sum_rate_objective,
     _ul_inner_max,
     _ul_objective,
@@ -286,6 +288,21 @@ def test_inner_objectives_are_concave():
     assert worst <= 1e-12, ("ul", worst)
 
 
+def test_ul_objective_nonincreasing_in_p1():
+    # ul_sum_bound returns 3/2 up to _UL_DEPARTURE without sampling; sound
+    # because 3/2 is the value at rho = 1/2, and tight because every
+    # kappa-objective falls as p1 = h_inv(r1) grows (its bracket [0, 1 - p1]
+    # shrinks too), so the bound stays 3/2 on an interval of r1 from 0
+    kappas = np.linspace(0.0, 1.0, 201)
+    p1s = np.linspace(0.0, 0.5, 401)[:, None]
+    valid = kappas <= 1.0 - p1s
+    for rho in np.linspace(0.0, 0.5, 201):
+        g = float(ul_mixture_entropy(rho))
+        v = _ul_objective(kappas, rho, g, p1s, binary_entropy(rho))
+        rises = (v[1:] > v[:-1]) & valid[1:]
+        assert not rises.any(), rho
+
+
 def test_sum_rate_bound_range_and_monotonicity():
     r0s = np.linspace(0.0, 0.8, 9)
     r1s = np.linspace(0.0, 1.0, 11)
@@ -377,15 +394,15 @@ def test_bounds_deterministic():
 
 # repr of (ul_bound, main_bound) at the default config: the solver's outputs
 # pinned to the bit, so any change to the arithmetic of the inner or outer
-# solves shows here
+# solves shows here; up to r1 = 0.99 both are exactly the sum-rate bound
 BOUND_PINS = {
     0.0: ("1.0", "1.0"),
     0.25: ("1.0", "1.0"),
     0.5: ("1.0", "1.0"),
-    0.9: ("0.6", "0.6000000000009902"),
-    0.93: ("0.57", "0.5699999999992427"),
-    0.95: ("0.55", "0.5499999999994736"),
-    0.99: ("0.51", "0.5100000000004012"),
+    0.9: ("0.6", "0.6"),
+    0.93: ("0.57", "0.57"),
+    0.95: ("0.55", "0.55"),
+    0.99: ("0.51", "0.51"),
     0.999: ("0.501", "0.4917743512700185"),
     1.0: ("0.4921598855455893", "0.4798303244979498"),
 }
@@ -414,11 +431,8 @@ def test_sum_rate_and_mixture_bit_pins():
     assert hashlib.sha256(g.tobytes()).hexdigest() == MIXTURE_101_SHA256
 
 
-@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 411, 420_864), (main_bound, 207, 211_968)])
-def test_solver_work_counts(monkeypatch, bound, calls, elems):
-    # every objective evaluation passes bounds._checked; the counts are the
-    # solver's work at the default config: 3 outer grids of 1024 points and
-    # 68 evaluations per golden-section solve (ul runs two per outer grid)
+def _count_evaluations(monkeypatch, bound, r1):
+    # every objective evaluation passes bounds._checked: (calls, elements)
     seen = [0, 0]
     checked = bounds._checked
 
@@ -428,14 +442,85 @@ def test_solver_work_counts(monkeypatch, bound, calls, elems):
         return checked(f, x)
 
     monkeypatch.setattr(bounds, "_checked", counting)
-    bound(1.0)
-    assert seen == [calls, elems]
+    bound(r1)
+    return seen
 
 
-@pytest.mark.parametrize("r1", [0.9, 0.95, 0.99, 1.0])
+@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 411, 420_864), (main_bound, 276, 212_037)])
+def test_solver_work_counts(monkeypatch, bound, calls, elems):
+    # the solver's work at the default config: 3 outer grids of 1024 points
+    # and 68 evaluations per golden-section solve (ul runs two per outer
+    # grid); main first probes its outer slope at alpha = 1e-6 h_inv(r1) with
+    # one single-bracket solve, 1 + 68 evaluations of one element
+    assert _count_evaluations(monkeypatch, bound, 1.0) == [calls, elems]
+
+
+@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 0, 0), (main_bound, 69, 69)])
+def test_endpoint_work_counts(monkeypatch, bound, calls, elems):
+    # at r1 = 0.95 ul samples nothing, and main stops after its probe
+    assert _count_evaluations(monkeypatch, bound, 0.95) == [calls, elems]
+
+
+def _sampled_ul(r1, cfg=bounds.DEFAULT_CONFIG):
+    # ul_bound through the sampled outer minimum, whatever r1
+    p1 = binary_entropy_inv(r1)
+    v = _sampled_minimize(lambda rho: _ul_inner_max(rho, p1, cfg), 0.0, 0.5, cfg)
+    return min(max(v - r1, 0.0), 1.0)
+
+
+def _sampled_main(r1, cfg=bounds.DEFAULT_CONFIG):
+    # main_bound through the sampled outer minimum, whatever r1
+    p1 = binary_entropy_inv(r1)
+    v = _sampled_minimize(lambda alpha: _main_objective(alpha, p1, cfg), 0.0, p1, cfg)
+    return min(max(v, 0.0), 1.0)
+
+
+def test_ul_departure_point():
+    # _UL_DEPARTURE is the last r1 at which the sampled ul is exactly the
+    # sum-rate bound; one float higher its outer grid falls into the dip
+    # near rho = 0.39 and lands 2.9e-8 lower
+    r1 = bounds._UL_DEPARTURE
+    assert _sampled_ul(r1) == simple_bound(r1)
+    above = math.nextafter(r1, 2.0)
+    assert _sampled_ul(above) < simple_bound(above) - 2.9e-8
+    assert ul_bound(above) == _sampled_ul(above)
+
+
+def test_endpoint_shortcuts_match_sampled_path():
+    # each shortcut returns the sum-rate bound where the sampled outer
+    # minimum sits at the time-sharing endpoint: the sampled value differs
+    # from it only by h(h_inv(r1)) - r1 and inner-solve float noise. Seeded
+    # r1 on the curve's range, plus a band around each departure point
+    rng = np.random.default_rng(20261018)
+    seeded = [float(r1) for r1 in rng.uniform(0.9, 1.0, 200)]
+    main_band = [float(r1) for r1 in np.linspace(0.9925, 0.9928, 61)]
+    ul_band = [float(r1) for r1 in np.linspace(0.99940, 0.99955, 61)]
+    for bound, sampled, r1s in (
+        (ul_bound, _sampled_ul, seeded + ul_band),
+        (main_bound, _sampled_main, seeded + main_band),
+    ):
+        for r1 in r1s:
+            got, cap = bound(r1), min(simple_bound(r1), 1.0)
+            assert got <= cap, (bound.__name__, r1, got)
+            if got == cap:  # otherwise got is the sampled value itself
+                want = sampled(r1)
+                assert abs(got - want) <= 2e-12, (bound.__name__, r1, got, want)
+
+
+def test_bounds_never_above_sum_rate_bound():
+    # both bounds are capped by min(simple, 1), on the sampled path too
+    for r1 in (0.0, 0.25, 0.5, 0.75, 0.9, 0.985, 0.993, 0.9995, 1.0):
+        cap = min(simple_bound(r1), 1.0)
+        assert ul_bound(r1) <= cap and main_bound(r1) <= cap, r1
+        assert main_bound(r1, FAST) <= cap and ul_bound(r1, FAST) <= cap, r1
+
+
+@pytest.mark.parametrize("r1", [0.9, 0.95, 0.99, 0.995, 0.999, 0.9996, 1.0])
 def test_default_grid_matches_dense_grid(r1):
     # the default outer grid lands on the (4096, 64) values or at most 1e-15
-    # above them, never below: a sparser grid costs no soundness here
+    # above them, never below: a sparser grid costs no soundness here. Up to
+    # 0.99 both configs stop at the time-sharing endpoint; 0.995 and above
+    # sample main's outer objective, and 0.9996 ul's too
     dense = OptimizerConfig(4096, 64)
     for bound in (ul_bound, main_bound):
         ref = bound(r1, dense)
