@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .entropy import binary_entropy, binary_entropy_inv
 
@@ -88,11 +89,27 @@ class Family:
         if not 1 <= self.n <= MAX_GROUND:
             raise ValueError(f"ground set size {self.n} outside [1, {MAX_GROUND}]")
         full = (1 << self.n) - 1
-        ms = tuple(sorted(map(int, self.members)))
+        try:
+            ms = tuple(sorted(map(operator.index, self.members)))
+        except TypeError:
+            for m in self.members:
+                try:
+                    operator.index(m)
+                except TypeError:
+                    raise ValueError(f"member {m!r} is not an integer") from None
+            raise
         if ms and (ms[0] < 0 or ms[-1] > full):
             bad = ms[0] if ms[0] < 0 else next(m for m in ms if m > full)
             raise ValueError(f"member {bad} does not fit a {self.n}-element ground set")
         object.__setattr__(self, "members", ms)
+
+    @classmethod
+    def _trusted(cls, n: int, members: Tuple[int, ...]) -> "Family":
+        """A family of members already sorted ints in [0, 2^n), with n in range; no checks."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "members", members)
+        return f
 
     def __len__(self) -> int:
         return len(self.members)
@@ -143,39 +160,18 @@ def _spread(mask: int) -> int:
     return int(f"{mask:b}", 4)
 
 
-class _Spreads(dict):
-    """Memo of _spread: a miss computes and keeps the spread of its mask."""
-
-    def __missing__(self, mask: int) -> int:
-        value = self[mask] = _spread(mask)
-        return value
-
-
-def _pair_sums(f1: Family, f2: Family, spread: Callable[[int], int] = _spread) -> List[int]:
-    """The |f1|*|f2| spread sums a+c, a-major in member order.
+def is_multiset_union_free(f1: Family, f2: Family) -> bool:
+    """True iff all |f1|*|f2| vector sums a+c are distinct.
 
     Requires duplicate-free families on a common ground set; a duplicated
-    member would make the sums trivially collide. A caller checking many
-    pairs passes the lookup of one _Spreads memo as `spread`, so each
-    distinct mask is spread once.
+    member would make the sums trivially collide.
     """
     _check_same_ground(f1, f2)
     if f1.has_duplicates or f2.has_duplicates:
         raise ValueError("union-freeness is only defined for duplicate-free families")
-    s2 = list(map(spread, f2.members))
-    sums: List[int] = []
-    for a in f1.members:
-        sums += map(spread(a).__add__, s2)
-    return sums
-
-
-def is_multiset_union_free(f1: Family, f2: Family) -> bool:
-    """True iff all |f1|*|f2| vector sums a+c are distinct.
-
-    Requires duplicate-free families on a common ground set.
-    """
-    sums = _pair_sums(f1, f2)
-    return len(set(sums)) == len(sums)
+    s2 = list(map(_spread, f2.members))
+    sums = {sa + sc for sa in map(_spread, f1.members) for sc in s2}
+    return len(sums) == len(f1) * len(f2)
 
 
 def project(f: Family, s_mask: int) -> ProjectionMultiset:

@@ -18,9 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .families import (
     Family,
@@ -28,9 +31,7 @@ from .families import (
     _check_same_ground,
     _family_lines,
     _member_lines,
-    _pair_sums,
     _parse_members,
-    _Spreads,
     is_k_shattered,
     is_multiset_union_free,
 )
@@ -51,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UnionFreeSystem:
-    """Pairs of families over [n]; every f1 has m1 members, every f2 has m2."""
+    """Pairs of families over [n]; every f1 has m1 >= 1 members, every f2 has m2 >= 1."""
 
     n: int
     pairs: Tuple[Tuple[Family, Family], ...]
@@ -64,10 +65,11 @@ class UnionFreeSystem:
         for i, (f1, f2) in enumerate(self.pairs):
             if f1.n != self.n or f2.n != self.n:
                 raise ValueError(f"pair {i} lives on a different ground set")
-            if len(f1) != m1:
-                raise ValueError(f"pair {i}: first family has {len(f1)} members, expected {m1}")
-            if len(f2) != m2:
-                raise ValueError(f"pair {i}: second family has {len(f2)} members, expected {m2}")
+            for side, f, m in (("first", f1, m1), ("second", f2, m2)):
+                if not f:
+                    raise ValueError(f"pair {i}: {side} family is empty")
+                if len(f) != m:
+                    raise ValueError(f"pair {i}: {side} family has {len(f)} members, expected {m}")
 
     @property
     def m0(self) -> int:
@@ -102,6 +104,30 @@ class DerivationError(ValueError):
     """The pair/shattered-set reduction cannot produce a system."""
 
 
+# each byte's binary digits read in base 3: bit j weighs 3^j
+_BYTE_BASE3 = np.array([int(f"{b:b}", 3) for b in range(256)], dtype=np.uint64)
+
+# bytes of a mask per uint64 word: 40 coordinates, and 3^40 - 1 < 2^64
+_WORD_BYTES = 5
+
+
+def _base3_words(masks: np.ndarray, n: int) -> List[np.ndarray]:
+    """The binary digits of each mask read in base 3, one uint64 per 40 coordinates.
+
+    Each reading has digits 0/1, so the sum of two has digits a + c <= 2 and
+    never carries: equal sums of readings are equal vector sums. The sum of
+    two readings of a full word is 3^40 - 1, which still fits the word.
+    """
+    nbytes = (n + 7) // 8
+    words = []
+    for first in range(0, nbytes, _WORD_BYTES):
+        word = np.zeros(masks.shape, dtype=np.uint64)
+        for b in range(first, min(first + _WORD_BYTES, nbytes)):
+            word += _BYTE_BASE3[(masks >> (8 * b)) & 255] * 3 ** (8 * (b - first))
+        words.append(word)
+    return words
+
+
 def validate_system(u: UnionFreeSystem) -> Optional[str]:
     """None if the system is valid, else a message naming the first failure.
 
@@ -110,12 +136,35 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     else "pairs j and i share a sum vector", where j is the earlier pair
     that owns the first sum of pair i (a-major) already taken. Raises
     ValueError, as is_multiset_union_free does, at the first pair whose
-    families differ in ground set or repeat a member.
+    families repeat a member.
+
+    All m0*m1*m2 sums are formed at once as base-3 words (_base3_words), in
+    pair order, a-major. If the low words, sorted, are all distinct, so are
+    the sums. Otherwise only sums whose low word repeats can collide (a
+    repeated member repeats its sums too), and those alone are replayed in
+    pair order through one dict of exact sums.
     """
-    spread = _Spreads().__getitem__
-    seen: Dict[int, int] = {}
-    for i, (f1, f2) in enumerate(u.pairs):
-        sums = _pair_sums(f1, f2, spread)
+    m0, m1, m2 = u.m0, u.m1, u.m2
+    chain = itertools.chain.from_iterable
+    firsts = np.fromiter(chain(f.members for f, _ in u.pairs), np.uint64, m0 * m1)
+    seconds = np.fromiter(chain(f.members for _, f in u.pairs), np.uint64, m0 * m2)
+    words = [
+        (wa.reshape(m0, m1, 1) + wc.reshape(m0, 1, m2)).ravel()
+        for wa, wc in zip(_base3_words(firsts, u.n), _base3_words(seconds, u.n))
+    ]
+    low = np.sort(words[0])
+    repeated = low[1:][low[1:] == low[:-1]]
+    if not repeated.size:
+        return None
+    hits = np.flatnonzero(np.isin(words[0], repeated))
+    keys = list(zip(*(w[hits].tolist() for w in words)))
+    seen: Dict[Tuple[int, ...], int] = {}
+    owners = (hits // (m1 * m2)).tolist()
+    for i, group in itertools.groupby(zip(owners, keys), operator.itemgetter(0)):
+        f1, f2 = u.pairs[i]
+        if f1.has_duplicates or f2.has_duplicates:
+            raise ValueError("union-freeness is only defined for duplicate-free families")
+        sums = [key for _, key in group]
         mine = dict.fromkeys(sums, i)
         if len(mine) != len(sums):
             return f"pair {i} is not multiset-union-free"
@@ -167,7 +216,7 @@ def log3_construction(n: int) -> UnionFreeSystem:
         f0 = 0
         for i in combo:
             f0 |= 1 << i
-        pairs.append((Family(n, (f0,)), Family(n, tuple(_submasks(f0)))))
+        pairs.append((Family._trusted(n, (f0,)), Family._trusted(n, tuple(_submasks(f0)))))
     return UnionFreeSystem(n, tuple(pairs))
 
 
@@ -281,7 +330,8 @@ def system_from_json(text: str) -> UnionFreeSystem:
         memo = memos.setdefault(n, {})
         new = list(dict.fromkeys([ln for ln in lines if ln not in memo]))
         memo.update(zip(new, _parse_members(new, n)))
-        fams.append(Family(n, tuple(map(memo.__getitem__, lines))))
+        # parsed masks are in range, but hand-written lines may come unsorted
+        fams.append(Family._trusted(n, tuple(sorted(map(memo.__getitem__, lines)))))
     u = UnionFreeSystem(payload["n"], tuple(zip(fams[::2], fams[1::2])))
     for name, got in (("m0", u.m0), ("m1", u.m1), ("m2", u.m2)):
         if got != payload[name]:

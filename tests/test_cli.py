@@ -175,6 +175,14 @@ def test_verify_system_rejects_colliding_pairs(tmp_path, capsys):
     assert out.splitlines()[-1].startswith("invalid:")
 
 
+def test_verify_system_with_empty_family_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 3, "m0": 1, "m1": 1, "m2": 0, "pairs": [["n=3\n1\n", "n=3\n"]]}))
+    code, out, err = run_cli(capsys, "verify", "--system", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: pair 0: second family is empty\n"
+
+
 def test_verify_system_bad_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     head = '{"n": 1, "m0": 1, "m1": 1, "m2": 1, '

@@ -87,6 +87,19 @@ def test_family_names_the_member_that_does_not_fit(members, bad):
     assert str(exc.value) == f"member {bad} does not fit a 3-element ground set"
 
 
+@pytest.mark.parametrize("member", [1.5, 2.0, "3", None, np.float64(1.0)])
+def test_family_rejects_non_integral_members(member):
+    with pytest.raises(ValueError) as exc:
+        Family(3, (1, member))
+    assert str(exc.value) == f"member {member!r} is not an integer"
+
+
+def test_family_accepts_integer_types():
+    f = Family(3, (np.int64(5), True, np.uint8(2)))
+    assert f.members == (1, 2, 5)
+    assert all(type(m) is int for m in f.members)
+
+
 def test_family_duplicates_allowed_but_flagged():
     f = Family(2, (1, 1))
     assert f.has_duplicates

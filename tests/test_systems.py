@@ -50,6 +50,21 @@ def test_system_ground_mismatch():
         UnionFreeSystem(3, ((Family(2, (0,)), Family(2, (1,))),))
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([((), (1,))], "pair 0: first family is empty"),
+        ([((1,), ())], "pair 0: second family is empty"),
+        ([((), ())], "pair 0: first family is empty"),
+        ([((1,), (2,)), ((1,), ())], "pair 1: second family is empty"),
+    ],
+)
+def test_system_rejects_empty_families(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        UnionFreeSystem(3, tuple((Family(3, a), Family(3, c)) for a, c in pairs))
+    assert str(exc.value) == message
+
+
 def test_system_m_properties():
     u = UnionFreeSystem(2, ((Family(2, (0,)), Family(2, (1, 2))),))
     assert (u.m0, u.m1, u.m2) == (1, 1, 2)
@@ -156,6 +171,74 @@ def test_collision_names_the_owner_of_the_first_shared_sum(later, j):
         ),
     )
     assert validate_system(u) == f"pairs {j} and 2 share a sum vector"
+
+
+def _dict_validate(u):
+    """validate_system as one dict of every exact sum, pair by pair, a-major."""
+    seen = {}
+    for i, (f1, f2) in enumerate(u.pairs):
+        if len(set(f1.members)) != len(f1) or len(set(f2.members)) != len(f2):
+            raise ValueError("union-freeness is only defined for duplicate-free families")
+        # binary digits read in base 4 never carry in a sum of two
+        sums = [int(f"{a:b}", 4) + int(f"{c:b}", 4) for a in f1.members for c in f2.members]
+        mine = dict.fromkeys(sums, i)
+        if len(mine) != len(sums):
+            return f"pair {i} is not multiset-union-free"
+        if not seen.keys().isdisjoint(mine):
+            j = next(seen[key] for key in sums if key in seen)
+            return f"pairs {j} and {i} share a sum vector"
+        seen.update(mine)
+    return None
+
+
+def _outcome(validate, u):
+    try:
+        return validate(u)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def _random_system(rng, n, shared_low):
+    # a small pool makes collisions likely; shared_low gives every member the
+    # same low 40 coordinates, so all sums share their low base-3 word
+    size = rng.choice([2, 3, 5, 12, 40])
+    if shared_low:
+        low = rng.getrandbits(40)
+        pool = list({low | rng.getrandbits(n - 40) << 40 for _ in range(size)})
+    else:
+        pool = list({rng.getrandbits(n) for _ in range(size)})
+    m0, m1, m2 = rng.randint(1, 5), rng.randint(1, min(3, len(pool))), rng.randint(1, min(4, len(pool)))
+
+    def family(m):
+        draw = rng.choices if rng.random() < 0.05 else rng.sample
+        return Family(n, tuple(draw(pool, k=m)))
+
+    pairs = [(family(m1), family(m2)) for _ in range(m0)]
+    if m0 > 1 and rng.random() < 0.2:
+        i, j = rng.sample(range(m0), 2)
+        pairs[j] = pairs[i]
+    return UnionFreeSystem(n, tuple(pairs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 39, 40, 41, 64])
+def test_validate_system_matches_dict_algorithm(n):
+    rng = random.Random(1000 + n)
+    kinds = set()
+    for t in range(400):
+        shared_low = n > 40 and t % 2 == 1
+        u = _random_system(rng, n, shared_low)
+        want = _outcome(_dict_validate, u)
+        assert _outcome(validate_system, u) == want, u
+        if want is None:
+            kinds.add("valid, low words repeat" if shared_low and u.m0 * u.m1 * u.m2 > 1 else "valid")
+        elif isinstance(want, tuple):
+            kinds.add("repeated member")
+        else:
+            kinds.add("within a pair" if want.startswith("pair ") else "across pairs")
+    expected = {"valid", "within a pair", "across pairs", "repeated member"}
+    if n > 40:
+        expected.add("valid, low words repeat")
+    assert kinds >= expected
 
 
 def test_distinct_sum_count_iff_valid():
@@ -369,6 +452,24 @@ def test_system_from_json_parses_each_distinct_line_once(monkeypatch):
     assert system_from_json(text) == log3_construction(12)
     # the subsets of [12] with at most 8 elements
     assert len(parsed) == len(distinct) == sum(math.comb(12, k) for k in range(9)) == 3797
+
+
+def test_system_from_json_families_equal_checked_families():
+    # unsorted and repeated lines: the parsed families are the ones Family() builds
+    texts = [["n=4\n4\n1\n1,2\n", "n=4\n2\n2\n"], ["n=4\n-\n3,4\n2\n", "n=4\n1,3,4\n-\n"]]
+    payload = {"n": 4, "m0": 2, "m1": 3, "m2": 2, "pairs": texts}
+    u = system_from_json(json.dumps(payload))
+    got = [f for pair in u.pairs for f in pair]
+    want = [Family(4, (8, 1, 3)), Family(4, (2, 2)), Family(4, (0, 12, 2)), Family(4, (13, 0))]
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12])
+def test_log3_families_equal_checked_families(n):
+    for f1, f2 in log3_construction(n).pairs:
+        for f in (f1, f2):
+            assert f == Family(n, f.members)
+            assert all(type(m) is int for m in f.members)
 
 
 def _two_pairs(*texts):
