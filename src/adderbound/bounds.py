@@ -42,7 +42,7 @@ from .entropy import (
     _as_prob,
     _as_prob_array,
     _h_half,
-    _plogp,
+    _sum_entropy,
     binary_entropy,
     binary_entropy_inv,
 )
@@ -293,18 +293,13 @@ def weldon_nonsystematic_bound(r1: float) -> float:
     return min(max((1.0 - binary_entropy_inv(r1c)) * LOG2_3, 0.0), 1.0)
 
 
-def _mixture_objective(beta, rho):
-    # entropy of a ternary pmf that is linear in beta, hence concave in beta
-    nb, nr = 1.0 - beta, 1.0 - rho
-    return _plogp(nr * nb) + _plogp(rho * nb + nr * beta) + _plogp(rho * beta)
-
-
 def ul_mixture_entropy(rho, cfg: OptimizerConfig = DEFAULT_CONFIG):
     """g*(rho) = max over beta in [0,1] of the entropy of the ternary pmf
     ((1-rho)(1-beta), rho(1-beta) + (1-rho)beta, rho*beta). Element-wise
     over arrays of rho."""
     r = _as_prob_array(rho, "rho", 0.5)
-    return scalar_maximize(lambda beta: _mixture_objective(beta, r), np.zeros_like(r), 1.0, cfg)[1]
+    # the pmf is linear in beta, so its entropy is concave in beta
+    return scalar_maximize(lambda beta: _sum_entropy(beta, r), np.zeros_like(r), 1.0, cfg)[1]
 
 
 def _ul_objective(kappa, rho, g, p1, h_rho):

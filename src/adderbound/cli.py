@@ -165,6 +165,9 @@ def _verify_pair(args):
         with open(path) as fh:
             fams.append(family_from_text(fh.read()))
     f1, f2 = fams
+    for side, f in (("first", f1), ("second", f2)):
+        if not f:
+            raise ValueError(f"{side} family is empty")
     ok = is_multiset_union_free(f1, f2)
     record = {
         "files": list(args.pair),

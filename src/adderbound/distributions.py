@@ -22,7 +22,7 @@ import numpy as np
 from .entropy import (
     PROB_SLACK,
     _as_prob,
-    _plogp,
+    _sum_entropy,
     binary_convolve,
     binary_entropy,
     binary_entropy_inv,
@@ -142,10 +142,7 @@ def entropy_triplet(d: AuxBinaryJoint) -> EntropyTriplet:
     t = np.asarray(d.t)
     q = np.asarray(d.q)
     hs = entropy(d.sum_pmf())
-    cell0 = (1.0 - t) * (1.0 - q)
-    cell1 = binary_convolve(t, q)
-    cell2 = t * q
-    hs_cond = float(np.dot(m, _plogp(cell0) + _plogp(cell1) + _plogp(cell2)))
+    hs_cond = float(np.dot(m, _sum_entropy(t, q)))
     h1_cond = float(np.dot(m, binary_entropy(t)))
     return EntropyTriplet(hs, hs_cond, h1_cond)
 

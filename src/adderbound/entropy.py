@@ -54,6 +54,12 @@ def _plogp(v) -> np.ndarray:
     return 0.0 - v * np.log2(v, out=np.zeros(v.shape), where=v > 0.0)
 
 
+def _sum_entropy(t, q) -> np.ndarray:
+    """H(X + Y) for independent X ~ Bern(t), Y ~ Bern(q), element-wise, unchecked."""
+    nt, nq = 1.0 - t, 1.0 - q
+    return _plogp(nt * nq) + _plogp(t * nq + q * nt) + _plogp(t * q)
+
+
 def _h_half(q: ArrayLike) -> ArrayLike:
     """h(q) for q in [0, 1/2], unchecked; by math.log2 unless q is an ndarray."""
     r = 1.0 - q

@@ -151,18 +151,19 @@ def _check_same_ground(f1: Family, f2: Family) -> None:
 
 
 def _spread(mask: int) -> int:
-    """Embed a binary mask into base 4 (a zero bit between every pair of bits).
+    """The binary digits of `mask` read in base 3: bit i weighs 3^i.
 
-    The binary digits of `mask`, read as base-4 digits. Sums of two spread
-    masks have digits at most 2, so no carries occur and integer equality of
-    spread sums is equality of the element-wise vector sums a+c in {0,1,2}^n.
+    The one sum key of the package. Sums of two spread masks have digits at
+    most 2, so no carries occur and integer equality of spread sums is
+    equality of the element-wise vector sums a+c in {0,1,2}^n.
     """
-    return int(f"{mask:b}", 4)
+    return int(f"{mask:b}", 3)
 
 
 def is_multiset_union_free(f1: Family, f2: Family) -> bool:
     """True iff all |f1|*|f2| vector sums a+c are distinct.
 
+    Each sum is compared as the exact integer _spread(a) + _spread(c).
     Requires duplicate-free families on a common ground set; a duplicated
     member would make the sums trivially collide.
     """
@@ -408,10 +409,10 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     before the first pair is found raises ValueError.
 
     Sums are Python-int bitsets: `sums1` has bit s_a set for each a in f1,
-    `used` bit s_a + s_c for each a in f1 and c in f2. Spreads have base-4
+    `used` bit s_a + s_c for each a in f1 and c in f2. Spreads have base-3
     digits <= 1, so their sums have digits <= 2 and never carry: they are
     exactly the vector sums a + c, `sums1 << s_c` is exactly {s_a + s_c},
-    and c collides iff that set meets `used`. Bits stay below 4^n.
+    and c collides iff that set meets `used`. Bits stay below 3^n.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"n {n} outside [1, 6]")

@@ -32,6 +32,7 @@ from .families import (
     _family_lines,
     _member_lines,
     _parse_members,
+    _spread,
     is_k_shattered,
     is_multiset_union_free,
 )
@@ -104,28 +105,19 @@ class DerivationError(ValueError):
     """The pair/shattered-set reduction cannot produce a system."""
 
 
-# each byte's binary digits read in base 3: bit j weighs 3^j
-_BYTE_BASE3 = np.array([int(f"{b:b}", 3) for b in range(256)], dtype=np.uint64)
-
-# bytes of a mask per uint64 word: 40 coordinates, and 3^40 - 1 < 2^64
-_WORD_BYTES = 5
+# _spread of every byte: bit j weighs 3^j
+_BYTE_SPREAD = np.array([_spread(b) for b in range(256)], dtype=np.uint64)
 
 
-def _base3_words(masks: np.ndarray, n: int) -> List[np.ndarray]:
-    """The binary digits of each mask read in base 3, one uint64 per 40 coordinates.
+def _low_spread(masks: np.ndarray, n: int) -> np.ndarray:
+    """_spread of each uint64 mask's first 40 coordinates, as uint64.
 
-    Each reading has digits 0/1, so the sum of two has digits a + c <= 2 and
-    never carries: equal sums of readings are equal vector sums. The sum of
-    two readings of a full word is 3^40 - 1, which still fits the word.
+    A sum of two such keys is at most 3^40 - 1 < 2^64, so it never overflows.
     """
-    nbytes = (n + 7) // 8
-    words = []
-    for first in range(0, nbytes, _WORD_BYTES):
-        word = np.zeros(masks.shape, dtype=np.uint64)
-        for b in range(first, min(first + _WORD_BYTES, nbytes)):
-            word += _BYTE_BASE3[(masks >> (8 * b)) & 255] * 3 ** (8 * (b - first))
-        words.append(word)
-    return words
+    low = np.zeros(masks.shape, dtype=np.uint64)
+    for b in range((min(n, 40) + 7) // 8):
+        low += _BYTE_SPREAD[(masks >> (8 * b)) & 255] * 3 ** (8 * b)
+    return low
 
 
 def validate_system(u: UnionFreeSystem) -> Optional[str]:
@@ -138,29 +130,32 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     ValueError, as is_multiset_union_free does, at the first pair whose
     families repeat a member.
 
-    All m0*m1*m2 sums are formed at once as base-3 words (_base3_words), in
-    pair order, a-major. If the low words, sorted, are all distinct, so are
-    the sums. Otherwise only sums whose low word repeats can collide (a
-    repeated member repeats its sums too), and those alone are replayed in
-    pair order through one dict of exact sums.
+    All m0*m1*m2 sums are formed at once as low keys (_low_spread), in pair
+    order, a-major. If the low keys, sorted, are all distinct, so are the
+    sums. Otherwise only sums whose low key repeats can collide (a repeated
+    member repeats its sums too), and those alone are replayed in pair order
+    through one dict of exact sums _spread(a) + _spread(c).
     """
     m0, m1, m2 = u.m0, u.m1, u.m2
     chain = itertools.chain.from_iterable
     firsts = np.fromiter(chain(f.members for f, _ in u.pairs), np.uint64, m0 * m1)
     seconds = np.fromiter(chain(f.members for _, f in u.pairs), np.uint64, m0 * m2)
-    words = [
-        (wa.reshape(m0, m1, 1) + wc.reshape(m0, 1, m2)).ravel()
-        for wa, wc in zip(_base3_words(firsts, u.n), _base3_words(seconds, u.n))
-    ]
-    low = np.sort(words[0])
-    repeated = low[1:][low[1:] == low[:-1]]
+    low = (
+        _low_spread(firsts, u.n).reshape(m0, m1, 1) + _low_spread(seconds, u.n).reshape(m0, 1, m2)
+    ).ravel()
+    ordered = np.sort(low)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if not repeated.size:
         return None
-    hits = np.flatnonzero(np.isin(words[0], repeated))
-    keys = list(zip(*(w[hits].tolist() for w in words)))
-    seen: Dict[Tuple[int, ...], int] = {}
-    owners = (hits // (m1 * m2)).tolist()
-    for i, group in itertools.groupby(zip(owners, keys), operator.itemgetter(0)):
+    # sum h of pair i = h // (m1*m2) adds firsts[h // m2] and seconds[i*m2 + h % m2]
+    hits = np.flatnonzero(np.isin(low, repeated))
+    owners = hits // (m1 * m2)
+    a_hits = firsts[hits // m2].tolist()
+    c_hits = seconds[owners * m2 + hits % m2].tolist()
+    spread = {m: _spread(m) for m in {*a_hits, *c_hits}}
+    keys = [spread[a] + spread[c] for a, c in zip(a_hits, c_hits)]
+    seen: Dict[int, int] = {}
+    for i, group in itertools.groupby(zip(owners.tolist(), keys), operator.itemgetter(0)):
         f1, f2 = u.pairs[i]
         if f1.has_duplicates or f2.has_duplicates:
             raise ValueError("union-freeness is only defined for duplicate-free families")

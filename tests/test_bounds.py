@@ -26,13 +26,18 @@ from adderbound.bounds import (
     _j_kernel,
     _l_kernel,
     _main_objective,
-    _mixture_objective,
     _sampled_minimize,
     _sum_rate_objective,
     _ul_inner_max,
     _ul_objective,
 )
-from adderbound.entropy import _h_half, binary_convolve, binary_entropy, binary_entropy_inv
+from adderbound.entropy import (
+    _h_half,
+    _sum_entropy,
+    binary_convolve,
+    binary_entropy,
+    binary_entropy_inv,
+)
 
 # small config: the unit tests exercise correctness, not headline-digit accuracy
 FAST = OptimizerConfig(grid_points=512, refine_iters=48)
@@ -274,7 +279,7 @@ def test_inner_objectives_are_concave():
     worst = -math.inf
     betas = np.linspace(0.0, 1.0, 20001)
     for rho in np.linspace(0.0, 0.5, 11):
-        worst = max(worst, _worst_second_difference(_mixture_objective(betas, rho)))
+        worst = max(worst, _worst_second_difference(_sum_entropy(betas, rho)))
     assert worst <= 1e-12, ("g*", worst)
 
     worst = -math.inf

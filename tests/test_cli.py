@@ -209,6 +209,16 @@ def test_verify_pair_files(tmp_path, capsys):
     assert out.splitlines()[-1] == "not union-free"
 
 
+@pytest.mark.parametrize("order, side", [((0, 1), "first"), ((1, 0), "second"), ((0, 0), "first")])
+def test_verify_pair_with_empty_family_is_usage_error(tmp_path, capsys, order, side):
+    paths = [tmp_path / "e.txt", tmp_path / "f.txt"]
+    paths[0].write_text("n=3\n")
+    paths[1].write_text("n=3\n1\n2\n")
+    code, out, err = run_cli(capsys, "verify", "--pair", *(str(paths[k]) for k in order))
+    assert code == 2 and out == ""
+    assert err == f"error: {side} family is empty\n"
+
+
 def test_verify_modes_are_exclusive(tmp_path, capsys):
     path = tmp_path / "sys.json"
     path.write_text(system_to_json(log3_construction(3)))

@@ -16,6 +16,7 @@ from adderbound.families import (
     Family,
     PairSearchResult,
     SearchBudgetError,
+    _spread,
     exhaustive_pair_search,
     family_from_text,
     family_to_text,
@@ -163,6 +164,15 @@ def test_union_free_matches_naive_up_to_64_bits():
         assert is_multiset_union_free(f1, f2) == want, (n, f1.members, f2.members)
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_spread_reads_binary_digits_in_base_3():
+    def by_digits(mask):
+        return sum(3**i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    rng = random.Random(13)
+    for mask in [*range(1 << 16), *(rng.getrandbits(64) for _ in range(2000))]:
+        assert _spread(mask) == by_digits(mask), mask
 
 
 def test_union_free_rejects_bad_input():

@@ -12,10 +12,17 @@ from hypothesis import strategies as st
 
 from adderbound import systems
 from adderbound.bounds import LOG2_3
-from adderbound.families import Family, exhaustive_pair_search, is_multiset_union_free, max_k_shattered
+from adderbound.families import (
+    Family,
+    _spread,
+    exhaustive_pair_search,
+    is_multiset_union_free,
+    max_k_shattered,
+)
 from adderbound.systems import (
     DerivationError,
     UnionFreeSystem,
+    _low_spread,
     _submasks,
     derive_system,
     is_valid_system,
@@ -239,6 +246,15 @@ def test_validate_system_matches_dict_algorithm(n):
     if n > 40:
         expected.add("valid, low words repeat")
     assert kinds >= expected
+
+
+@pytest.mark.parametrize("n", [1, 8, 39, 40, 41, 64])
+def test_low_spread_is_the_spread_of_the_first_40_coordinates(n):
+    rng = random.Random(n)
+    masks = [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(500))]
+    got = _low_spread(np.array(masks, dtype=np.uint64), n)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_spread(m & (2**40 - 1)) for m in masks]
 
 
 def test_distinct_sum_count_iff_valid():
