@@ -23,8 +23,10 @@ inputs and config give bit-identical results.
 
 At the time-sharing endpoint of its outer range (alpha = 0, rho = 1/2) each
 minimax bound equals the sum-rate bound 3/2 - r1, and it goes below only near
-r1 = 1; where the endpoint is the minimum, the bound returns that value without
-sampling (main_bound, ul_sum_bound say when). Both are capped by simple_bound.
+r1 = 1. Up to _MAIN_DEPARTURE (main_bound) and _UL_DEPARTURE (ul_sum_bound)
+each returns that endpoint value, neither sampling nor inverting h, whatever
+the config: sound because 3/2 - r1 is an upper bound at every r1, and there it
+is also the minimax value. Both bounds are capped by simple_bound.
 """
 
 from __future__ import annotations
@@ -122,6 +124,12 @@ _ZOOM_PASSES = 2
 # the largest r1 at which the sampled ul_sum_bound of DEFAULT_CONFIG returns
 # exactly 3/2; one float higher it is 2.9e-8 lower (tests/test_bounds.py)
 _UL_DEPARTURE = 0.9994783125457343
+
+# the largest r1 at which main's former outer slope test passes: one
+# default-config inner solve at alpha = 1e-6 h_inv(r1) no lower than alpha = 0;
+# float noise fails it at some r1 up to 1e-10 below, and every r1 scanned
+# above fails it (tests/test_bounds.py)
+_MAIN_DEPARTURE = 0.9926454406370051
 
 
 def _checked(f, x: np.ndarray) -> np.ndarray:
@@ -372,16 +380,17 @@ def main_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
     r1 = 1 (about 0.4798 at r1 = 1 versus 0.492).
 
     The objective has a single minimum on [0, h_inv(r1)] and at alpha = 0
-    equals 3/2 - h(h_inv(r1)), as r_sigma(0, .) = 3/2. Where one inner solve
-    at alpha = 1e-6 h_inv(r1) is no lower, this returns simple_bound(r1),
-    clamped to 1, without sampling.
+    equals 3/2 - h(h_inv(r1)), as r_sigma(0, .) = 3/2; up to r1 of about
+    0.9926 the minimum sits there. Up to _MAIN_DEPARTURE this returns
+    simple_bound(r1), clamped to 1, without sampling, whatever cfg: the
+    sum-rate bound holds at every r1.
     """
     r1c = _as_prob(float(r1), "r1")
-    p1 = binary_entropy_inv(r1c)
-    obj = lambda alpha: _main_objective(alpha, p1, cfg)
-    if p1 > 0.0 and _checked(obj, np.array([1e-6 * p1]))[0] >= 1.5 - _h_half(p1):
+    if r1c <= _MAIN_DEPARTURE:
         return min(1.5 - r1c, 1.0)
-    return min(max(_sampled_minimize(obj, 0.0, p1, cfg), 0.0), 1.0, 1.5 - r1c)
+    p1 = binary_entropy_inv(r1c)
+    v = _sampled_minimize(lambda alpha: _main_objective(alpha, p1, cfg), 0.0, p1, cfg)
+    return min(max(v, 0.0), 1.0, 1.5 - r1c)
 
 
 @dataclass(frozen=True)

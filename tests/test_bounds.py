@@ -451,19 +451,32 @@ def _count_evaluations(monkeypatch, bound, r1):
     return seen
 
 
-@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 411, 420_864), (main_bound, 276, 212_037)])
+@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 411, 420_864), (main_bound, 207, 211_968)])
 def test_solver_work_counts(monkeypatch, bound, calls, elems):
     # the solver's work at the default config: 3 outer grids of 1024 points
-    # and 68 evaluations per golden-section solve (ul runs two per outer
-    # grid); main first probes its outer slope at alpha = 1e-6 h_inv(r1) with
-    # one single-bracket solve, 1 + 68 evaluations of one element
+    # and 68 evaluations per golden-section solve (ul runs two per outer grid)
     assert _count_evaluations(monkeypatch, bound, 1.0) == [calls, elems]
 
 
-@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 0, 0), (main_bound, 69, 69)])
+@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 0, 0), (main_bound, 0, 0)])
 def test_endpoint_work_counts(monkeypatch, bound, calls, elems):
-    # at r1 = 0.95 ul samples nothing, and main stops after its probe
+    # at r1 = 0.95, below both departure points, neither bound solves anything
     assert _count_evaluations(monkeypatch, bound, 0.95) == [calls, elems]
+
+
+@pytest.mark.parametrize(
+    "r1, cfg, was",
+    [
+        (0.99, OptimizerConfig(64, 1), 0.49976747153358275),
+        (0.99, OptimizerConfig(64, 4), 0.5079533846210139),
+        (0.95, OptimizerConfig(64, 1), 0.5492393542333651),
+    ],
+)
+def test_coarse_config_keeps_sum_rate_bound(r1, cfg, was):
+    # below _MAIN_DEPARTURE the config is not used: a sampled path with too
+    # few golden-section steps under-resolved the inner maxima and returned
+    # `was`, below the exact bound
+    assert main_bound(r1, cfg) == simple_bound(r1) > was
 
 
 def _sampled_ul(r1, cfg=bounds.DEFAULT_CONFIG):
@@ -477,7 +490,7 @@ def _sampled_main(r1, cfg=bounds.DEFAULT_CONFIG):
     # main_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
     v = _sampled_minimize(lambda alpha: _main_objective(alpha, p1, cfg), 0.0, p1, cfg)
-    return min(max(v, 0.0), 1.0)
+    return min(max(v, 0.0), 1.0, 1.5 - r1)
 
 
 def test_ul_departure_point():
@@ -491,6 +504,30 @@ def test_ul_departure_point():
     assert ul_bound(above) == _sampled_ul(above)
 
 
+def _main_probe(r1, cfg=bounds.DEFAULT_CONFIG):
+    # main_bound's former outer slope test, kept as the reference for
+    # _MAIN_DEPARTURE: one single-bracket inner solve at alpha = 1e-6 h_inv(r1),
+    # true where it is no lower than the objective at alpha = 0
+    p1 = binary_entropy_inv(r1)
+    obj = lambda alpha: _main_objective(alpha, p1, cfg)
+    return p1 > 0.0 and bounds._checked(obj, np.array([1e-6 * p1]))[0] >= 1.5 - _h_half(p1)
+
+
+def test_main_departure_point():
+    # _MAIN_DEPARTURE is the largest r1 found at which the probe fires; just
+    # above it the probe fails, and main_bound takes the sampled path (checked
+    # at the first 12 points: each costs two sampled solves)
+    r1 = bounds._MAIN_DEPARTURE
+    assert _main_probe(r1)
+    assert main_bound(r1) == min(simple_bound(r1), 1.0)
+    rng = np.random.default_rng(20261019)
+    above = [math.nextafter(r1, 2.0)] + [r1 + 1e-9 * float(u) for u in rng.uniform(0.0, 1.0, 160)]
+    assert all(x > r1 for x in above)
+    assert not any(_main_probe(x) for x in above)
+    for x in above[:12]:
+        assert main_bound(x) == _sampled_main(x), x
+
+
 def test_endpoint_shortcuts_match_sampled_path():
     # each shortcut returns the sum-rate bound where the sampled outer
     # minimum sits at the time-sharing endpoint: the sampled value differs
@@ -499,6 +536,7 @@ def test_endpoint_shortcuts_match_sampled_path():
     rng = np.random.default_rng(20261018)
     seeded = [float(r1) for r1 in rng.uniform(0.9, 1.0, 200)]
     main_band = [float(r1) for r1 in np.linspace(0.9925, 0.9928, 61)]
+    main_band += [float(bounds._MAIN_DEPARTURE + d) for d in np.linspace(-1e-10, 1e-10, 21)]
     ul_band = [float(r1) for r1 in np.linspace(0.99940, 0.99955, 61)]
     for bound, sampled, r1s in (
         (ul_bound, _sampled_ul, seeded + ul_band),

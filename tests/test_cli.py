@@ -61,6 +61,14 @@ def test_bound_all_rows_and_values(capsys):
     assert abs(float(rows["main"]) - 0.4798303) < 5e-4
 
 
+def test_bound_coarse_config_below_departure(capsys):
+    # below both departure points the bounds solve nothing, so one
+    # golden-section step cannot pull main under the sum-rate bound
+    code, out, err = run_cli(capsys, "bound", "--r1", "0.99", "--grid", "64", "--refine", "1")
+    assert code == 0 and err == ""
+    assert out == "simple  0.510000\nweldon  0.015850\nul      0.510000\nmain    0.510000\n"
+
+
 def test_bound_json(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "--r1", "0.5", "--which", "simple", "--json"
