@@ -4,7 +4,7 @@ Rate bounds at a glance
 
 Evaluates the second-sender rate bounds at the fully loaded point r1 = 1,
 then sweeps r1 over [0.9, 1.0] and writes the curve to a CSV next to this
-script, all at the library's default optimizer configuration.
+script.
 """
 
 import os

@@ -9,8 +9,6 @@ are re-exported here.
 
 from .bounds import (
     BoundCurve,
-    DEFAULT_CONFIG,
-    OptimizerConfig,
     conditional_sum_envelope,
     curve,
     main_bound,
@@ -71,12 +69,10 @@ __all__ = [
     "AuxBinaryJoint",
     "BoundCurve",
     "CheckResult",
-    "DEFAULT_CONFIG",
     "DerivationError",
     "EntropyTriplet",
     "Family",
     "InfeasibleRateError",
-    "OptimizerConfig",
     "PairSearchResult",
     "SUITE_NAMES",
     "SoftSauerBound",

@@ -8,25 +8,29 @@ Three bounds on r2 as a function of r1 are provided:
   ul_bound       the Urbanke-Li minimax bound,
   main_bound     the envelope bound through r_sigma (strictly better near r1=1).
 
-The minimax bounds are a sampled outer minimum of concave inner maxima. Every
-inner objective is concave on its bracket, so each inner maximum is a
-golden-section search (scalar_maximize), run on whole arrays of brackets, one
-per outer point; an under-resolved inner max would invalidly lower an upper
-bound, which is why tests pin that concavity. Each outer minimum samples
-cfg.grid_points points and then zooms in around the best sample; every sample
+The minimax bounds are a sampled outer minimum of inner maxima. Each inner
+objective rises up to its maximum and falls after it, and a monotone sign
+tells the two sides apart: the slope of the objective (g*, the UL inner max
+over kappa) or, for r_sigma, which side of min{L, J + r0} is active. One
+bisection (_bisect) on that sign brings every bracket of a whole array, one
+per outer point, down to two adjacent floats, and the inner value is the
+better of the objective at the two. There is no step count or tolerance: an
+under-resolved inner max would invalidly lower an upper bound, and tests pin
+the monotonicity the sign relies on. Each outer minimum samples
+_GRID_POINTS points and then zooms in around the best sample; every sample
 is itself an upper bound, so sampling stays sound without any assumption on
 the outer objective. Range checks run where values enter: in the public
 functions, and once per inner solve on its parameters and bracket endpoints;
-the objectives then run on unchecked kernels, as golden-section points never
-leave their bracket (scalar_maximize). Everything here is deterministic: same
-inputs and config give bit-identical results.
+the objectives then run on unchecked kernels, as bisection points never
+leave their bracket. Everything here is deterministic: same inputs give
+bit-identical results.
 
 At the time-sharing endpoint of its outer range (alpha = 0, rho = 1/2) each
 minimax bound equals the sum-rate bound 3/2 - r1, and it goes below only near
 r1 = 1. Up to _MAIN_DEPARTURE (main_bound) and _UL_DEPARTURE (ul_sum_bound)
-each returns that endpoint value, neither sampling nor inverting h, whatever
-the config: sound because 3/2 - r1 is an upper bound at every r1, and there it
-is also the minimax value. Both bounds are capped by simple_bound.
+each returns that endpoint value, neither sampling nor inverting h: sound
+because 3/2 - r1 is an upper bound at every r1, and there it is also the
+minimax value. Both bounds are capped by simple_bound.
 """
 
 from __future__ import annotations
@@ -52,12 +56,7 @@ from .entropy import (
 __all__ = [
     "LOG2_3",
     "EvaluationError",
-    "OptimizerConfig",
-    "DEFAULT_CONFIG",
-    "MAX_GRID_POINTS",
-    "MAX_REFINE_ITERS",
     "MAX_CURVE_STEPS",
-    "scalar_maximize",
     "sum_rate_envelope",
     "conditional_sum_envelope",
     "sum_rate_bound",
@@ -84,51 +83,24 @@ class EvaluationError(RuntimeError):
         super().__init__(f"objective returned {value!r} at x={argument!r}")
 
 
-# fixed caps, far above any documented use: a mistyped size fails at once
-# instead of allocating terabytes or solving for hours
-MAX_GRID_POINTS = 1 << 20
-MAX_REFINE_ITERS = 1000
+# a fixed cap, far above any documented use: a mistyped size fails at once
+# instead of allocating gigabytes or solving for hours
 MAX_CURVE_STEPS = 100_000
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Outer samples per pass and golden-section iterations per inner solve.
-
-    The default 1024 outer samples suffice. The first pass over [0, 1/2],
-    the widest outer range, is spaced 4.9e-4 apart; each zoom pass narrows
-    the spacing by about 511x, so the third pass is spaced about 1.9e-9
-    apart, where a smooth outer minimum is sampled far below float
-    resolution. At seven r1 in [0.9, 1] the bounds land at most 1e-15 above
-    their (4096, 64) values and never below them (tests/test_bounds.py).
-    """
-
-    grid_points: int = 1024
-    refine_iters: int = 64
-
-    def __post_init__(self):
-        if not 64 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid_points={self.grid_points} outside [64, {MAX_GRID_POINTS}]")
-        if not 1 <= self.refine_iters <= MAX_REFINE_ITERS:
-            raise ValueError(f"refine_iters={self.refine_iters} outside [1, {MAX_REFINE_ITERS}]")
-
-
-DEFAULT_CONFIG = OptimizerConfig()
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# resampling passes of an outer minimum after its first grid; each narrows
-# the interval by a factor of about grid_points / 2
+# outer minimum: samples per pass, and resampling passes after the first;
+# each pass narrows the interval by a factor of about _GRID_POINTS / 2, so
+# the third pass over [0, 1/2] is spaced about 1.9e-9 apart
+_GRID_POINTS = 1024
 _ZOOM_PASSES = 2
 
-# the largest r1 at which the sampled ul_sum_bound of DEFAULT_CONFIG returns
-# exactly 3/2; one float higher it is 2.9e-8 lower (tests/test_bounds.py)
+# the largest r1 at which the sampled ul_sum_bound returns exactly 3/2; one
+# float higher it is 2.9e-8 lower (tests/test_bounds.py)
 _UL_DEPARTURE = 0.9994783125457343
 
-# the largest r1 at which main's former outer slope test passes: one
-# default-config inner solve at alpha = 1e-6 h_inv(r1) no lower than alpha = 0;
-# float noise fails it at some r1 up to 1e-10 below, and every r1 scanned
-# above fails it (tests/test_bounds.py)
+# the largest r1 at which main's former outer slope test passes: one inner
+# solve of the former 64-step search at alpha = 1e-6 h_inv(r1) no lower than
+# alpha = 0; float noise fails it at some r1 up to 1e-10 below, and every r1
+# scanned above fails it (tests/test_bounds.py keeps the test)
 _MAIN_DEPARTURE = 0.9926454406370051
 
 
@@ -140,67 +112,70 @@ def _checked(f, x: np.ndarray) -> np.ndarray:
     raise EvaluationError(float(x.flat[i]), float(v.flat[i]))
 
 
-def scalar_maximize(f, lo, hi, cfg: OptimizerConfig = DEFAULT_CONFIG):
-    """Maximize f on every bracket [lo, hi] at once by golden-section search.
+def _bisect(pos, lo, hi):
+    """Shrink every bracket [lo, hi] to two adjacent floats, at once.
+
+    lo moves only to points where pos is true and hi only to points where it
+    is false, so where pos is true below some point and false above it, that
+    point ends in [lo, hi]. Each step asks pos at one point per bracket:
+    strictly inside it while it is wider, else at its lo, with the answer
+    ignored. The halving runs on the int64 bit patterns of the endpoints,
+    which order nonnegative floats like their values: at most 64 steps, no
+    tolerance.
 
     Args:
-        f: objective taking an array of points, one per bracket, and returning
-           their values; it must be concave (unimodal suffices) on each
-           bracket.
-        lo, hi: bracket endpoints, floats or arrays that broadcast together,
-           lo <= hi. A degenerate bracket gives (lo, f(lo)).
-        cfg: cfg.refine_iters golden-section iterations.
+        pos: takes an array of points, one per bracket, and returns a bool
+           array.
+        lo, hi: nonnegative finite floats or arrays that broadcast together,
+           lo <= hi; a degenerate bracket stays as it is.
 
     Returns:
-        (argmax, max) in the broadcast shape of lo and hi (numpy scalars for
-        scalar brackets): the best point evaluated, the endpoints included.
-        The value never exceeds the true maximum and falls short of it by at
-        most the slope times the final bracket width, about
-        (hi - lo) * 0.618**refine_iters.
+        (lo, hi) as float arrays of the broadcast shape.
 
     Raises:
-        ValueError: on a non-finite or reversed bracket.
-        EvaluationError: if f returns a non-finite value, naming the first
-           offending point.
+        ValueError: on a negative, non-finite or reversed bracket.
     """
-    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    if not (np.isfinite(a).all() and np.isfinite(b).all()) or (b < a).any():
-        raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
-    t = _INVPHI * (b - a)
-    c, d = b - t, a + t
-    fc, fd = _checked(f, c), _checked(f, d)
-    best_x, best_v = a, _checked(f, a)
-    for x, v in ((b, _checked(f, b)), (c, fc), (d, fd)):
-        better = v > best_v
-        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
-    for _ in range(cfg.refine_iters):
-        # keep [a, d] where f(c) >= f(d), else [c, b]; the surviving inner
-        # point becomes d or c, and one new point is evaluated per bracket
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        # t = fl(phi fl(b - a)) <= phi (b - a)(1 + 2^-53)^2 < b - a for a < b, so
-        # b - t > a, a + t < b, and monotone rounding keeps both points in [a, b]
-        t = _INVPHI * (b - a)
-        x = np.where(left, b - t, a + t)
-        v = _checked(f, x)
-        better = v > best_v
-        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, v, fd), np.where(left, fc, v)
-    return best_x[()], best_v[()]
+    a, b = (np.array(v + 0.0) for v in np.broadcast_arrays(lo, hi))  # + 0.0 turns -0.0 into 0.0
+    if not ((0.0 <= a) & (a <= b) & (b < math.inf)).all():
+        raise ValueError(f"bad bracket [{lo!r}, {hi!r}]")
+    a, b = a.view(np.int64), b.view(np.int64)
+    while (wide := b - a > 1).any():
+        m = a + (b - a) // 2
+        up = pos(m.view(float))
+        a, b = np.where(wide & up, m, a), np.where(wide & ~up, m, b)
+    return a.view(float), b.view(float)
 
 
-def _sampled_minimize(f, lo: float, hi: float, cfg: OptimizerConfig) -> float:
-    # min of f on [lo, hi] from cfg.grid_points samples, resampled across the
+def _resolved_max(f, pos, lo, hi):
+    # the max of f on every bracket, where f rises while pos holds and falls
+    # after: f at the better of _bisect's two adjacent floats
+    lo, hi = _bisect(pos, lo, hi)
+    return np.maximum(_checked(f, lo), _checked(f, hi))
+
+
+def _sampled_minimize(f, lo: float, hi: float) -> float:
+    # min of f on [lo, hi] from _GRID_POINTS samples, resampled across the
     # best sample's two neighbouring cells; f takes an array of points
     best = math.inf
     for _ in range(_ZOOM_PASSES + 1):
-        xs = np.linspace(lo, hi, cfg.grid_points)
+        xs = np.linspace(lo, hi, _GRID_POINTS)
         vals = _checked(f, xs)
         i = int(np.argmin(vals))
         best = min(best, float(vals[i]))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
     return best
+
+
+def _dh(x):
+    # h'(x) = log2((1 - x)/x) element-wise, +inf at x = 0
+    with np.errstate(divide="ignore"):
+        return np.log2((1.0 - x) / x)
+
+
+def _xlog2(k, m):
+    # k log2(m) element-wise, 0 where k = 0 (0 log 0 = 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k == 0.0, 0.0, k * np.log2(m))
 
 
 def _l_kernel(e):
@@ -257,18 +232,26 @@ def conditional_sum_envelope(p, eta):
 
 
 def _sum_rate_objective(eta, r0, s, denom):
-    # min{L(eta), J(p, eta) + r0}: concave in eta on [p, 1/2]
+    # min{L(eta), J(p, eta) + r0} on [p, 1/2]
     return np.minimum(_l_kernel(eta), _j_kernel(eta, s, denom) + r0)
 
 
-def _sum_rate_max(r0, p, cfg: OptimizerConfig):
-    # R_sigma with p = h_inv(r1) given; r0 and p broadcast together
+def _sum_rate_max(r0, p):
+    # R_sigma with p = h_inv(r1) given; r0 and p broadcast together. L rises
+    # up to 1/3 and falls after, and J(p, .) never falls on [p, 1/2], so the
+    # max lies on [max(p, 1/3), 1/2], where L - J - r0 falls: at its sign
+    # change, or at an end
     p = _as_prob_array(p, "p", 0.5)  # the solve's one check: [p, 1/2] in [0, 1/2]
     s, denom = _j_consts(p)
-    return scalar_maximize(lambda eta: _sum_rate_objective(eta, r0, s, denom), p, 0.5, cfg)[1]
+    return _resolved_max(
+        lambda eta: _sum_rate_objective(eta, r0, s, denom),
+        lambda eta: _l_kernel(eta) - _j_kernel(eta, s, denom) - r0 > 0.0,
+        np.maximum(p, 1.0 / 3.0),
+        0.5,
+    )
 
 
-def sum_rate_bound(r0: float, r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
+def sum_rate_bound(r0: float, r1: float) -> float:
     """R_sigma(r0, r1): max over eta in [h_inv(r1), 1/2] of
     min{L(eta), J(h_inv(r1), eta) + r0}.
 
@@ -279,7 +262,7 @@ def sum_rate_bound(r0: float, r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) 
     if not r0 >= 0.0:
         raise ValueError(f"r0={r0!r} must be nonnegative")
     p = binary_entropy_inv(_as_prob(float(r1), "r1"))
-    return float(_sum_rate_max(float(r0), p, cfg))
+    return float(_sum_rate_max(float(r0), p))
 
 
 def simple_bound(r1: float) -> float:
@@ -301,13 +284,25 @@ def weldon_nonsystematic_bound(r1: float) -> float:
     return min(max((1.0 - binary_entropy_inv(r1c)) * LOG2_3, 0.0), 1.0)
 
 
-def ul_mixture_entropy(rho, cfg: OptimizerConfig = DEFAULT_CONFIG):
+def _mixture_slope(beta, r):
+    # dH/dbeta of the pmf (a, b, c) of ul_mixture_entropy:
+    # (1-rho) log2 a - (1-2rho) log2 b - rho log2 c
+    a, b, c = (1.0 - r) * (1.0 - beta), r * (1.0 - beta) + (1.0 - r) * beta, r * beta
+    return _xlog2(1.0 - r, a) - _xlog2(1.0 - 2.0 * r, b) - _xlog2(r, c)
+
+
+def ul_mixture_entropy(rho):
     """g*(rho) = max over beta in [0,1] of the entropy of the ternary pmf
     ((1-rho)(1-beta), rho(1-beta) + (1-rho)beta, rho*beta). Element-wise
     over arrays of rho."""
     r = _as_prob_array(rho, "rho", 0.5)
     # the pmf is linear in beta, so its entropy is concave in beta
-    return scalar_maximize(lambda beta: _sum_entropy(beta, r), np.zeros_like(r), 1.0, cfg)[1]
+    return _resolved_max(
+        lambda beta: _sum_entropy(beta, r),
+        lambda beta: _mixture_slope(beta, r) > 0.0,
+        np.zeros_like(r),
+        1.0,
+    )[()]
 
 
 def _ul_objective(kappa, rho, g, p1, h_rho):
@@ -318,18 +313,30 @@ def _ul_objective(kappa, rho, g, p1, h_rho):
     return first - h_rho + np.minimum(g, b + _h_half(b))
 
 
-def _ul_inner_max(rho, p1: float, cfg: OptimizerConfig):
+def _ul_slope(kappa, rho, g, p1):
+    # the right slope of _ul_objective in kappa: -h'(1 - p1 - kappa) where
+    # that is below 1/2, plus 1 + h'(b) where b = rho + kappa < 1/2 and
+    # b + h(b) < g; nonincreasing, as the objective is concave
+    x, b = 1.0 - p1 - kappa, np.minimum(rho + kappa, 0.5)
+    climbing = (b < 0.5) & (b + _h_half(b) < g)
+    return np.where(climbing, 1.0 + _dh(b), 0.0) - np.where(x < 0.5, _dh(x), 0.0)
+
+
+def _ul_inner_max(rho, p1: float):
     # max over kappa of _ul_objective, one bracket per rho. The formula's
     # kappa runs over [0, 1], but past 1 - p1 the first term is 0 and
     # rho + kappa >= 1/2 (as p1 <= 1/2), so the objective is flat there: it
     # stays concave only up to 1 - p1, which is all the maximum needs.
-    g, h_rho = ul_mixture_entropy(rho, cfg), binary_entropy(rho)
-    return scalar_maximize(
-        lambda kappa: _ul_objective(kappa, rho, g, p1, h_rho), np.zeros_like(rho), 1.0 - p1, cfg
-    )[1]
+    g, h_rho = ul_mixture_entropy(rho), binary_entropy(rho)
+    return _resolved_max(
+        lambda kappa: _ul_objective(kappa, rho, g, p1, h_rho),
+        lambda kappa: _ul_slope(kappa, rho, g, p1) > 0.0,
+        np.zeros_like(rho),
+        1.0 - p1,
+    )
 
 
-def ul_sum_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
+def ul_sum_bound(r1: float) -> float:
     """The Urbanke-Li bound on the sum rate r1 + r2:
 
     min over rho in [0,1/2] of max over kappa in [0,1] of
@@ -340,17 +347,17 @@ def ul_sum_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
 
     The kappa-maximum is exactly 3/2 at rho = 1/2 and never rises with r1
     (each kappa-objective is nonincreasing in h_inv(r1)), so the minimum is
-    3/2 on an interval of r1 from 0; up to _UL_DEPARTURE, where the default
-    config's sampled minimum is still 3/2, this returns 3/2 without sampling.
+    3/2 on an interval of r1 from 0; up to _UL_DEPARTURE, where the sampled
+    minimum is still 3/2, this returns 3/2 without sampling.
     """
     r1c = _as_prob(float(r1), "r1")
     if r1c <= _UL_DEPARTURE:
         return 1.5
     p1 = binary_entropy_inv(r1c)
-    return _sampled_minimize(lambda rho: _ul_inner_max(rho, p1, cfg), 0.0, 0.5, cfg)
+    return _sampled_minimize(lambda rho: _ul_inner_max(rho, p1), 0.0, 0.5)
 
 
-def ul_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
+def ul_bound(r1: float) -> float:
     """The r2 value implied by the Urbanke-Li sum bound: ul_sum_bound(r1) - r1,
     clamped to [0, 1] and capped by simple_bound.
 
@@ -358,18 +365,18 @@ def ul_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
     evaluates to about 0.492.
     """
     r1c = _as_prob(float(r1), "r1")
-    return min(max(ul_sum_bound(r1c, cfg) - r1c, 0.0), 1.0, 1.5 - r1c)
+    return min(max(ul_sum_bound(r1c) - r1c, 0.0), 1.0, 1.5 - r1c)
 
 
-def _main_objective(alpha, p1: float, cfg: OptimizerConfig):
+def _main_objective(alpha, p1: float):
     # ratio = h_inv(Gamma) lies in [0, p1] for alpha in [0, p1], so no
     # singularity (alpha <= 1/2 < 1); r_sigma takes it directly
     ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
-    r_sigma = _sum_rate_max(alpha / (1.0 - alpha), ratio, cfg)
+    r_sigma = _sum_rate_max(alpha / (1.0 - alpha), ratio)
     return (1.0 - alpha) * (r_sigma - _h_half(ratio))
 
 
-def main_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
+def main_bound(r1: float) -> float:
     """The envelope bound on r2:
 
     min over alpha in [0, h_inv(r1)] of
@@ -379,17 +386,17 @@ def main_bound(r1: float, cfg: OptimizerConfig = DEFAULT_CONFIG) -> float:
     Clamped to [0, 1] and capped by simple_bound. Strictly below ul_bound near
     r1 = 1 (about 0.4798 at r1 = 1 versus 0.492).
 
-    The objective has a single minimum on [0, h_inv(r1)] and at alpha = 0
-    equals 3/2 - h(h_inv(r1)), as r_sigma(0, .) = 3/2; up to r1 of about
-    0.9926 the minimum sits there. Up to _MAIN_DEPARTURE this returns
-    simple_bound(r1), clamped to 1, without sampling, whatever cfg: the
-    sum-rate bound holds at every r1.
+    At alpha = 0 the objective equals 3/2 - h(h_inv(r1)), as
+    r_sigma(0, .) = 3/2; up to r1 of about 0.9926 the minimum sits there. Up
+    to _MAIN_DEPARTURE this returns simple_bound(r1), clamped to 1, without
+    sampling: the sum-rate bound holds at every r1. Above it the minimum is
+    sampled, and every sample is an upper bound.
     """
     r1c = _as_prob(float(r1), "r1")
     if r1c <= _MAIN_DEPARTURE:
         return min(1.5 - r1c, 1.0)
     p1 = binary_entropy_inv(r1c)
-    v = _sampled_minimize(lambda alpha: _main_objective(alpha, p1, cfg), 0.0, p1, cfg)
+    v = _sampled_minimize(lambda alpha: _main_objective(alpha, p1), 0.0, p1)
     return min(max(v, 0.0), 1.0, 1.5 - r1c)
 
 
@@ -436,12 +443,7 @@ class BoundCurve:
         return cls(tuple(rows))
 
 
-def curve(
-    r1_lo: float,
-    r1_hi: float,
-    steps: int,
-    cfg: OptimizerConfig = DEFAULT_CONFIG,
-) -> BoundCurve:
+def curve(r1_lo: float, r1_hi: float, steps: int) -> BoundCurve:
     """Evaluate simple_bound, ul_bound and main_bound on a uniform r1 grid."""
     if not 0.0 <= r1_lo < r1_hi <= 1.0 + PROB_SLACK:
         raise ValueError(f"bad range [{r1_lo!r}, {r1_hi!r}]")
@@ -450,5 +452,5 @@ def curve(
     rows = []
     for r1 in np.linspace(r1_lo, min(r1_hi, 1.0), steps):
         r1 = float(r1)
-        rows.append((r1, simple_bound(r1), ul_bound(r1, cfg), main_bound(r1, cfg)))
+        rows.append((r1, simple_bound(r1), ul_bound(r1), main_bound(r1)))
     return BoundCurve(tuple(rows))

@@ -27,12 +27,8 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .bounds import (
-    DEFAULT_CONFIG,
     MAX_CURVE_STEPS,
-    MAX_GRID_POINTS,
-    MAX_REFINE_ITERS,
     EvaluationError,
-    OptimizerConfig,
     curve,
     main_bound,
     simple_bound,
@@ -62,23 +58,22 @@ __all__ = ["main"]
 # `bound --which` names in `all` order; the lambdas look each bound up when
 # called, so a patched module attribute is the one that runs
 _BOUNDS = {
-    "simple": lambda r1, cfg: simple_bound(r1),
-    "weldon": lambda r1, cfg: weldon_bound(r1),
-    "ul": lambda r1, cfg: ul_bound(r1, cfg),
-    "main": lambda r1, cfg: main_bound(r1, cfg),
+    "simple": lambda r1: simple_bound(r1),
+    "weldon": lambda r1: weldon_bound(r1),
+    "ul": lambda r1: ul_bound(r1),
+    "main": lambda r1: main_bound(r1),
 }
 
 
 def _cmd_bound(args):
-    cfg = OptimizerConfig(args.grid, args.refine)
     names = _BOUNDS if args.which == "all" else (args.which,)
-    values = {name: _BOUNDS[name](args.r1, cfg) for name in names}
+    values = {name: _BOUNDS[name](args.r1) for name in names}
     lines = [f"{name:<7} {v:.6f}" for name, v in values.items()]
     return 0, {"r1": args.r1, "bounds": values}, lines
 
 
 def _cmd_curve(args):
-    bc = curve(args.lo, args.hi, args.steps, OptimizerConfig(args.grid, args.refine))
+    bc = curve(args.lo, args.hi, args.steps)
     text = bc.to_csv()
     if not args.out:
         return 0, None, text.splitlines()
@@ -218,22 +213,6 @@ def _cmd_system(args):
     return 0 if reason is None else 1, record, lines
 
 
-def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--grid",
-        type=int,
-        default=DEFAULT_CONFIG.grid_points,
-        help=f"outer-solve samples per pass, at most {MAX_GRID_POINTS} (default: %(default)s)",
-    )
-    p.add_argument(
-        "--refine",
-        type=int,
-        default=DEFAULT_CONFIG.refine_iters,
-        help=f"golden-section iterations per inner solve, at most {MAX_REFINE_ITERS}"
-        " (default: %(default)s)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adderbound",
@@ -249,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--json", action="store_true")
-    _add_optimizer_flags(p)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("curve", help="CSV of the bounds over an r1 grid")
@@ -262,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"r1 grid points, 2 to {MAX_CURVE_STEPS} (default: %(default)s)",
     )
     p.add_argument("--out", type=str, default=None)
-    _add_optimizer_flags(p)
     p.set_defaults(func=_cmd_curve, json=False)
 
     p = sub.add_parser("sauer", help="soft shattering bound, exact")

@@ -3,8 +3,8 @@
 One test per guarantee, asserting the stated tolerance and printing a
 single PASS line with the measured numbers, so `pytest -s` reads as a
 checklist. The two point reproductions, the 101-point curve sweep and the
-byte pin of a short curve run at the default optimizer configuration; the
-point reproductions are wall-clock limited.
+byte pin of a short curve run; the point reproductions are wall-clock
+limited.
 """
 
 import math
@@ -48,7 +48,7 @@ from adderbound.systems import (
     system_rates,
 )
 
-# point values computed once at the default config, reused by later checks
+# point values computed once, reused by later checks
 _cache = {}
 
 
@@ -77,8 +77,8 @@ def test_main_point_reproduction():
 
 
 def test_curve_ordering_and_reference_points():
-    # default config: both bounds stop at the time-sharing endpoint wherever
-    # they equal the sum-rate bound, so 101 points take about a second
+    # both bounds stop at the time-sharing endpoint wherever they equal the
+    # sum-rate bound, so 101 points take well under a second
     bc = curve(0.9, 1.0, 101)
     assert len(bc.rows) == 101
     worst = 0.0
@@ -96,8 +96,8 @@ def test_curve_ordering_and_reference_points():
     )
 
 
-# `adderbound curve --from 0.99 --to 1.0 --steps 11` at the default config,
-# as the grid-plus-golden solver of the first release printed it
+# `adderbound curve --from 0.99 --to 1.0 --steps 11` as the grid-plus-golden
+# solver of the first release printed it; the bisection prints the same bytes
 CURVE_NEAR_ONE_CSV = """\
 r1,simple,ul,main
 0.990000,0.510000,0.510000,0.510000
@@ -119,7 +119,7 @@ def test_curve_bytes_at_default_config():
     text = curve(0.99, 1.0, 11).to_csv()
     dt = time.perf_counter() - t0
     assert text == CURVE_NEAR_ONE_CSV
-    _ok("curve bytes", f"curve(0.99, 1.0, 11) at the default config is byte-identical, {dt:.1f}s")
+    _ok("curve bytes", f"curve(0.99, 1.0, 11) is byte-identical, {dt:.1f}s")
 
 
 def test_sum_rate_reduction_and_log3_progression():

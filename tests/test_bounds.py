@@ -9,11 +9,9 @@ from adderbound.bounds import (
     LOG2_3,
     BoundCurve,
     EvaluationError,
-    OptimizerConfig,
     conditional_sum_envelope,
     curve,
     main_bound,
-    scalar_maximize,
     simple_bound,
     sum_rate_bound,
     sum_rate_envelope,
@@ -22,14 +20,18 @@ from adderbound.bounds import (
     ul_sum_bound,
     weldon_bound,
     weldon_nonsystematic_bound,
+    _bisect,
     _j_consts,
     _j_kernel,
     _l_kernel,
     _main_objective,
+    _mixture_slope,
+    _resolved_max,
     _sampled_minimize,
     _sum_rate_objective,
     _ul_inner_max,
     _ul_objective,
+    _ul_slope,
 )
 from adderbound.entropy import (
     _h_half,
@@ -39,71 +41,90 @@ from adderbound.entropy import (
     binary_entropy_inv,
 )
 
-# small config: the unit tests exercise correctness, not headline-digit accuracy
-FAST = OptimizerConfig(grid_points=512, refine_iters=48)
-
-# regression fixtures, recorded once from the default config
+# regression fixtures, recorded once; the tests compare within 1e-6
 UL_AT_ONE = 0.4921598855455906
 MAIN_AT_ONE = 0.4798303244974113
 
 
-# ---------------------------------------------------------------- optimizer
+# ---------------------------------------------------------------- solver
 
 
-def test_scalar_maximize_quadratic():
-    arg, val = scalar_maximize(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, FAST)
-    assert abs(arg - 0.3) <= 1e-6
-    assert abs(val) <= 1e-12
+def _counted(pos):
+    # pos, and a list holding the number of times it was asked
+    calls = [0]
+
+    def counting(x):
+        calls[0] += 1
+        return pos(x)
+
+    return counting, calls
+
+
+def test_bisect_ends_at_adjacent_floats():
+    # a sign change anywhere from 0 up to the largest float: lo and hi end
+    # one float apart around it within 64 steps, brackets touching 0 and a
+    # -0.0 end included
+    big = np.finfo(float).max
+    roots = np.array([0.0, 5e-324, 1e-300, 1.0 / 3.0, 0.5, 1.0, 1e300])
+    pos, calls = _counted(lambda x: x < roots)
+    lo, hi = _bisect(pos, -0.0, np.where(roots < 1.0, 1.0, big))
+    assert (np.nextafter(lo, np.inf) == hi).all()
+    assert ((lo < roots) | (lo == 0.0)).all() and (roots <= hi).all()
+    assert calls[0] <= 64
+
+
+def test_bisect_all_true_all_false_and_degenerate():
+    # lo moves only where pos is true and hi only where it is false, so with
+    # one sign everywhere one end stays put; [x, x] stays as it is
+    lo, hi = np.array([0.0, 0.25, 0.7, 0.0]), np.array([1.0, 0.5, 0.7, 0.0])
+    for sign in (True, False):
+        pos, calls = _counted(lambda x: np.full(x.shape, sign))
+        a, b = _bisect(pos, lo, hi)
+        assert (a == np.where(sign & (lo < hi), np.nextafter(hi, -1.0), lo)).all(), sign
+        assert (b == np.where((not sign) & (lo < hi), np.nextafter(lo, 2.0), hi)).all(), sign
+        assert calls[0] <= 64
+    pos, calls = _counted(lambda x: x < 0.7)
+    assert _bisect(pos, 0.7, 0.7) == (0.7, 0.7) and calls[0] == 0
+
+
+def test_bisect_bad_bracket():
+    for lo, hi in ((1.0, 0.0), (-1.0, 0.5), (0.0, [1.0, -1.0]), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            _bisect(lambda x: x < 0.5, lo, hi)
+
+
+def test_resolved_max_quadratic():
     # one bracket per peak, solved together; the last bracket ends before
     # its peak, so its maximum is the endpoint
     peaks = np.array([0.1, 0.5, 0.9])
-    arg, val = scalar_maximize(lambda x: -((x - peaks) ** 2), 0.0, [1.0, 1.0, 0.6], FAST)
-    assert np.all(np.abs(arg - [0.1, 0.5, 0.6]) <= 1e-6)
+    val = _resolved_max(lambda x: -((x - peaks) ** 2), lambda x: x < peaks, 0.0, [1.0, 1.0, 0.6])
+    assert val[0] == val[1] == 0.0
     assert val[2] == -((0.6 - 0.9) ** 2)
 
 
-def test_scalar_maximize_degenerate_interval():
-    arg, val = scalar_maximize(lambda x: x * 2.0, 0.7, 0.7, FAST)
-    assert (arg, val) == (0.7, 1.4)
+def test_resolved_max_entropy_peak():
+    # h(eta) + 1 - eta peaks at eta = 1/3 with value log2(3); its slope is
+    # h'(eta) - 1 = log2((1 - eta)/eta) - 1
+    val = _resolved_max(sum_rate_envelope, lambda e: np.log2((1.0 - e) / e) > 1.0, 0.0, 0.5)
+    assert abs(val - LOG2_3) <= 1e-15
 
 
-def test_scalar_maximize_entropy_peak():
-    # h(eta) + 1 - eta peaks at eta = 1/3 with value log2(3)
-    arg, val = scalar_maximize(sum_rate_envelope, 0.0, 0.5, FAST)
-    assert abs(arg - 1.0 / 3.0) <= 1e-5
-    assert abs(val - LOG2_3) <= 1e-9
-
-
-def test_scalar_maximize_nonfinite_errors():
+def test_nonfinite_objective_raises():
     def bad(x):
         return np.where(x > 0.5, np.nan, x)
 
     with pytest.raises(EvaluationError) as ei:
-        scalar_maximize(bad, 0.0, 1.0, FAST)
+        _resolved_max(bad, lambda x: x < 0.7, 0.0, 1.0)
     assert ei.value.argument > 0.5
     assert math.isnan(ei.value.value)
 
 
-def test_scalar_maximize_bad_interval():
-    with pytest.raises(ValueError):
-        scalar_maximize(lambda x: x, 1.0, 0.0, FAST)
-    with pytest.raises(ValueError):
-        scalar_maximize(lambda x: x, 0.0, [1.0, -1.0], FAST)
-    with pytest.raises(ValueError):
-        scalar_maximize(lambda x: x, 0.0, math.inf, FAST)
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(grid_points=8)
-    with pytest.raises(ValueError):
-        OptimizerConfig(refine_iters=0)
-    # fixed caps far above any documented use
-    OptimizerConfig(grid_points=1 << 20, refine_iters=1000)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grid_points=(1 << 20) + 1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(refine_iters=1001)
+def test_nonfinite_envelope_raises_from_bound(monkeypatch):
+    # a NaN from the envelope only flips a sign during the bisection, and
+    # surfaces when the objective is taken at the final ends
+    monkeypatch.setattr(bounds, "_l_kernel", lambda e: np.full(np.shape(e), np.nan)[()])
+    with pytest.raises(EvaluationError):
+        main_bound(1.0)
 
 
 # ---------------------------------------------------------------- envelopes
@@ -193,14 +214,14 @@ def test_conditional_envelope_domain_errors():
 
 def test_sum_rate_bound_at_r0_zero():
     for r1 in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert abs(sum_rate_bound(0.0, r1, FAST) - 1.5) <= 1e-12
+        assert abs(sum_rate_bound(0.0, r1) - 1.5) <= 1e-12
 
 
 def test_sum_rate_bound_degenerate_at_r1_one():
     # h_inv(1) = 1/2 exactly, so the eta interval collapses to {1/2} and the
     # value is min{3/2, 3/2 + r0} = 3/2 for every r0
-    assert sum_rate_bound(0.1, 1.0, FAST) == 1.5
-    assert sum_rate_bound(5.0, 1.0, FAST) == 1.5
+    assert sum_rate_bound(0.1, 1.0) == 1.5
+    assert sum_rate_bound(5.0, 1.0) == 1.5
 
 
 def test_sum_rate_bound_rejects_nan_r0():
@@ -215,7 +236,7 @@ def test_sum_rate_bound_rejects_nan_r0():
 def test_sum_rate_bound_large_r0_hits_cap():
     # once r0 dwarfs the conditional term the min is the envelope L, whose
     # max is log2(3)
-    v = sum_rate_bound(2.0, 0.0, FAST)
+    v = sum_rate_bound(2.0, 0.0)
     assert abs(v - LOG2_3) <= 1e-9
 
 
@@ -229,7 +250,7 @@ def test_sum_rate_bound_against_dense_grid():
             sum_rate_envelope(etas), conditional_sum_envelope(p, etas) + r0
         )
         want = float(vals.max())
-        got = sum_rate_bound(r0, r1, FAST)
+        got = sum_rate_bound(r0, r1)
         assert abs(got - want) <= 1e-6, (r0, r1, got, want)
         assert got >= want - 1e-12
 
@@ -239,7 +260,7 @@ def test_sum_rate_bound_against_dense_grid():
         with np.errstate(divide="ignore", invalid="ignore"):
             ent = sum(np.where(m > 0.0, -m * np.log2(m), 0.0) for m in pmf)
         want = float(ent.max())
-        got = float(ul_mixture_entropy(rho, FAST))
+        got = float(ul_mixture_entropy(rho))
         assert abs(got - want) <= 1e-6, (rho, got, want)
         assert got >= want - 1e-12
 
@@ -253,7 +274,7 @@ def test_sum_rate_bound_against_dense_grid():
         a = np.clip(1.0 - p1 - kappas, 0.0, 0.5)
         vals = binary_entropy(a) - binary_entropy(rho) + np.minimum(g, b + binary_entropy(b))
         want = float(vals.max())
-        got = float(_ul_inner_max(rho, p1, FAST))
+        got = float(_ul_inner_max(rho, p1))
         assert abs(got - want) <= 1e-6, (rho, r1, got, want)
         assert got >= want - 1e-12
 
@@ -263,9 +284,10 @@ def _worst_second_difference(vals):
 
 
 def test_inner_objectives_are_concave():
-    # scalar_maximize finds an inner maximum only if the objective is concave
-    # on its bracket, and an under-resolved inner maximum would invalidly
-    # lower an upper bound: pin concavity on 20,001-point grids
+    # each inner objective rises up to its maximum and falls after it, which
+    # is what lets one sign bisection find the maximum; an under-resolved
+    # inner maximum would invalidly lower an upper bound: pin concavity on
+    # 20,001-point grids
     r1s = np.linspace(0.0, 1.0, 41)
     worst = -math.inf
     for r1 in r1s:
@@ -293,6 +315,55 @@ def test_inner_objectives_are_concave():
     assert worst <= 1e-12, ("ul", worst)
 
 
+def test_sum_rate_sign_facts():
+    # _sum_rate_max searches only [max(p, 1/3), 1/2] and takes L - J - r0 to
+    # fall there: L rises up to 1/3 and falls after, and J(p, .) never falls
+    # on [p, 1/2], on either branch, p near 0 and near 1/2 included (1e-7 is
+    # nearer 1/2 than h_inv gives below r1 = 1)
+    etas = np.linspace(0.0, 0.5, 30001)
+    l_vals = _l_kernel(etas)
+    peak = np.searchsorted(etas, 1.0 / 3.0)
+    assert (np.diff(l_vals[:peak]) >= 0.0).all() and (np.diff(l_vals[peak:]) <= 0.0).all()
+    ps = np.concatenate([[0.0, 1e-12, 1e-6, 1e-3], np.linspace(0.01, 0.49, 49), [0.5 - 1e-5, 0.5 - 1e-7, 0.5]])
+    branches = np.zeros(2, dtype=int)
+    for p in ps:
+        etas = np.linspace(p, 0.5, 20001)
+        s, denom = _j_consts(np.full_like(etas, p))
+        branches += [(etas >= s).sum(), (etas < s).sum()]
+        assert (np.diff(_j_kernel(etas, s, denom)) >= 0.0).all(), p
+    assert (branches > 100_000).all()
+    # the UL kink: b + h(b) increases, so b + h(b) < g holds below one point
+    b = np.linspace(0.0, 0.5, 100001)
+    assert (np.diff(b + _h_half(b)) > 0.0).all()
+
+
+def test_slopes_are_nonincreasing_and_bracket_the_difference_quotients():
+    # the signs that ul_mixture_entropy and _ul_inner_max bisect on: dH/dbeta
+    # and the UL right slope in kappa. Each is nonincreasing on its bracket,
+    # and, the objectives being concave, lies between the forward and the
+    # backward difference quotient
+    step = 1e-6
+    betas = np.linspace(0.0, 1.0, 20001)
+    for rho in np.linspace(0.0, 0.5, 51):
+        slope = _mixture_slope(betas, rho)
+        assert (np.diff(slope) <= 0.0).all(), rho
+        x = betas[1:-1][::97]
+        fwd = (_sum_entropy(x + step, rho) - _sum_entropy(x, rho)) / step
+        bwd = (_sum_entropy(x, rho) - _sum_entropy(x - step, rho)) / step
+        assert (fwd - 1e-7 <= slope[1:-1][::97]).all() and (slope[1:-1][::97] <= bwd + 1e-7).all(), rho
+    for rho in np.linspace(0.0, 0.5, 21):
+        g, h_rho = float(ul_mixture_entropy(rho)), float(binary_entropy(rho))
+        for r1 in np.linspace(0.0, 1.0, 21):
+            p1 = binary_entropy_inv(float(r1))
+            kappas = np.linspace(0.0, 1.0 - p1, 20001)
+            slope = _ul_slope(kappas, rho, g, p1)
+            assert (np.diff(slope) <= 0.0).all(), (rho, r1)
+            x, sx = kappas[1:-1][::97], slope[1:-1][::97]
+            f = lambda k: _ul_objective(k, rho, g, p1, h_rho)
+            fwd, bwd = (f(x + step) - f(x)) / step, (f(x) - f(x - step)) / step
+            assert (fwd - 1e-7 <= sx).all() and (sx <= bwd + 1e-7).all(), (rho, r1)
+
+
 def test_ul_objective_nonincreasing_in_p1():
     # ul_sum_bound returns 3/2 up to _UL_DEPARTURE without sampling; sound
     # because 3/2 is the value at rho = 1/2, and tight because every
@@ -314,7 +385,7 @@ def test_sum_rate_bound_range_and_monotonicity():
     table = {}
     for r0 in r0s:
         for r1 in r1s:
-            v = sum_rate_bound(float(r0), float(r1), FAST)
+            v = sum_rate_bound(float(r0), float(r1))
             assert 1.5 - 1e-6 <= v <= LOG2_3 + 1e-9, (r0, r1, v)
             table[(float(r0), float(r1))] = v
     for r1 in r1s:
@@ -354,10 +425,10 @@ def test_weldon_nonsystematic_bound():
 
 
 def test_ul_mixture_entropy():
-    assert abs(ul_mixture_entropy(0.0, FAST) - 1.0) <= 1e-9
-    assert abs(ul_mixture_entropy(0.5, FAST) - 1.5) <= 1e-9
+    assert abs(ul_mixture_entropy(0.0) - 1.0) <= 1e-9
+    assert abs(ul_mixture_entropy(0.5) - 1.5) <= 1e-9
     for rho in (0.1, 0.3):
-        v = ul_mixture_entropy(rho, FAST)
+        v = ul_mixture_entropy(rho)
         assert 1.0 <= v <= LOG2_3 + 1e-9
 
 
@@ -365,41 +436,41 @@ def test_ul_mixture_entropy():
 
 
 def test_ul_bound_regression():
-    assert abs(ul_bound(1.0, FAST) - UL_AT_ONE) <= 1e-6
+    assert abs(ul_bound(1.0) - UL_AT_ONE) <= 1e-6
 
 
 def test_main_bound_regression():
-    assert abs(main_bound(1.0, FAST) - MAIN_AT_ONE) <= 1e-6
+    assert abs(main_bound(1.0) - MAIN_AT_ONE) <= 1e-6
 
 
 def test_main_bound_below_ul_at_one():
-    assert main_bound(1.0, FAST) < ul_bound(1.0, FAST) - 1e-3
+    assert main_bound(1.0) < ul_bound(1.0) - 1e-3
 
 
 def test_bounds_equal_simple_away_from_one():
     # the minimax bounds improve on the sum-rate bound only near r1 = 1
     for r1 in (0.9, 0.95):
-        assert abs(ul_bound(r1, FAST) - simple_bound(r1)) <= 1e-9
-        assert abs(main_bound(r1, FAST) - simple_bound(r1)) <= 1e-9
+        assert abs(ul_bound(r1) - simple_bound(r1)) <= 1e-9
+        assert abs(main_bound(r1) - simple_bound(r1)) <= 1e-9
 
 
 def test_ul_sum_bound_never_above_simple_sum():
     for r1 in (0.0, 0.5, 0.9, 1.0):
-        assert ul_sum_bound(r1, FAST) <= 1.5 + 1e-9
+        assert ul_sum_bound(r1) <= 1.5 + 1e-9
 
 
 def test_bounds_deterministic():
-    a = ul_bound(0.997, FAST)
-    b = ul_bound(0.997, FAST)
+    a = ul_bound(0.997)
+    b = ul_bound(0.997)
     assert a == b
-    c = main_bound(0.997, FAST)
-    d = main_bound(0.997, FAST)
+    c = main_bound(0.997)
+    d = main_bound(0.997)
     assert c == d
 
 
-# repr of (ul_bound, main_bound) at the default config: the solver's outputs
-# pinned to the bit, so any change to the arithmetic of the inner or outer
-# solves shows here; up to r1 = 0.99 both are exactly the sum-rate bound
+# repr of (ul_bound, main_bound): the solver's outputs pinned to the bit,
+# so any change to the arithmetic of the inner or outer solves shows here;
+# up to r1 = 0.99 both are exactly the sum-rate bound
 BOUND_PINS = {
     0.0: ("1.0", "1.0"),
     0.25: ("1.0", "1.0"),
@@ -408,20 +479,20 @@ BOUND_PINS = {
     0.93: ("0.57", "0.57"),
     0.95: ("0.55", "0.55"),
     0.99: ("0.51", "0.51"),
-    0.999: ("0.501", "0.4917743512700185"),
-    1.0: ("0.4921598855455893", "0.4798303244979498"),
+    0.999: ("0.501", "0.49177435127001895"),
+    1.0: ("0.49215988554559065", "0.4798303244979504"),
 }
 
 # repr of sum_rate_bound(r0, r1); the solves at (0.1, 0.9) and (0.02, 0.99)
 # evaluate points on both branches of J
 SUM_RATE_PINS = {
-    (0.1, 0.9): "1.5318491081950982",
-    (0.3, 0.5): "1.5755026415050088",
-    (0.02, 0.99): "1.50682373137205",
+    (0.1, 0.9): "1.5318491081950985",
+    (0.3, 0.5): "1.5755026415050102",
+    (0.02, 0.99): "1.5068237313720503",
     (math.inf, 0.5): "1.5849625007211563",
 }
 
-MIXTURE_101_SHA256 = "a249fded21fea2e393619de9251a1464b13563a5ece4ae6ca07b9df53b1d2522"
+MIXTURE_101_SHA256 = "c6d5785268f6f8821a47a25728464689e91f6340b4e76b34c4f7f1731584b5b8"
 
 
 @pytest.mark.parametrize("r1", sorted(BOUND_PINS))
@@ -437,60 +508,146 @@ def test_sum_rate_and_mixture_bit_pins():
 
 
 def _count_evaluations(monkeypatch, bound, r1):
-    # every objective evaluation passes bounds._checked: (calls, elements)
-    seen = [0, 0]
-    checked = bounds._checked
+    # [calls, elements] of the objective evaluations, which all pass
+    # bounds._checked, then of the bisection's sign evaluations
+    seen = [0, 0, 0, 0]
+    checked, bisect = bounds._checked, bounds._bisect
 
-    def counting(f, x):
+    def counting_checked(f, x):
         seen[0] += 1
         seen[1] += x.size
         return checked(f, x)
 
-    monkeypatch.setattr(bounds, "_checked", counting)
+    def counting_bisect(pos, lo, hi):
+        def counting_pos(x):
+            seen[2] += 1
+            seen[3] += x.size
+            return pos(x)
+
+        return bisect(counting_pos, lo, hi)
+
+    monkeypatch.setattr(bounds, "_checked", counting_checked)
+    monkeypatch.setattr(bounds, "_bisect", counting_bisect)
     bound(r1)
     return seen
 
 
-@pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 411, 420_864), (main_bound, 207, 211_968)])
-def test_solver_work_counts(monkeypatch, bound, calls, elems):
-    # the solver's work at the default config: 3 outer grids of 1024 points
-    # and 68 evaluations per golden-section solve (ul runs two per outer grid)
-    assert _count_evaluations(monkeypatch, bound, 1.0) == [calls, elems]
+@pytest.mark.parametrize(
+    "bound, work",
+    [(ul_bound, [15, 15_360, 372, 380_928]), (main_bound, [9, 9_216, 154, 157_696])],
+    ids=["ul_bound", "main_bound"],
+)
+def test_solver_work_counts(monkeypatch, bound, work):
+    # the solver's work at r1 = 1: 3 outer grids of 1024 points, each inner
+    # solve two objective evaluations after at most 64 sign evaluations (ul
+    # runs two inner solves per outer grid: g* and the max over kappa)
+    assert _count_evaluations(monkeypatch, bound, 1.0) == work
 
 
 @pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 0, 0), (main_bound, 0, 0)])
 def test_endpoint_work_counts(monkeypatch, bound, calls, elems):
-    # at r1 = 0.95, below both departure points, neither bound solves anything
-    assert _count_evaluations(monkeypatch, bound, 0.95) == [calls, elems]
+    # at r1 = 0.95, below both departure points, neither bound solves
+    # anything: no objective and no sign evaluations
+    assert _count_evaluations(monkeypatch, bound, 0.95) == [calls, elems] * 2
 
 
-@pytest.mark.parametrize(
-    "r1, cfg, was",
-    [
-        (0.99, OptimizerConfig(64, 1), 0.49976747153358275),
-        (0.99, OptimizerConfig(64, 4), 0.5079533846210139),
-        (0.95, OptimizerConfig(64, 1), 0.5492393542333651),
-    ],
-)
-def test_coarse_config_keeps_sum_rate_bound(r1, cfg, was):
-    # below _MAIN_DEPARTURE the config is not used: a sampled path with too
-    # few golden-section steps under-resolved the inner maxima and returned
-    # `was`, below the exact bound
-    assert main_bound(r1, cfg) == simple_bound(r1) > was
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _sampled_ul(r1, cfg=bounds.DEFAULT_CONFIG):
+def _golden_max(f, lo, hi, iters):
+    # the golden-section search the bounds ran before the bisection, kept as
+    # a reference: the best value f takes over iters steps on every bracket
+    # [lo, hi], below the maximum by at most the slope times
+    # (hi - lo) 0.618**iters. Once every bracket is down to adjacent floats,
+    # each further step would only evaluate a or b again, so it stops there
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    t = _INVPHI * (b - a)
+    c, d = b - t, a + t
+    fc, fd = f(c), f(d)
+    best = np.maximum(np.maximum(f(a), f(b)), np.maximum(fc, fd))
+    for _ in range(iters):
+        if (np.nextafter(a, np.inf) >= b).all():
+            break
+        # keep [a, d] where f(c) >= f(d), else [c, b]; the surviving inner
+        # point becomes d or c, and one new point is evaluated per bracket
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        t = _INVPHI * (b - a)
+        x = np.where(left, b - t, a + t)
+        v = f(x)
+        best = np.maximum(best, v)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, v, fd), np.where(left, fc, v)
+    return best[()]
+
+
+def _golden_sum_rate_max(r0, p, iters):
+    s, denom = _j_consts(p)
+    return _golden_max(lambda eta: _sum_rate_objective(eta, r0, s, denom), p, 0.5, iters)
+
+
+def _golden_main_objective(alpha, p1, iters):
+    # _main_objective with its inner maximum by _golden_max
+    ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
+    r_sigma = _golden_sum_rate_max(alpha / (1.0 - alpha), ratio, iters)
+    return (1.0 - alpha) * (r_sigma - _h_half(ratio))
+
+
+def _golden_mixture_entropy(rho, iters):
+    rho = np.asarray(rho, dtype=float)
+    return _golden_max(lambda beta: _sum_entropy(beta, rho), np.zeros_like(rho), 1.0, iters)
+
+
+def _golden_ul_inner_max(rho, p1, iters):
+    g, h_rho = _golden_mixture_entropy(rho, iters), binary_entropy(rho)
+    objective = lambda kappa: _ul_objective(kappa, rho, g, p1, h_rho)
+    return _golden_max(objective, np.zeros_like(rho), 1.0 - p1, iters)
+
+
+def _sampled_ul(r1, inner=_ul_inner_max):
     # ul_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
-    v = _sampled_minimize(lambda rho: _ul_inner_max(rho, p1, cfg), 0.0, 0.5, cfg)
+    v = _sampled_minimize(lambda rho: inner(rho, p1), 0.0, 0.5)
     return min(max(v - r1, 0.0), 1.0)
 
 
-def _sampled_main(r1, cfg=bounds.DEFAULT_CONFIG):
+def _sampled_main(r1, objective=_main_objective):
     # main_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
-    v = _sampled_minimize(lambda alpha: _main_objective(alpha, p1, cfg), 0.0, p1, cfg)
+    v = _sampled_minimize(lambda alpha: objective(alpha, p1), 0.0, p1)
     return min(max(v, 0.0), 1.0, 1.5 - r1)
+
+
+def test_bounds_match_golden_section_reference():
+    # every inner maximum, resolved to adjacent floats, lands within 1e-15 of
+    # a 200-step golden-section search on the same outer grid: at 200 seeded
+    # r1 where main solves, 30 more where ul solves too, and the edge values
+    rng = np.random.default_rng(20261020)
+    r1s = rng.uniform(bounds._MAIN_DEPARTURE, 1.0, 200).tolist()
+    r1s += rng.uniform(bounds._UL_DEPARTURE, 1.0, 30).tolist()
+    r1s += [math.nextafter(bounds._MAIN_DEPARTURE, 2.0), math.nextafter(bounds._UL_DEPARTURE, 2.0)]
+    r1s += [math.nextafter(1.0, 0.0), 1.0]
+    ref_ul = lambda rho, p1: _golden_ul_inner_max(rho, p1, 200)
+    ref_main = lambda alpha, p1: _golden_main_objective(alpha, p1, 200)
+    solved = {ul_bound: 0, main_bound: 0}
+    for r1 in r1s:
+        for dep, bound, reference in (
+            (bounds._UL_DEPARTURE, ul_bound, lambda r1: _sampled_ul(r1, ref_ul)),
+            (bounds._MAIN_DEPARTURE, main_bound, lambda r1: _sampled_main(r1, ref_main)),
+        ):
+            if r1 > dep:
+                got, want = bound(r1), reference(r1)
+                assert abs(got - want) <= 1e-15, (bound.__name__, r1, got, want)
+                solved[bound] += 1
+    assert solved == {ul_bound: 46, main_bound: 234}
+
+
+def test_sum_rate_and_mixture_match_golden_section_reference():
+    for r0, r1 in SUM_RATE_PINS:
+        want = _golden_sum_rate_max(r0, np.array(binary_entropy_inv(r1)), 200)
+        assert abs(sum_rate_bound(r0, r1) - want) <= 1e-15, (r0, r1)
+    rho = np.linspace(0.0, 0.5, 101)
+    assert np.abs(ul_mixture_entropy(rho) - _golden_mixture_entropy(rho, 200)).max() <= 1e-15
 
 
 def test_ul_departure_point():
@@ -504,13 +661,14 @@ def test_ul_departure_point():
     assert ul_bound(above) == _sampled_ul(above)
 
 
-def _main_probe(r1, cfg=bounds.DEFAULT_CONFIG):
+def _main_probe(r1):
     # main_bound's former outer slope test, kept as the reference for
-    # _MAIN_DEPARTURE: one single-bracket inner solve at alpha = 1e-6 h_inv(r1),
-    # true where it is no lower than the objective at alpha = 0
+    # _MAIN_DEPARTURE: one single-bracket inner solve of 64 golden-section
+    # steps at alpha = 1e-6 h_inv(r1), true where it is no lower than the
+    # objective at alpha = 0
     p1 = binary_entropy_inv(r1)
-    obj = lambda alpha: _main_objective(alpha, p1, cfg)
-    return p1 > 0.0 and bounds._checked(obj, np.array([1e-6 * p1]))[0] >= 1.5 - _h_half(p1)
+    value = _golden_main_objective(np.array([1e-6 * p1]), p1, 64)[0]
+    return p1 > 0.0 and value >= 1.5 - _h_half(p1)
 
 
 def test_main_departure_point():
@@ -555,26 +713,26 @@ def test_bounds_never_above_sum_rate_bound():
     for r1 in (0.0, 0.25, 0.5, 0.75, 0.9, 0.985, 0.993, 0.9995, 1.0):
         cap = min(simple_bound(r1), 1.0)
         assert ul_bound(r1) <= cap and main_bound(r1) <= cap, r1
-        assert main_bound(r1, FAST) <= cap and ul_bound(r1, FAST) <= cap, r1
 
 
 @pytest.mark.parametrize("r1", [0.9, 0.95, 0.99, 0.995, 0.999, 0.9996, 1.0])
-def test_default_grid_matches_dense_grid(r1):
-    # the default outer grid lands on the (4096, 64) values or at most 1e-15
-    # above them, never below: a sparser grid costs no soundness here. Up to
-    # 0.99 both configs stop at the time-sharing endpoint; 0.995 and above
-    # sample main's outer objective, and 0.9996 ul's too
-    dense = OptimizerConfig(4096, 64)
-    for bound in (ul_bound, main_bound):
-        ref = bound(r1, dense)
-        assert ref <= bound(r1) <= ref + 1e-15
+def test_default_grid_matches_dense_grid(monkeypatch, r1):
+    # the default outer grid lands on the values of a 4096-point grid or at
+    # most 1e-15 above them, never below: a sparser grid costs no soundness
+    # here. Up to 0.99 both stop at the time-sharing endpoint; 0.995 and
+    # above sample main's outer objective, and 0.9996 ul's too
+    default = [bound(r1) for bound in (ul_bound, main_bound)]
+    monkeypatch.setattr(bounds, "_GRID_POINTS", 4096)
+    for bound, got in zip((ul_bound, main_bound), default):
+        ref = bound(r1)
+        assert ref <= got <= ref + 1e-15, (bound.__name__, ref, got)
 
 
 # ---------------------------------------------------------------- curve
 
 
 def test_curve_values_and_ordering():
-    bc = curve(0.9, 1.0, 11, FAST)
+    bc = curve(0.9, 1.0, 11)
     assert len(bc.rows) == 11
     r1, s, u, m = bc.rows[-1]
     assert r1 == 1.0
@@ -586,7 +744,7 @@ def test_curve_values_and_ordering():
 
 
 def test_curve_csv_roundtrip():
-    bc = curve(0.95, 1.0, 3, FAST)
+    bc = curve(0.95, 1.0, 3)
     text = bc.to_csv()
     assert text.splitlines()[0] == "r1,simple,ul,main"
     parsed = BoundCurve.from_csv(text)
@@ -595,9 +753,9 @@ def test_curve_csv_roundtrip():
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        curve(1.0, 0.9, 11, FAST)
+        curve(1.0, 0.9, 11)
     with pytest.raises(ValueError):
-        curve(0.9, 1.0, 1, FAST)
+        curve(0.9, 1.0, 1)
     with pytest.raises(ValueError):
         BoundCurve(((0.5, 1.0, 1.0, 1.0), (0.5, 1.0, 1.0, 1.0)))
     with pytest.raises(ValueError):
