@@ -25,6 +25,12 @@ the objectives then run on unchecked kernels, as bisection points never
 leave their bracket. Everything here is deterministic: same inputs give
 bit-identical results.
 
+Each bound is an upper bound only if J is not too low and p = h_inv(r1) is
+not too high. J is one formula in u = 1 - 2p and v = 1 - 2 eta, which are
+exact near p = 1/2, so its two branches do not cancel there; h_inv returns
+the float just below the exact inverse, the side on which every bound here
+only rises.
+
 At the time-sharing endpoint of its outer range (alpha = 0, rho = 1/2) each
 minimax bound equals the sum-rate bound 3/2 - r1, and it goes below only near
 r1 = 1. Up to _MAIN_DEPARTURE (main_bound) and _UL_DEPARTURE (ul_sum_bound)
@@ -95,13 +101,13 @@ _ZOOM_PASSES = 2
 
 # the largest r1 at which the sampled ul_sum_bound returns exactly 3/2; one
 # float higher it is 2.9e-8 lower (tests/test_bounds.py)
-_UL_DEPARTURE = 0.9994783125457343
+_UL_DEPARTURE = 0.9994783125464713
 
-# the largest r1 at which main's former outer slope test passes: one inner
-# solve of the former 64-step search at alpha = 1e-6 h_inv(r1) no lower than
-# alpha = 0; float noise fails it at some r1 up to 1e-10 below, and every r1
-# scanned above fails it (tests/test_bounds.py keeps the test)
-_MAIN_DEPARTURE = 0.9926454406370051
+# h(p*) rounded down to a float, where p* = 0.44955626347567368 is the root
+# of main's outer slope at alpha = 0 (see main_bound); below it the slope is
+# positive and the minimum is the endpoint value (tests/test_bounds.py
+# derives it in mpmath)
+_MAIN_DEPARTURE = 0.9926454154151924
 
 
 def _checked(f, x: np.ndarray) -> np.ndarray:
@@ -190,34 +196,21 @@ def sum_rate_envelope(eta):
     return _l_kernel(_as_prob_array(eta, "eta", 0.5))[()]
 
 
-def _j_branch2(e, s, denom):
-    # second line of the envelope, valid for e < s = p*p (denom = 1 - 2s); its entropy
-    # argument (1 - ratio)/2 must be >= 0, i.e. e >= 2p^2 roughly; gap >= 0 keeps it <= 1/2
-    if (denom <= 0.0).any():
-        raise ValueError("conditional envelope singular at p = 1/2 below eta = 1/2")
-    gap = 1.0 - e - s
-    arg = 0.5 * (1.0 - gap / np.sqrt(denom))
-    if (arg < -PROB_SLACK).any():
+def _j_kernel(e, u):
+    # J(p, e) with u = 1 - 2p, in v = 1 - 2e: both lines of the envelope are
+    # 2 h((1 - w)/2) - (1 - w^2)/2, with w = sqrt(v) on the first, where
+    # e >= 2p(1 - p) = (1 - u^2)/2, i.e. sqrt(v) <= u, and w = (v + u^2)/(2u)
+    # on the second; they meet at v = u^2. The second needs w <= 1, and at
+    # p = 1/2 (u = 0) below e = 1/2 it has w = inf
+    v = 1.0 - 2.0 * e
+    r = np.sqrt(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(r <= u, r, (v + u * u) / (2.0 * u))
+    if (w > 1.0 + 2.0 * PROB_SLACK).any():
         raise ValueError("eta below the valid range of the second branch")
-    arg = np.asarray(np.maximum(arg, 0.0))  # h's array path, as always, even if 0-d
-    return 2.0 * _h_half(arg) - 0.5 * (1.0 - gap * gap / denom)
-
-
-def _j_kernel(e, s, denom):
-    # J with (s, denom) = _j_consts(p); its first line, 2 h((1 - sqrt(1-2e))/2) - e
-    # (radicand clamped against float drift), holds where e >= s
-    upper = e >= s
-    if not upper.any():
-        return _j_branch2(e, s, denom)
-    out = 2.0 * _h_half(0.5 * (1.0 - np.sqrt(np.maximum(1.0 - 2.0 * e, 0.0)))) - e
-    if not upper.all():
-        out[~upper] = _j_branch2(e[~upper], s[~upper], denom[~upper])
-    return out
-
-
-def _j_consts(p):
-    s = 2.0 * p * (1.0 - p)  # the binary convolution p * p
-    return s, 1.0 - 2.0 * s
+    w = np.minimum(w, 1.0)
+    # h's array path even for a 0-d e, so scalar and array J agree bit for bit
+    return 2.0 * _h_half(np.asarray(0.5 * (1.0 - w))) - 0.5 * (1.0 - w * w)
 
 
 def conditional_sum_envelope(p, eta):
@@ -225,15 +218,18 @@ def conditional_sum_envelope(p, eta):
     over joints with P(X1 != X2) = eta and H(X1|U) >= h(p).
 
     Two branches split at eta = p*p (binary convolution of p with itself);
-    they agree at the boundary. p and eta broadcast together element-wise.
+    they agree at the boundary. Both are computed by one formula in
+    u = 1 - 2p and v = 1 - 2 eta, which are exact for p, eta >= 1/4, so J
+    keeps full precision up to p = 1/2. p and eta broadcast together
+    element-wise.
     """
     p, e = np.broadcast_arrays(_as_prob_array(p, "p", 0.5), _as_prob_array(eta, "eta", 0.5))
-    return _j_kernel(e, *_j_consts(p))[()]
+    return _j_kernel(e, 1.0 - 2.0 * p)[()]
 
 
-def _sum_rate_objective(eta, r0, s, denom):
-    # min{L(eta), J(p, eta) + r0} on [p, 1/2]
-    return np.minimum(_l_kernel(eta), _j_kernel(eta, s, denom) + r0)
+def _sum_rate_objective(eta, r0, u):
+    # min{L(eta), J(p, eta) + r0} on [p, 1/2], u = 1 - 2p
+    return np.minimum(_l_kernel(eta), _j_kernel(eta, u) + r0)
 
 
 def _sum_rate_max(r0, p):
@@ -242,10 +238,10 @@ def _sum_rate_max(r0, p):
     # max lies on [max(p, 1/3), 1/2], where L - J - r0 falls: at its sign
     # change, or at an end
     p = _as_prob_array(p, "p", 0.5)  # the solve's one check: [p, 1/2] in [0, 1/2]
-    s, denom = _j_consts(p)
+    u = 1.0 - 2.0 * p
     return _resolved_max(
-        lambda eta: _sum_rate_objective(eta, r0, s, denom),
-        lambda eta: _l_kernel(eta) - _j_kernel(eta, s, denom) - r0 > 0.0,
+        lambda eta: _sum_rate_objective(eta, r0, u),
+        lambda eta: _l_kernel(eta) - _j_kernel(eta, u) - r0 > 0.0,
         np.maximum(p, 1.0 / 3.0),
         0.5,
     )
@@ -387,10 +383,13 @@ def main_bound(r1: float) -> float:
     r1 = 1 (about 0.4798 at r1 = 1 versus 0.492).
 
     At alpha = 0 the objective equals 3/2 - h(h_inv(r1)), as
-    r_sigma(0, .) = 3/2; up to r1 of about 0.9926 the minimum sits there. Up
-    to _MAIN_DEPARTURE this returns simple_bound(r1), clamped to 1, without
-    sampling: the sum-rate bound holds at every r1. Above it the minimum is
-    sampled, and every sample is an upper bound.
+    r_sigma(0, .) = 3/2, and its slope there is
+    ln2/2 + (1 - p) log2((1 - p)/p) - (3/2 - h(p)) with p = h_inv(r1),
+    positive up to r1 of about 0.9926, where the minimum sits at alpha = 0.
+    Up to _MAIN_DEPARTURE, the r1 of that slope's root rounded down, this
+    returns simple_bound(r1), clamped to 1, without sampling: the sum-rate
+    bound holds at every r1. Above it the minimum is sampled, and every
+    sample is an upper bound.
     """
     r1c = _as_prob(float(r1), "r1")
     if r1c <= _MAIN_DEPARTURE:

@@ -23,10 +23,6 @@ __all__ = [
 
 PROB_SLACK = 1e-12
 
-# binary_entropy_inv stops once |h(p) - x| is within _INV_TOL
-_INV_TOL = 1e-12
-_INV_MAX_ITER = 200
-
 ArrayLike = Union[float, np.ndarray]
 
 
@@ -82,8 +78,12 @@ def binary_entropy(p: ArrayLike) -> ArrayLike:
 def binary_entropy_inv(x: float) -> float:
     """Inverse of binary_entropy restricted to [0, 1/2], by bisection.
 
-    Returns p with |binary_entropy(p) - x| <= _INV_TOL. The restriction makes the
-    inverse single-valued; the other preimage is 1 - p.
+    Returns p with binary_entropy(p) <= x < binary_entropy(p') for p' the
+    next float above p, or p = 1/2 at x = 1: the bisection keeps
+    h(lo) <= x < h(hi) until lo and hi are adjacent floats (at most 1,073
+    steps, at x = 5e-324) and returns lo. Every bound that takes
+    p = h_inv(r1) only rises as p falls, so this side is the sound one. The
+    restriction makes the inverse single-valued; the other preimage is 1 - p.
     """
     if math.isnan(x) or x < -PROB_SLACK or x > 1.0 + PROB_SLACK:
         raise ValueError(f"entropy value {x!r} outside [0, 1]")
@@ -93,18 +93,12 @@ def binary_entropy_inv(x: float) -> float:
     if x == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    for _ in range(_INV_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        val = -mid * math.log2(mid) - (1.0 - mid) * math.log2(1.0 - mid)  # h(mid) inline
-        if abs(val - x) <= _INV_TOL:
-            return mid
-        if val < x:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if -mid * math.log2(mid) - (1.0 - mid) * math.log2(1.0 - mid) <= x:  # _h_half(mid) inline
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-17:
-            break
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def binary_convolve(p: ArrayLike, q: ArrayLike) -> ArrayLike:

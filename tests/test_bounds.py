@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,6 @@ from adderbound.bounds import (
     weldon_bound,
     weldon_nonsystematic_bound,
     _bisect,
-    _j_consts,
     _j_kernel,
     _l_kernel,
     _main_objective,
@@ -189,20 +189,53 @@ def test_kernels_match_public_envelopes_bit_for_bit():
     eta = p + (0.5 - p) * rng.uniform(0.0, 1.0, p.size) ** 3
     upper = eta >= binary_convolve(p, p)
     assert 0 < upper.sum() < upper.size
-    got = _j_kernel(eta, *_j_consts(p))
+    got = _j_kernel(eta, 1.0 - 2.0 * p)
     assert got.tobytes() == conditional_sum_envelope(p, eta).tobytes()
     for mask in (upper, ~upper):  # all of one branch at once
-        sub = _j_kernel(eta[mask], *_j_consts(p[mask]))
+        sub = _j_kernel(eta[mask], 1.0 - 2.0 * p[mask])
         assert sub.tobytes() == conditional_sum_envelope(p[mask], eta[mask]).tobytes()
     # 0-d arguments, as in a scalar solve
     for pi, ei in zip(p[:100], eta[:100]):
         want = conditional_sum_envelope(float(pi), float(ei))
-        assert _j_kernel(np.array(ei), *_j_consts(pi)) == want
+        assert _j_kernel(np.array(ei), 1.0 - 2.0 * pi) == want
         assert _l_kernel(np.array(ei)) == sum_rate_envelope(float(ei))
 
 
+def _mp_h(q):
+    # h in mpmath
+    return -q * mpmath.log(q, 2) - (1 - q) * mpmath.log(1 - q, 2) if q > 0 else mpmath.mpf(0)
+
+
+def _j_reference(p, eta):
+    # the two-branch formula of J in mpmath, at the exact floats p and eta
+    p, e = mpmath.mpf(p), mpmath.mpf(eta)
+    s = 2 * p * (1 - p)
+    if e >= s:
+        return 2 * _mp_h((1 - mpmath.sqrt(1 - 2 * e)) / 2) - e
+    gap, denom = 1 - e - s, 1 - 2 * s
+    return 2 * _mp_h((1 - gap / mpmath.sqrt(denom)) / 2) - (1 - gap * gap / denom) / 2
+
+
+def test_conditional_envelope_matches_high_precision_reference():
+    # J within 2e-15 of its two-branch formula at 50 digits: 4,000 seeded
+    # (p, eta) with eta on [p, 1/2] on both branches, and 1,000 with 1/2 - p
+    # log-uniform on [1e-9, 1e-3], where 1 - eta - 2p(1 - p) and
+    # 1 - 4p(1 - p) cancel in float
+    rng = np.random.default_rng(20261021)
+    p = np.concatenate([rng.uniform(0.0, 0.5, 4000), 0.5 - 10.0 ** rng.uniform(-9.0, -3.0, 1000)])
+    eta = p + (0.5 - p) * rng.uniform(0.0, 1.0, p.size) ** 3
+    upper = eta >= binary_convolve(p, p)
+    assert 1000 < upper.sum() < p.size - 1000
+    got = conditional_sum_envelope(p, eta)
+    with mpmath.workdps(50):
+        err = max(abs(mpmath.mpf(g) - _j_reference(pi, ei)) for g, pi, ei in zip(got, p, eta))
+    assert err <= 2e-15, float(err)
+    assert math.isfinite(conditional_sum_envelope(0.5 - 1e-9, 0.5 - 5e-10))
+
+
 def test_conditional_envelope_domain_errors():
-    # second branch is singular at p = 1/2 and invalid far below eta = 2p^2
+    # the second branch is undefined at p = 1/2 below eta = 1/2 (w = inf) and
+    # far below eta = 2p^2 (w > 1)
     with pytest.raises(ValueError):
         conditional_sum_envelope(0.5, 0.3)
     with pytest.raises(ValueError):
@@ -294,8 +327,7 @@ def test_inner_objectives_are_concave():
         p = binary_entropy_inv(float(r1))
         etas = np.linspace(p, 0.5, 20001)
         for r0 in (0.0, 0.05, 0.2, 1.0):
-            s, denom = _j_consts(np.full_like(etas, p))
-            worst = max(worst, _worst_second_difference(_sum_rate_objective(etas, r0, s, denom)))
+            worst = max(worst, _worst_second_difference(_sum_rate_objective(etas, r0, 1.0 - 2.0 * p)))
     assert worst <= 1e-12, ("r_sigma", worst)
 
     worst = -math.inf
@@ -318,19 +350,20 @@ def test_inner_objectives_are_concave():
 def test_sum_rate_sign_facts():
     # _sum_rate_max searches only [max(p, 1/3), 1/2] and takes L - J - r0 to
     # fall there: L rises up to 1/3 and falls after, and J(p, .) never falls
-    # on [p, 1/2], on either branch, p near 0 and near 1/2 included (1e-7 is
-    # nearer 1/2 than h_inv gives below r1 = 1)
+    # on [p, 1/2], on either branch, p near 0 and near 1/2 included; the last
+    # p below 1/2 is h_inv at the float below r1 = 1, 4.4e-9 from 1/2
     etas = np.linspace(0.0, 0.5, 30001)
     l_vals = _l_kernel(etas)
     peak = np.searchsorted(etas, 1.0 / 3.0)
     assert (np.diff(l_vals[:peak]) >= 0.0).all() and (np.diff(l_vals[peak:]) <= 0.0).all()
-    ps = np.concatenate([[0.0, 1e-12, 1e-6, 1e-3], np.linspace(0.01, 0.49, 49), [0.5 - 1e-5, 0.5 - 1e-7, 0.5]])
+    near_half = [0.5 - 1e-5, 0.5 - 1e-7, 0.5 - 1e-9, binary_entropy_inv(math.nextafter(1.0, 0.0)), 0.5]
+    ps = np.concatenate([[0.0, 1e-12, 1e-6, 1e-3], np.linspace(0.01, 0.49, 49), near_half])
     branches = np.zeros(2, dtype=int)
     for p in ps:
         etas = np.linspace(p, 0.5, 20001)
-        s, denom = _j_consts(np.full_like(etas, p))
+        s = binary_convolve(p, p)
         branches += [(etas >= s).sum(), (etas < s).sum()]
-        assert (np.diff(_j_kernel(etas, s, denom)) >= 0.0).all(), p
+        assert (np.diff(_j_kernel(etas, 1.0 - 2.0 * p)) >= 0.0).all(), p
     assert (branches > 100_000).all()
     # the UL kink: b + h(b) increases, so b + h(b) < g holds below one point
     b = np.linspace(0.0, 0.5, 100001)
@@ -479,7 +512,7 @@ BOUND_PINS = {
     0.93: ("0.57", "0.57"),
     0.95: ("0.55", "0.55"),
     0.99: ("0.51", "0.51"),
-    0.999: ("0.501", "0.49177435127001895"),
+    0.999: ("0.501", "0.49177435127535335"),
     1.0: ("0.49215988554559065", "0.4798303244979504"),
 }
 
@@ -488,7 +521,7 @@ BOUND_PINS = {
 SUM_RATE_PINS = {
     (0.1, 0.9): "1.5318491081950985",
     (0.3, 0.5): "1.5755026415050102",
-    (0.02, 0.99): "1.5068237313720503",
+    (0.02, 0.99): "1.5068237313720498",
     (math.inf, 0.5): "1.5849625007211563",
 }
 
@@ -582,8 +615,7 @@ def _golden_max(f, lo, hi, iters):
 
 
 def _golden_sum_rate_max(r0, p, iters):
-    s, denom = _j_consts(p)
-    return _golden_max(lambda eta: _sum_rate_objective(eta, r0, s, denom), p, 0.5, iters)
+    return _golden_max(lambda eta: _sum_rate_objective(eta, r0, 1.0 - 2.0 * p), p, 0.5, iters)
 
 
 def _golden_main_objective(alpha, p1, iters):
@@ -661,28 +693,44 @@ def test_ul_departure_point():
     assert ul_bound(above) == _sampled_ul(above)
 
 
-def _main_probe(r1):
-    # main_bound's former outer slope test, kept as the reference for
-    # _MAIN_DEPARTURE: one single-bracket inner solve of 64 golden-section
-    # steps at alpha = 1e-6 h_inv(r1), true where it is no lower than the
-    # objective at alpha = 0
-    p1 = binary_entropy_inv(r1)
-    value = _golden_main_objective(np.array([1e-6 * p1]), p1, 64)[0]
-    return p1 > 0.0 and value >= 1.5 - _h_half(p1)
+def _main_slope_at_zero(p):
+    # F'(0) in mpmath for main's outer objective F(alpha) = _main_objective(
+    # alpha, p) = (1 - alpha)(r_sigma(alpha/(1 - alpha), q) - h(q)),
+    # q = (p - alpha)/(1 - alpha): r_sigma(r0, q) = 3/2 + r0 ln2/2 + o(r0),
+    # as L and J cross near eta = 1/2, and dq/dalpha = -(1 - p) at alpha = 0
+    p = mpmath.mpf(p)
+    return mpmath.log(2) / 2 + (1 - p) * mpmath.log((1 - p) / p, 2) - (mpmath.mpf(3) / 2 - _mp_h(p))
+
+
+def test_main_slope_at_zero_matches_finite_differences():
+    # the forward difference over alpha = 1e-6 p1 differs from F'(0) by about
+    # alpha F''/2, which is 2.5e-7 to 3.6e-7 at these r1
+    for r1 in (0.95, 0.99, 0.995, 0.999):
+        p1 = binary_entropy_inv(r1)
+        alpha = 1e-6 * p1
+        f0, f1 = _main_objective(np.array([0.0, alpha]), p1)
+        with mpmath.workdps(40):
+            want = float(_main_slope_at_zero(p1))
+        assert abs((f1 - f0) / alpha - want) <= 4e-7, (r1, (f1 - f0) / alpha, want)
 
 
 def test_main_departure_point():
-    # _MAIN_DEPARTURE is the largest r1 found at which the probe fires; just
-    # above it the probe fails, and main_bound takes the sampled path (checked
-    # at the first 12 points: each costs two sampled solves)
-    r1 = bounds._MAIN_DEPARTURE
-    assert _main_probe(r1)
+    # _MAIN_DEPARTURE is r1* = h(p*) rounded down to a float, where p* is the
+    # root of F'(0): below it main's outer objective rises from alpha = 0, so
+    # the minimum is the endpoint value; just above it main_bound takes the
+    # sampled path (checked at 12 points: each costs two sampled solves)
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf("0.44"), mpmath.mpf("0.46")
+        assert _main_slope_at_zero(lo) > 0 > _main_slope_at_zero(hi)
+        p_star = mpmath.findroot(_main_slope_at_zero, (lo, hi), solver="anderson")
+        assert lo < p_star < hi
+        r1 = bounds._MAIN_DEPARTURE
+        assert mpmath.mpf(r1) <= _mp_h(p_star) < mpmath.mpf(math.nextafter(r1, 2.0))
     assert main_bound(r1) == min(simple_bound(r1), 1.0)
     rng = np.random.default_rng(20261019)
-    above = [math.nextafter(r1, 2.0)] + [r1 + 1e-9 * float(u) for u in rng.uniform(0.0, 1.0, 160)]
+    above = [math.nextafter(r1, 2.0)] + [r1 + 1e-9 * float(u) for u in rng.uniform(0.0, 1.0, 11)]
     assert all(x > r1 for x in above)
-    assert not any(_main_probe(x) for x in above)
-    for x in above[:12]:
+    for x in above:
         assert main_bound(x) == _sampled_main(x), x
 
 
@@ -706,6 +754,14 @@ def test_endpoint_shortcuts_match_sampled_path():
             if got == cap:  # otherwise got is the sampled value itself
                 want = sampled(r1)
                 assert abs(got - want) <= 2e-12, (bound.__name__, r1, got, want)
+
+
+def test_bounds_continuous_into_one():
+    # h_inv at the float below r1 = 1 is about 4.4e-9 below 1/2, so both
+    # bounds there lie at most 1e-8 above their values at r1 = 1
+    below = math.nextafter(1.0, 0.0)
+    for bound in (ul_bound, main_bound):
+        assert 0.0 <= bound(below) - bound(1.0) <= 1e-8, bound.__name__
 
 
 def test_bounds_never_above_sum_rate_bound():

@@ -65,34 +65,19 @@ def test_inverse_known_value():
     assert abs(binary_entropy_inv(0.5) - 0.110028) <= 1e-6
 
 
-def _inverse_by_binary_entropy(x):
-    # reference: the bisection calling binary_entropy(mid) at every step
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 0.5
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = binary_entropy(mid)
-        if abs(val - x) <= 1e-12:
-            return mid
-        if val < x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17:
-            break
-    return 0.5 * (lo + hi)
-
-
-def test_inverse_matches_reference_bisection():
+def test_inverse_ends_at_adjacent_floats_below():
+    # p is on [0, 1/2] with h(p) <= x, and either p = 1/2 or h is above x
+    # one float higher: the last float on the side where the bounds that
+    # take p = h_inv(r1) are sound. 1 - 1e-9 is where a tolerance stop lands
+    # above x, and the float below 1 where it stops short of 1/2
     rng = np.random.default_rng(20141231)
-    edges = [0.0, 1.0, 0.5, 5e-324, 1e-300, 1e-12, 1.0 - 1e-12, -1e-13, 1.0 + 1e-13]
+    edges = [0.0, 1.0, 0.5, 5e-324, 1e-300, 1e-15, 1e-12, 1.0 - 1e-9, 1.0 - 1e-12]
+    edges += [math.nextafter(1.0, 0.0), -1e-13, 1.0 + 1e-13]
     for x in edges + [float(x) for x in rng.uniform(0.0, 1.0, 20_000)]:
-        got, want = binary_entropy_inv(x), _inverse_by_binary_entropy(x)
-        assert (type(got), repr(got)) == (type(want), repr(want)), x
+        p, xc = binary_entropy_inv(x), min(max(x, 0.0), 1.0)
+        assert type(p) is float and 0.0 <= p <= 0.5, x
+        assert binary_entropy(p) <= xc, x
+        assert p == 0.5 or binary_entropy(math.nextafter(p, 1.0)) > xc, x
     for bad in (float("nan"), -1e-9, 1.0 + 1e-9, math.inf):
         with pytest.raises(ValueError, match=rf"^entropy value {bad!r} outside \[0, 1\]$"):
             binary_entropy_inv(bad)
