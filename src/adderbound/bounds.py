@@ -410,6 +410,8 @@ class BoundCurve:
         for row in rows:
             if len(row) != 4:
                 raise ValueError(f"row {row!r} does not have 4 columns")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"non-finite value in row {row!r}")
             if any(x < 0.0 for x in row[1:]):
                 raise ValueError(f"negative bound in row {row!r}")
         r1s = [row[0] for row in rows]

@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .entropy import binary_entropy, binary_entropy_inv
 
@@ -416,7 +416,7 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     """
     if not 1 <= n <= 6:
         raise ValueError(f"n {n} outside [1, 6]")
-    if not math.isfinite(budget_secs) or budget_secs <= 0:
+    if not 0 < budget_secs * SEARCH_NODES_PER_SEC < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget_secs}")
     node_budget = int(budget_secs * SEARCH_NODES_PER_SEC)
     num = 1 << n
@@ -531,8 +531,17 @@ def family_to_text(f: Family) -> str:
     return "\n".join([f"n={f.n}", *_member_lines(f.members, f.n)]) + "\n"
 
 
+def _write_families(fams: Sequence[Family]) -> List[str]:
+    """family_to_text of each family; a member line, the same for any n, is built once."""
+    masks = sorted({m for f in fams for m in f.members})
+    line = dict(zip(masks, (ln + "\n" for ln in _member_lines(masks, MAX_GROUND)))).__getitem__
+    return [f"n={f.n}\n" + "".join(map(line, f.members)) for f in fams]
+
+
 def _parse_member(ln: str, n: int) -> int:
-    """One member line, element by element through int()."""
+    """One member line: `-`, else element by element through int()."""
+    if ln == "-":
+        return 0
     m = 0
     for part in ln.split(","):
         try:
@@ -545,38 +554,39 @@ def _parse_member(ln: str, n: int) -> int:
     return m
 
 
-def _parse_members(lines: Sequence[str], n: int) -> List[int]:
-    """The mask of each stripped, nonblank member line, for ground set size n."""
-    # canonical spellings only; the rest takes _parse_member
-    bit = {"-": 0, **{str(e): 1 << (e - 1) for e in range(1, n + 1)}}.__getitem__
-    members = []
-    for ln in lines:
-        parts = ln.split(",")
+def _read_families(texts: Iterable[str]) -> Iterator[Family]:
+    """family_from_text of each text; no line is parsed again in a later text of its n."""
+    # the bit of each canonical element, 0 for any other part, and per n a line memo
+    bit = defaultdict(int, {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}).__getitem__
+    memos: Dict[int, Dict[str, int]] = {}
+    for text in texts:
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+        if not lines or not lines[0].startswith("n="):
+            raise ValueError("family text must start with an n=<int> line")
         try:
-            m = sum(map(bit, parts))
-        except KeyError:
-            m = 0
-        # a repeated element carries and the 0 of a miss has no bits: both fall
-        # short, as does "-", which is the empty set only as the whole line
-        if m.bit_count() != len(parts) and ln != "-":
-            m = _parse_member(ln, n)
-        members.append(m)
-    return members
-
-
-def _family_lines(text: str) -> Tuple[int, List[str]]:
-    """The ground set size and the stripped, nonblank member lines of a family text."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("family text must start with an n=<int> line")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"bad ground set line {lines[0]!r}") from None
-    if not 1 <= n <= MAX_GROUND:
-        # before any 1 << (elem - 1): a huge n would admit a huge element
-        raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
-    return n, lines[1:]
+            n = int(lines[0][2:])
+        except ValueError:
+            raise ValueError(f"bad ground set line {lines[0]!r}") from None
+        if not 1 <= n <= MAX_GROUND:
+            # before any 1 << (elem - 1): a huge n would admit a huge element
+            raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
+        memo = memos.setdefault(n, {})
+        masks, fresh, fresh_masks = [], [], []
+        for ln in lines[1:]:
+            if memo and ln in memo:
+                m = memo[ln]
+            else:
+                parts = ln.split(",")
+                m = sum(map(bit, parts))
+                # too few bits (a repeat carries, a miss or "-" adds none) or bits past n
+                if m.bit_count() != len(parts) or m >> n:
+                    m = _parse_member(ln, n)
+                fresh.append(ln)
+                fresh_masks.append(m)
+            masks.append(m)
+        # in range but maybe unsorted; the memo takes new lines only if a next text is read
+        yield Family._trusted(n, tuple(sorted(masks)))
+        memo.update(zip(fresh, fresh_masks))
 
 
 def family_from_text(text: str) -> Family:
@@ -588,5 +598,4 @@ def family_from_text(text: str) -> Family:
     like int(), so signs, leading zeros, underscores and blanks around it
     are accepted ("+1, 03" is {1, 3}), and a repeated element counts once.
     """
-    n, lines = _family_lines(text)
-    return Family(n, tuple(_parse_members(lines, n)))
+    return next(_read_families([text]))

@@ -29,10 +29,9 @@ from .families import (
     Family,
     _check_mask,
     _check_same_ground,
-    _family_lines,
-    _member_lines,
-    _parse_members,
+    _read_families,
     _spread,
+    _write_families,
     is_k_shattered,
     is_multiset_union_free,
 )
@@ -284,14 +283,13 @@ def derive_system(
 
 def system_to_json(u: UnionFreeSystem) -> str:
     """Each distinct member line printed once; the family texts are family_to_text's bytes."""
-    masks = sorted({m for pair in u.pairs for f in pair for m in f.members})
-    line = dict(zip(masks, (ln + "\n" for ln in _member_lines(masks, u.n)))).__getitem__
+    texts = _write_families([f for pair in u.pairs for f in pair])
     payload = {
         "n": u.n,
         "m0": u.m0,
         "m1": u.m1,
         "m2": u.m2,
-        "pairs": [[f"n={u.n}\n" + "".join(map(line, f.members)) for f in pair] for pair in u.pairs],
+        "pairs": list(zip(texts[::2], texts[1::2])),
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -317,16 +315,7 @@ def system_from_json(text: str) -> UnionFreeSystem:
         for pair in texts
     ):
         raise ValueError("bad system JSON: 'pairs' is not a list of [family, family] texts")
-    # each line new to its n is parsed once, in order, so errors come as in family_from_text
-    memos: Dict[int, Dict[str, int]] = {}
-    fams = []
-    for t in itertools.chain.from_iterable(texts):
-        n, lines = _family_lines(t)
-        memo = memos.setdefault(n, {})
-        new = list(dict.fromkeys([ln for ln in lines if ln not in memo]))
-        memo.update(zip(new, _parse_members(new, n)))
-        # parsed masks are in range, but hand-written lines may come unsorted
-        fams.append(Family._trusted(n, tuple(sorted(map(memo.__getitem__, lines)))))
+    fams = list(_read_families(itertools.chain.from_iterable(texts)))
     u = UnionFreeSystem(payload["n"], tuple(zip(fams[::2], fams[1::2])))
     for name, got in (("m0", u.m0), ("m1", u.m1), ("m2", u.m2)):
         if got != payload[name]:

@@ -816,3 +816,7 @@ def test_curve_validation():
         BoundCurve(((0.5, 1.0, 1.0, 1.0), (0.5, 1.0, 1.0, 1.0)))
     with pytest.raises(ValueError):
         BoundCurve.from_csv("a,b\n1,2\n")
+    # nan compares false, so it would pass the order and sign checks
+    for text in ("nan,nan,inf,0\n", "0.5,1,1,1\nnan,1,1,1\n0.4,1,1,1\n"):
+        with pytest.raises(ValueError, match="non-finite value in row"):
+            BoundCurve.from_csv("r1,simple,ul,main\n" + text)

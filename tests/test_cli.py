@@ -264,7 +264,8 @@ def test_search_rejects_budget_spent_before_first_pair(capsys):
     assert err == "error: budget 1e-09 s (0 nodes) ran out before the first pair\n"
 
 
-@pytest.mark.parametrize("budget", ["inf", "nan"])
+# 1e308 is finite, but its node count overflows to inf
+@pytest.mark.parametrize("budget", ["inf", "nan", "1e308"])
 def test_search_rejects_nonfinite_budget(capsys, budget):
     code, out, err = run_cli(capsys, "search", "--n", "3", "--budget", budget)
     assert code == 2 and out == ""

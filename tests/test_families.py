@@ -1,6 +1,7 @@
 """Tests for the subset-family combinatorics."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from adderbound.families import (
     shift_monotonize,
     soft_sauer_bound,
 )
+from adderbound.systems import system_from_json
 
 
 def masks_of(*elem_sets):
@@ -578,6 +580,11 @@ def test_search_validation():
         exhaustive_pair_search(3, budget_secs=math.inf)
     with pytest.raises(ValueError, match="budget must be positive"):
         exhaustive_pair_search(3, budget_secs=math.nan)
+    # finite, but its node count budget_secs * SEARCH_NODES_PER_SEC is not
+    with pytest.raises(ValueError, match="budget must be positive and finite, got 1e\\+308"):
+        exhaustive_pair_search(3, budget_secs=1e308)
+    # an int too large for a float is still finite: the search runs to the end
+    assert exhaustive_pair_search(3, budget_secs=10**400).exact
 
 
 @pytest.mark.parametrize(
@@ -748,3 +755,33 @@ def test_family_from_text_fuzz(text):
     except ValueError:
         return
     assert family_from_text(family_to_text(f)) == f
+
+
+# family texts, and one-member ones on n = 2 (some spelled loosely) that make
+# whole systems with m1 = m2 = 1
+_system_text = st.one_of(
+    family_texts, st.sampled_from(["n=2\n-\n", "n=2\n1\n", "n=2\n+2, 01\n", "n=2\n1,2\n"])
+)
+
+
+@given(st.lists(st.lists(_system_text, min_size=2, max_size=2), min_size=1, max_size=3))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_system_from_json_reads_texts_as_family_from_text(pairs):
+    # system JSON holds family texts: system_from_json reads each as
+    # family_from_text does, in pair order, and stops at the first it rejects
+    text = json.dumps({"n": 2, "m0": len(pairs), "m1": 1, "m2": 1, "pairs": pairs})
+    fams = []
+    for t in itertools.chain.from_iterable(pairs):
+        try:
+            fams.append(family_from_text(t))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                system_from_json(text)
+            assert str(got.value) == str(exc)
+            return
+    if any(f.n != 2 or len(f) != 1 for f in fams):
+        with pytest.raises(ValueError):
+            system_from_json(text)
+        return
+    u = system_from_json(text)
+    assert [f for pair in u.pairs for f in pair] == fams

@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adderbound import systems
+from adderbound import families
 from adderbound.bounds import LOG2_3
 from adderbound.families import (
     Family,
@@ -455,17 +456,21 @@ def test_log3_json_bytes_pinned(n, digest):
 
 
 def test_system_from_json_parses_each_distinct_line_once(monkeypatch):
-    text = system_to_json(log3_construction(12))
-    distinct = {ln for pair in json.loads(text)["pairs"] for t in pair for ln in t.splitlines()[1:]}
+    payload = json.loads(system_to_json(log3_construction(12)))
+    # a leading zero on every element: no line is canonical, so each distinct
+    # line, "-" too, takes families._parse_member
+    payload["pairs"] = [[re.sub(r"\b(\d)", r"0\1", t) for t in pair] for pair in payload["pairs"]]
+    distinct = {ln for pair in payload["pairs"] for t in pair for ln in t.splitlines()[1:]}
     parsed = []
-    parse = systems._parse_members
+    parse = families._parse_member
 
-    def counting(lines, n):
-        parsed.extend(lines)
-        return parse(lines, n)
+    def counting(ln, n):
+        parsed.append(ln)
+        return parse(ln, n)
 
-    monkeypatch.setattr(systems, "_parse_members", counting)
-    assert system_from_json(text) == log3_construction(12)
+    monkeypatch.setattr(families, "_parse_member", counting)
+    assert system_from_json(json.dumps(payload)) == log3_construction(12)
+    assert set(parsed) == distinct
     # the subsets of [12] with at most 8 elements
     assert len(parsed) == len(distinct) == sum(math.comb(12, k) for k in range(9)) == 3797
 
