@@ -97,6 +97,8 @@ def _cmd_verify(args):
     modes = sum(x is not None for x in (args.suite, args.system, args.pair))
     if modes > 1:
         raise ValueError("choose one of --suite, --system, --pair")
+    if args.seed is not None and (args.system is not None or args.pair is not None):
+        raise ValueError("--seed applies only to the suites, not to --system or --pair")
     if args.system is not None:
         return _verify_system(args)
     if args.pair is not None:
@@ -105,16 +107,17 @@ def _cmd_verify(args):
 
 
 def _verify_suites(args):
+    seed = args.seed or 0
     if args.suite in (None, "all"):
-        suites = run_all(args.seed)
+        suites = run_all(seed)
     else:
-        suites = {args.suite: run_suite(args.suite, args.seed)}
+        suites = {args.suite: run_suite(args.suite, seed)}
     checks = [(s, c) for s, cs in suites.items() for c in cs]
     bad = sum(1 for _, c in checks if not c.passed)
     record = {
-        "seed": args.seed,
+        "seed": seed,
         "passed": bad == 0,
-        "suites": {s: [c.to_dict() for c in cs] for s, cs in suites.items()},
+        "suites": {s: list(map(asdict, cs)) for s, cs in suites.items()},
     }
     lines = [
         f"{'PASS' if c.passed else 'FAIL'} {s}/{c.name}  samples={c.samples}"
@@ -258,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=[*SUITE_NAMES, "all"], default=None)
     p.add_argument("--system", type=str, default=None, metavar="FILE")
     p.add_argument("--pair", nargs=2, default=None, metavar=("F1", "F2"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="suite seed (default: 0)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

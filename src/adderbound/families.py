@@ -5,10 +5,13 @@ each subset stored as an integer mask with bit i standing for element i+1.
 This module provides the pieces the rate bounds are built from:
 
   * multiset-union-freeness of a pair of families (all vector sums distinct),
-  * projection multisets and k-shattered sets: shattering_profile finds a
-    largest k-shattered set for several k in one pass, max_k_shattered(f, k)
-    is shattering_profile(f, (k,))[k], and both raise SearchBudgetError
-    when the subsets they might scan outnumber an internal budget,
+  * projections and k-shattered sets: project(f, S) is the multiset
+    {F & S : F in f} as a collections.Counter, and S is k-shattered when
+    each of its 2^|S| cells holds at least k members; shattering_profile
+    finds a largest k-shattered set for several k in one pass,
+    max_k_shattered(f, k) is shattering_profile(f, (k,))[k], and both raise
+    SearchBudgetError when the subsets they might scan outnumber an
+    internal budget,
   * the shifting/monotonization procedure,
   * a soft Sauer-Perles-Shelah counting bound (exact rational arithmetic),
   * Hamming balls, the guaranteed shattered-size formula, and a small-n
@@ -25,18 +28,17 @@ import itertools
 import math
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .entropy import binary_entropy, binary_entropy_inv
+from .entropy import PROB_SLACK, _as_prob, binary_entropy, binary_entropy_inv
 
 __all__ = [
     "MAX_GROUND",
     "MAX_SAUER_N",
     "SEARCH_NODES_PER_SEC",
     "Family",
-    "ProjectionMultiset",
     "SearchBudgetError",
     "is_multiset_union_free",
     "project",
@@ -86,13 +88,20 @@ class Family:
     members: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_GROUND:
-            raise ValueError(f"ground set size {self.n} outside [1, {MAX_GROUND}]")
-        full = (1 << self.n) - 1
         try:
-            ms = tuple(sorted(map(operator.index, self.members)))
+            n = operator.index(self.n)
+            if isinstance(self.n, bool):
+                raise TypeError
         except TypeError:
-            for m in self.members:
+            raise ValueError(f"ground set size {self.n!r} is not an integer") from None
+        if not 1 <= n <= MAX_GROUND:
+            raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
+        full = (1 << n) - 1
+        members = tuple(self.members)  # read once: a generator cannot be read again
+        try:
+            ms = tuple(sorted(map(operator.index, members)))
+        except TypeError:
+            for m in members:
                 try:
                     operator.index(m)
                 except TypeError:
@@ -100,7 +109,8 @@ class Family:
             raise
         if ms and (ms[0] < 0 or ms[-1] > full):
             bad = ms[0] if ms[0] < 0 else next(m for m in ms if m > full)
-            raise ValueError(f"member {bad} does not fit a {self.n}-element ground set")
+            raise ValueError(f"member {bad} does not fit a {n}-element ground set")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", ms)
 
     @classmethod
@@ -117,32 +127,6 @@ class Family:
     @property
     def has_duplicates(self) -> bool:
         return len(set(self.members)) != len(self.members)
-
-
-@dataclass(frozen=True)
-class ProjectionMultiset:
-    """Projections of a family onto a subset S, counted with multiplicity.
-
-    Only masks that actually occur are stored; multiplicity() returns 0 for
-    the rest.
-    """
-
-    subset_mask: int
-    counts: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        for m, c in self.counts.items():
-            if m & ~self.subset_mask:
-                raise ValueError(f"projected mask {m} is not a submask of {self.subset_mask}")
-            if c < 1:
-                raise ValueError(f"multiplicity of {m} must be positive, got {c}")
-
-    def multiplicity(self, mask: int) -> int:
-        return self.counts.get(mask, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def _check_same_ground(f1: Family, f2: Family) -> None:
@@ -175,10 +159,10 @@ def is_multiset_union_free(f1: Family, f2: Family) -> bool:
     return len(sums) == len(f1) * len(f2)
 
 
-def project(f: Family, s_mask: int) -> ProjectionMultiset:
-    """The multiset {F & S : F in f} with multiplicities."""
+def project(f: Family, s_mask: int) -> Counter:
+    """The multiset {F & S : F in f}: c[m] is 0 for a mask that never occurs, c.total() is |f|."""
     _check_mask(f.n, s_mask)
-    return ProjectionMultiset(s_mask, dict(Counter(m & s_mask for m in f.members)))
+    return Counter(m & s_mask for m in f.members)
 
 
 def _check_mask(n: int, s_mask: int) -> None:
@@ -186,27 +170,16 @@ def _check_mask(n: int, s_mask: int) -> None:
         raise ValueError(f"subset mask {s_mask} does not fit a {n}-element ground set")
 
 
-def _min_multiplicity(members: Sequence[int], s_mask: int) -> int:
-    """Min over all submasks of s_mask of their multiplicity in the projection.
-
-    Zero when some submask never occurs. This is the quantity whose >= k
-    comparison defines k-shattering.
-    """
-    cells = 1 << s_mask.bit_count()
-    if cells > len(members):
-        return 0
-    counts = Counter(m & s_mask for m in members)
-    if len(counts) < cells:
-        return 0
-    return min(counts.values())
-
-
 def is_k_shattered(f: Family, s_mask: int, k: int) -> bool:
     """True iff every submask of s_mask occurs at least k times in project(f, s_mask)."""
     _check_mask(f.n, s_mask)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _min_multiplicity(f.members, s_mask) >= k
+    cells = 1 << s_mask.bit_count()
+    if k * cells > len(f):
+        return False
+    counts = project(f, s_mask)
+    return len(counts) == cells and min(counts.values()) >= k
 
 
 def max_k_shattered(f: Family, k: int) -> Tuple[int, int]:
@@ -349,14 +322,13 @@ def shattering_guarantee(rate: float, alpha: float, n: int) -> Tuple[int, int]:
     A family with 2^{n(rate+eps)} members k-shatters, for large n, a set of
     size ceil(n*alpha) with k = ceil(2^{n*beta}) copies of every subset, where
     beta = (1-alpha) * h((h_inv(rate)-alpha)/(1-alpha)). Valid for
-    0 <= alpha <= h_inv(rate).
+    0 <= alpha <= h_inv(rate); ValueError when 2^{n*beta} is past the
+    largest float.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate {rate} outside [0, 1]")
-    p = binary_entropy_inv(rate)
-    if alpha < 0.0 or alpha > p + 1e-12:
+    p = binary_entropy_inv(_as_prob(float(rate), "rate"))
+    if not 0.0 <= alpha <= p + PROB_SLACK:  # NaN fails too
         raise ValueError(f"alpha {alpha} outside [0, h_inv(rate)] = [0, {p}]")
     alpha = min(alpha, p)
     if p == alpha:
@@ -364,7 +336,10 @@ def shattering_guarantee(rate: float, alpha: float, n: int) -> Tuple[int, int]:
     else:
         beta = (1.0 - alpha) * binary_entropy((p - alpha) / (1.0 - alpha))
     size = math.ceil(n * alpha - 1e-9)
-    mult = math.ceil(2.0 ** (n * beta) - 1e-9)
+    try:
+        mult = math.ceil(2.0 ** (n * beta) - 1e-9)
+    except OverflowError:
+        raise ValueError(f"multiplicity 2^(n*beta) = 2^{n * beta} overflows a float") from None
     return size, mult
 
 

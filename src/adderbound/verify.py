@@ -61,15 +61,6 @@ class CheckResult:
     max_violation: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-        }
-
 
 def _check(name: str, samples: int, violation: float, tol: float) -> CheckResult:
     return CheckResult(name, bool(violation <= tol), samples, float(violation), tol)

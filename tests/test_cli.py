@@ -163,6 +163,26 @@ def test_verify_rejects_negative_seed(capsys, suite):
     assert err == "error: seed=-5 must be non-negative\n"
 
 
+def test_verify_seed_defaults_to_zero(capsys):
+    argv = ["verify", "--json", "--suite", "entropy"]
+    runs = [run_cli(capsys, *argv, *seed) for seed in ([], ["--seed", "0"])]
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["seed"] == 0
+
+
+@pytest.mark.parametrize("seed", ["-5", "0", "99"])
+@pytest.mark.parametrize("mode", ["system", "pair"])
+def test_verify_seed_only_with_suites(tmp_path, capsys, mode, seed):
+    # a seed would do nothing to a file check, so it is a usage error
+    (tmp_path / "sys.json").write_text(system_to_json(log3_construction(3)))
+    (tmp_path / "f.txt").write_text("n=2\n-\n1\n")
+    files = {"system": ["sys.json"], "pair": ["f.txt", "f.txt"]}[mode]
+    argv = ["verify", f"--{mode}", *(str(tmp_path / f) for f in files), "--seed", seed]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --seed applies only to the suites, not to --system or --pair\n"
+
+
 def test_verify_system_file(tmp_path, capsys):
     path = tmp_path / "sys.json"
     path.write_text(system_to_json(log3_construction(3)))
@@ -549,7 +569,10 @@ _verify = st.tuples(
             ["--system", "{tmp}/missing.json"],
         ]
     ),
-    _mostly(st.integers(-1, 3).map(str), _junk).map(lambda x: ["--seed", x]),
+    st.one_of(
+        st.just([]),
+        _mostly(st.integers(-1, 3).map(str), _junk).map(lambda x: ["--seed", x]),
+    ),
 )
 argvs = st.tuples(
     st.one_of(_bound, _curve, _sauer, _search, _system, _verify),

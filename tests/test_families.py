@@ -80,6 +80,13 @@ def test_family_validation():
         Family(2, (-1,))
 
 
+@pytest.mark.parametrize("n", [2.0, True, False, "3", None, np.float64(3.0)])
+def test_family_rejects_non_integral_ground_set_size(n):
+    with pytest.raises(ValueError) as exc:
+        Family(n, (0, 1))
+    assert str(exc.value) == f"ground set size {n!r} is not an integer"
+
+
 @pytest.mark.parametrize(
     "members, bad", [((-1, 5), -1), ((9, 8, 3), 8), ((3, 300, 10), 10)]
 )
@@ -97,10 +104,20 @@ def test_family_rejects_non_integral_members(member):
     assert str(exc.value) == f"member {member!r} is not an integer"
 
 
+def test_family_rejects_non_integral_members_from_a_generator():
+    # the members are read once, so the error names the bad member
+    with pytest.raises(ValueError) as exc:
+        Family(3, (x for x in [1, "a"]))
+    assert str(exc.value) == "member 'a' is not an integer"
+    assert Family(3, (x for x in [3, 1])).members == (1, 3)
+
+
 def test_family_accepts_integer_types():
     f = Family(3, (np.int64(5), True, np.uint8(2)))
     assert f.members == (1, 2, 5)
     assert all(type(m) is int for m in f.members)
+    g = Family(np.int64(3), (1,))
+    assert g == Family(3, (1,)) and type(g.n) is int
 
 
 def test_family_duplicates_allowed_but_flagged():
@@ -190,15 +207,15 @@ def test_union_free_rejects_bad_input():
 def test_project_examples():
     f = Family(2, (0, 1, 2, 3))
     pm = project(f, 0b01)
-    assert dict(pm.counts) == {0: 2, 1: 2}
-    assert pm.total == 4
-    assert pm.multiplicity(0b10) == 0
+    assert dict(pm) == {0: 2, 1: 2}
+    assert pm.total() == 4
+    assert pm[0b10] == 0
 
     full = project(f, 0b11)
-    assert dict(full.counts) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert dict(full) == {0: 1, 1: 1, 2: 1, 3: 1}
 
     empty = project(f, 0)
-    assert dict(empty.counts) == {0: 4}
+    assert dict(empty) == {0: 4}
 
 
 def test_project_mask_must_fit():
@@ -489,6 +506,29 @@ def test_shattering_guarantee_domain():
         shattering_guarantee(1.5, 0.1, 10)
     with pytest.raises(ValueError):
         shattering_guarantee(0.5, -0.1, 10)
+    with pytest.raises(ValueError, match="^alpha nan outside"):
+        shattering_guarantee(0.5, math.nan, 10)
+    with pytest.raises(ValueError, match="^rate=nan outside"):
+        shattering_guarantee(math.nan, 0.1, 10)
+
+
+def test_shattering_guarantee_rate_slack():
+    # a rate past 1 by rounding is clamped, as every other rate input is
+    assert shattering_guarantee(1.0 + 1e-13, 0.0, 4) == (0, 16)
+    assert shattering_guarantee(-1e-13, 0.0, 4) == (0, 1)
+    with pytest.raises(ValueError, match="^rate=1.001 outside"):
+        shattering_guarantee(1.001, 0.0, 4)
+
+
+@pytest.mark.parametrize("rate, n", [(1.0, 1024), (0.9, 2000)])
+def test_shattering_guarantee_float_overflow(rate, n):
+    # 2^(n*beta) past the largest float: one ValueError naming n*beta
+    assert shattering_guarantee(1.0, 0.0, 1023)[1] == 2**1023
+    with pytest.raises(ValueError) as exc:
+        shattering_guarantee(rate, 0.0, n)
+    msg = str(exc.value)
+    assert msg.startswith("multiplicity 2^(n*beta) = 2^") and msg.endswith("overflows a float")
+    assert "\n" not in msg
 
 
 # --------------------------------------------------------------- Hamming balls
@@ -629,8 +669,8 @@ def test_complement_pair_count_capped():
             c1 = project(f1, s_mask)
             c2 = project(f2, s_mask)
             count = 0
-            for u, cnt in c1.counts.items():
-                count += cnt * c2.multiplicity(s_mask ^ u)
+            for u, cnt in c1.items():
+                count += cnt * c2[s_mask ^ u]
             assert count <= comp, (f1.members, f2.members, s_mask)
 
 
