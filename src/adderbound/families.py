@@ -72,6 +72,16 @@ _SUBSET_BUDGET = 2_000_000
 _BALL_CAP = 4_000_000
 
 
+def _integer(x, what: str) -> int:
+    # x as an int, for any integer type but bool
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {x!r} is not an integer")
+
+
 class SearchBudgetError(RuntimeError):
     """Raised when an exhaustive subset scan would exceed the internal budget."""
 
@@ -88,16 +98,15 @@ class Family:
     members: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            n = operator.index(self.n)
-            if isinstance(self.n, bool):
-                raise TypeError
-        except TypeError:
-            raise ValueError(f"ground set size {self.n!r} is not an integer") from None
+        n = _integer(self.n, "ground set size")
         if not 1 <= n <= MAX_GROUND:
             raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
         full = (1 << n) - 1
-        members = tuple(self.members)  # read once: a generator cannot be read again
+        try:
+            members = iter(self.members)
+        except TypeError:
+            raise ValueError(f"members {self.members!r} are not iterable") from None
+        members = tuple(members)  # read once: a generator cannot be read again
         try:
             ms = tuple(sorted(map(operator.index, members)))
         except TypeError:
@@ -325,8 +334,9 @@ def shattering_guarantee(rate: float, alpha: float, n: int) -> Tuple[int, int]:
     0 <= alpha <= h_inv(rate); ValueError when 2^{n*beta} is past the
     largest float.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _integer(n, "n")
+    if not 1 <= n < 2**1024:  # n * alpha must be a float
+        raise ValueError(f"n={n} outside [1, 2^1024)")
     p = binary_entropy_inv(_as_prob(float(rate), "rate"))
     if not 0.0 <= alpha <= p + PROB_SLACK:  # NaN fails too
         raise ValueError(f"alpha {alpha} outside [0, h_inv(rate)] = [0, {p}]")

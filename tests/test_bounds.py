@@ -25,10 +25,13 @@ from adderbound.bounds import (
     _j_kernel,
     _l_kernel,
     _main_objective,
+    _mixture_curvature,
     _mixture_slope,
+    _newton_bracket,
     _resolved_max,
     _sampled_minimize,
     _sum_rate_objective,
+    _sum_rate_slope,
     _ul_inner_max,
     _ul_objective,
     _ul_slope,
@@ -125,6 +128,118 @@ def test_nonfinite_envelope_raises_from_bound(monkeypatch):
     monkeypatch.setattr(bounds, "_l_kernel", lambda e: np.full(np.shape(e), np.nan)[()])
     with pytest.raises(EvaluationError):
         main_bound(1.0)
+
+
+def _eta_solves(r1):
+    # (f, g, g', lo, hi) of _sum_rate_max on main_bound's first outer grid
+    p1 = binary_entropy_inv(r1)
+    alpha = np.linspace(0.0, p1, bounds._GRID_POINTS)
+    ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
+    r0, u = alpha / (1.0 - alpha), 1.0 - 2.0 * ratio
+    return (
+        lambda e: _sum_rate_objective(e, r0, u),
+        lambda e: _l_kernel(e) - _j_kernel(e, u) - r0,
+        lambda e: _sum_rate_slope(e, u),
+        np.maximum(ratio, 1.0 / 3.0),
+        np.full(alpha.shape, 0.5),
+    )
+
+
+def _beta_solves(rho):
+    # (f, g, g', lo, hi) of ul_mixture_entropy
+    return (
+        lambda b: _sum_entropy(b, rho),
+        lambda b: _mixture_slope(b, rho),
+        lambda b: _mixture_curvature(b, rho),
+        np.zeros_like(rho),
+        np.ones_like(rho),
+    )
+
+
+def test_newton_narrowed_solves_match_plain_bisection():
+    # after _newton_bracket, _bisect still ends every bracket on adjacent
+    # floats across a sign change of g (an end that never moved excepted),
+    # and each inner value lies within 1e-15 of the plain bisection's: eta
+    # solves on main's first grid at 40 seeded r1 above _MAIN_DEPARTURE,
+    # r1 = 1 and the float above the departure; beta solves at 5,000 seeded
+    # rho, 0 and 1/2
+    rng = np.random.default_rng(20261021)
+    r1s = rng.uniform(bounds._MAIN_DEPARTURE, 1.0, 40).tolist()
+    r1s += [1.0, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
+    rho = np.concatenate([rng.uniform(0.0, 0.5, 5000), [0.0, 0.5]])
+    for f, g, dg, lo, hi in [_eta_solves(r1) for r1 in r1s] + [_beta_solves(rho)]:
+        a, b = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, dg, lo, hi))
+        assert ((np.nextafter(a, 2.0) == b) | (lo == hi)).all()
+        assert ((g(a) > 0.0) | (a == lo)).all() and ((g(b) <= 0.0) | (b == hi)).all()
+        assert np.abs(_resolved_max(f, g, lo, hi, dg) - _resolved_max(f, g, lo, hi)).max() <= 1e-15
+
+
+def test_newton_bracket_without_a_usable_slope():
+    # a NaN slope makes every step the midpoint, which still narrows each
+    # bracket around its root by the sign rule (64 halvings of [0, 1] leave
+    # the roots near 0 in [0, 2.7e-20]); bad brackets raise as in _bisect
+    roots = np.array([0.0, 1e-300, 1.0 / 3.0, 0.5, 1.0])
+    g = lambda x: roots - x
+    a, b = _newton_bracket(g, lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
+    assert ((g(a) > 0.0) | (a == 0.0)).all() and ((g(b) <= 0.0) | (b == 1.0)).all()
+    assert (b[:2] < 3e-20).all() and (b.view(np.int64) - a.view(np.int64))[2:].max() <= 2 * bounds._ULPS
+    assert _newton_bracket(lambda x: 0.5 - x, lambda x: -np.ones(x.shape), 0.25, 0.25) == (0.25, 0.25)
+    for lo, hi in ((1.0, 0.0), (-1.0, 0.5), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            _newton_bracket(g, lambda x: -np.ones(x.shape), lo, hi)
+
+
+def test_newton_slopes_match_central_differences():
+    # g' of the eta solve on both branches of J (they split at
+    # eta = 2p(1 - p)) and of the beta solve for rho in [0, 1/2]
+    step = 1e-6
+    branches = np.zeros(2, dtype=int)
+    for p in (0.0, 0.05, 0.2, 0.3, 0.45, 0.499):
+        u = 1.0 - 2.0 * p
+        etas = np.linspace(p + 2.0 * step, 0.5 - 2.0 * step, 1001)
+        split = 2.0 * p * (1.0 - p)
+        etas = etas[np.abs(etas - split) > 10.0 * step]  # g'' jumps where the branches meet
+        branches += [(etas >= split).sum(), (etas < split).sum()]
+        g = lambda e: _l_kernel(e) - _j_kernel(e, u)
+        central = (g(etas + step) - g(etas - step)) / (2.0 * step)
+        assert (np.abs(central - _sum_rate_slope(etas, u)) <= 1e-6 * (1.0 + np.abs(central))).all(), p
+    assert (branches > 1000).all()
+    betas = np.linspace(0.01, 0.99, 1001)
+    for rho in np.linspace(0.0, 0.5, 51):
+        central = (_mixture_slope(betas + step, rho) - _mixture_slope(betas - step, rho)) / (2.0 * step)
+        assert np.abs(central / _mixture_curvature(betas, rho) - 1.0).max() <= 1e-6, rho
+
+
+def test_sum_rate_slope_limit_at_one_half():
+    # at eta = 1/2, where w = 0, the slope takes its limit -2/ln2; just
+    # below it, on J's first branch, it tends there
+    limit = -2.0 / math.log(2.0)
+    for p in (0.0, 0.3, 0.45):
+        u = 1.0 - 2.0 * p
+        assert abs(_sum_rate_slope(np.array(0.5), u) - limit) <= 1e-15, p
+        gaps = [abs(_sum_rate_slope(np.array(0.5 - d), u) - limit) for d in (1e-4, 1e-6, 1e-8)]
+        assert gaps[0] <= 1e-3 and gaps[1] <= 1e-5 and gaps[2] <= 1e-7, (p, gaps)
+
+
+@pytest.mark.parametrize("fault", [lambda d: 10.0 * d, lambda d: -d], ids=["times_10", "negated"])
+def test_wrong_newton_slopes_change_no_result(monkeypatch, fault):
+    # soundness never rests on g': with g' scaled by 10 or negated Newton
+    # only wastes steps, and the bounds and g* stay within 1e-15 of what
+    # plain bisection gives
+    r1s = [1.0, 0.9995, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
+    rho = np.linspace(0.0, 0.5, 101)
+
+    def results():
+        values = [main_bound(r1) for r1 in r1s] + [ul_bound(1.0)]
+        return np.concatenate([values, ul_mixture_entropy(rho)])
+
+    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, dg, lo, hi: (lo, hi))
+    plain = results()
+    monkeypatch.undo()
+    slope, curvature = bounds._sum_rate_slope, bounds._mixture_curvature
+    monkeypatch.setattr(bounds, "_sum_rate_slope", lambda e, u: fault(slope(e, u)))
+    monkeypatch.setattr(bounds, "_mixture_curvature", lambda b, r: fault(curvature(b, r)))
+    assert np.abs(results() - plain).max() <= 1e-15
 
 
 # ---------------------------------------------------------------- envelopes
@@ -542,46 +657,49 @@ def test_sum_rate_and_mixture_bit_pins():
 
 def _count_evaluations(monkeypatch, bound, r1):
     # [calls, elements] of the objective evaluations, which all pass
-    # bounds._checked, then of the bisection's sign evaluations
-    seen = [0, 0, 0, 0]
-    checked, bisect = bounds._checked, bounds._bisect
+    # bounds._checked, then of Newton's evaluations of g and of its
+    # derivative, then of the bisection's sign evaluations
+    seen = [0] * 8
+    checked, newton, bisect = bounds._checked, bounds._newton_bracket, bounds._bisect
 
-    def counting_checked(f, x):
-        seen[0] += 1
-        seen[1] += x.size
-        return checked(f, x)
+    def counting(f, i):
+        def counted(x):
+            seen[i] += 1
+            seen[i + 1] += np.size(x)
+            return f(x)
 
-    def counting_bisect(pos, lo, hi):
-        def counting_pos(x):
-            seen[2] += 1
-            seen[3] += x.size
-            return pos(x)
+        return counted
 
-        return bisect(counting_pos, lo, hi)
-
-    monkeypatch.setattr(bounds, "_checked", counting_checked)
-    monkeypatch.setattr(bounds, "_bisect", counting_bisect)
+    monkeypatch.setattr(bounds, "_checked", lambda f, x: checked(counting(f, 0), x))
+    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, dg, lo, hi: newton(counting(g, 2), counting(dg, 4), lo, hi))
+    monkeypatch.setattr(bounds, "_bisect", lambda pos, lo, hi: bisect(counting(pos, 6), lo, hi))
     bound(r1)
     return seen
 
 
 @pytest.mark.parametrize(
     "bound, work",
-    [(ul_bound, [15, 15_360, 372, 380_928]), (main_bound, [9, 9_216, 154, 157_696])],
+    [
+        (ul_bound, [15, 15_360, 21, 21_504, 15, 15_360, 201, 205_824]),
+        (main_bound, [9, 9_216, 25, 25_600, 19, 19_456, 15, 15_360]),
+    ],
     ids=["ul_bound", "main_bound"],
 )
 def test_solver_work_counts(monkeypatch, bound, work):
     # the solver's work at r1 = 1: 3 outer grids of 1024 points, each inner
-    # solve two objective evaluations after at most 64 sign evaluations (ul
-    # runs two inner solves per outer grid: g* and the max over kappa)
+    # solve two objective evaluations at the end. Newton narrows the eta
+    # brackets of main and the beta brackets of g* in a few evaluations of
+    # g and g', two of them probes, and the bisection finishes in about 5
+    # sign evaluations; ul's max over kappa takes up to 64 sign evaluations
+    # per outer grid, and no Newton
     assert _count_evaluations(monkeypatch, bound, 1.0) == work
 
 
 @pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 0, 0), (main_bound, 0, 0)])
 def test_endpoint_work_counts(monkeypatch, bound, calls, elems):
     # at r1 = 0.95, below both departure points, neither bound solves
-    # anything: no objective and no sign evaluations
-    assert _count_evaluations(monkeypatch, bound, 0.95) == [calls, elems] * 2
+    # anything: no objective, Newton or sign evaluations
+    assert _count_evaluations(monkeypatch, bound, 0.95) == [calls, elems] * 4
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -112,6 +112,13 @@ def test_family_rejects_non_integral_members_from_a_generator():
     assert Family(3, (x for x in [3, 1])).members == (1, 3)
 
 
+@pytest.mark.parametrize("members", [5, None, 2.5])
+def test_family_rejects_members_that_are_not_iterable(members):
+    with pytest.raises(ValueError) as exc:
+        Family(3, members)
+    assert str(exc.value) == f"members {members!r} are not iterable"
+
+
 def test_family_accepts_integer_types():
     f = Family(3, (np.int64(5), True, np.uint8(2)))
     assert f.members == (1, 2, 5)
@@ -510,6 +517,22 @@ def test_shattering_guarantee_domain():
         shattering_guarantee(0.5, math.nan, 10)
     with pytest.raises(ValueError, match="^rate=nan outside"):
         shattering_guarantee(math.nan, 0.1, 10)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "4", np.float64(4.0)])
+def test_shattering_guarantee_rejects_non_integral_n(n):
+    with pytest.raises(ValueError) as exc:
+        shattering_guarantee(1.0, 0.0, n)
+    assert str(exc.value) == f"n {n!r} is not an integer"
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**1024, 10**400])
+def test_shattering_guarantee_rejects_n_out_of_range(n):
+    # n * alpha must be a float, so n stays below 2^1024
+    with pytest.raises(ValueError) as exc:
+        shattering_guarantee(1.0, 0.25, n)
+    assert str(exc.value) == f"n={n} outside [1, 2^1024)"
+    assert shattering_guarantee(1.0, 0.5, np.int64(4)) == (2, 1)
 
 
 def test_shattering_guarantee_rate_slack():
