@@ -9,16 +9,16 @@ Three bounds on r2 as a function of r1 are provided:
   main_bound     the envelope bound through r_sigma (strictly better near r1=1).
 
 The minimax bounds are a sampled outer minimum of inner maxima. Each inner
-objective rises up to its maximum and falls after it, and the sign of a
-function g tells the two sides apart: the slope of the objective (g*, the UL
-inner max over kappa) or, for r_sigma, L - J - r0, which says which side of
-min{L, J + r0} is active. One bisection (_bisect) on g > 0 brings every
-bracket of a whole array, one per outer point, down to two adjacent floats,
-and the inner value is the better of the objective at the two. For g* and
-r_sigma a safeguarded Newton on g (_newton_bracket) first narrows the
-brackets to a few floats by the same sign rule, so g's derivative sets only
-the pace: about 8 evaluations of g, 6 of g' and 5 bisection steps per solve
-where bisection alone takes about 51 steps. There is no step count or
+objective rises while a smooth, falling g is positive and never rises after:
+g is the objective's slope for g*, L - J - r0 (which side of min{L, J + r0}
+is active) for r_sigma, and for the UL max over kappa the kink residual
+g* - b - h(b) in b = rho + kappa, as the maximum sits at the kink. A
+safeguarded Newton on g (_newton_bracket) narrows every bracket of a whole
+array, one per outer point, to a few floats, and one bisection (_bisect) on
+g > 0, by the same sign rule, to two adjacent floats; the inner value is the
+better of the objective at the two. g' sets only the pace: about 8
+evaluations of g, 6 of g' and 5 bisection steps per solve where bisection
+alone takes about 51 steps. There is no step count or
 tolerance: an under-resolved inner max would invalidly lower an upper bound,
 and tests pin the monotonicity the sign relies on. Each outer minimum
 samples _GRID_POINTS points and then zooms in around the best sample; every
@@ -48,6 +48,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -197,13 +198,10 @@ def _newton_bracket(g, dg, lo, hi):
     return a.view(float), b.view(float)
 
 
-def _resolved_max(f, g, lo, hi, dg=None):
-    # the max of f on every bracket, where f rises while g > 0 and falls
-    # after: f at the better of _bisect's two adjacent floats, on brackets
-    # that _newton_bracket narrows first where g's derivative dg is given
-    if dg is not None:
-        lo, hi = _newton_bracket(g, dg, lo, hi)
-    lo, hi = _bisect(lambda x: g(x) > 0.0, lo, hi)
+def _resolved_max(f, g, lo, hi, dg):
+    # the max of f on every bracket, where f rises while g > 0 and never
+    # rises after: f at the better of two adjacent floats across g's root
+    lo, hi = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, dg, lo, hi))
     return np.maximum(_checked(f, lo), _checked(f, hi))
 
 
@@ -381,26 +379,19 @@ def _ul_objective(kappa, rho, g, p1, h_rho):
     return first - h_rho + np.minimum(g, b + _h_half(b))
 
 
-def _ul_slope(kappa, rho, g, p1):
-    # the right slope of _ul_objective in kappa: -h'(1 - p1 - kappa) where
-    # that is below 1/2, plus 1 + h'(b) where b = rho + kappa < 1/2 and
-    # b + h(b) < g; nonincreasing, as the objective is concave
-    x, b = 1.0 - p1 - kappa, np.minimum(rho + kappa, 0.5)
-    climbing = (b < 0.5) & (b + _h_half(b) < g)
-    return np.where(climbing, 1.0 + _dh(b), 0.0) - np.where(x < 0.5, _dh(x), 0.0)
-
-
 def _ul_inner_max(rho, p1: float):
-    # max over kappa of _ul_objective, one bracket per rho. The formula's
-    # kappa runs over [0, 1], but past 1 - p1 the first term is 0 and
-    # rho + kappa >= 1/2 (as p1 <= 1/2), so the objective is flat there: it
-    # stays concave only up to 1 - p1, which is all the maximum needs.
+    # max over kappa of _ul_objective in b = rho + kappa on [rho, 1/2], past
+    # which it never rises. Below the kink b + h(b) = g* its slope is positive
+    # up to the smaller root of b^2 - (c + 3) b + 2c, c = 1 - p1 + rho, which
+    # lies above the kink (tests/test_bounds.py); past the kink it never
+    # rises. So the max is at the kink
     g, h_rho = ul_mixture_entropy(rho), binary_entropy(rho)
     return _resolved_max(
-        lambda kappa: _ul_objective(kappa, rho, g, p1, h_rho),
-        lambda kappa: _ul_slope(kappa, rho, g, p1),
-        np.zeros_like(rho),
-        1.0 - p1,
+        lambda b: _ul_objective(b - rho, rho, g, p1, h_rho),
+        lambda b: g - (b + _h_half(b)),
+        rho,
+        0.5,
+        lambda b: -1.0 - _dh(b),
     )
 
 
@@ -520,6 +511,8 @@ def curve(r1_lo: float, r1_hi: float, steps: int) -> BoundCurve:
     """Evaluate simple_bound, ul_bound and main_bound on a uniform r1 grid."""
     if not 0.0 <= r1_lo < r1_hi <= 1.0 + PROB_SLACK:
         raise ValueError(f"bad range [{r1_lo!r}, {r1_hi!r}]")
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps={steps!r} is not an integer")
     if not 2 <= steps <= MAX_CURVE_STEPS:
         raise ValueError(f"steps={steps} outside [2, {MAX_CURVE_STEPS}]")
     rows = []

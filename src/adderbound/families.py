@@ -175,8 +175,11 @@ def project(f: Family, s_mask: int) -> Counter:
 
 
 def _check_mask(n: int, s_mask: int) -> None:
-    if s_mask < 0 or s_mask >> n:
-        raise ValueError(f"subset mask {s_mask} does not fit a {n}-element ground set")
+    try:
+        if s_mask >> n or s_mask < 0:
+            raise ValueError(f"subset mask {s_mask} does not fit a {n}-element ground set")
+    except TypeError:
+        raise ValueError(f"subset mask {s_mask!r} is not an integer") from None
 
 
 def is_k_shattered(f: Family, s_mask: int, k: int) -> bool:

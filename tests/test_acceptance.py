@@ -3,10 +3,11 @@
 One test per guarantee, asserting the stated tolerance and printing a
 single PASS line with the measured numbers, so `pytest -s` reads as a
 checklist. The two point reproductions, the 101-point curve sweep and the
-byte pin of a short curve run; the point reproductions are wall-clock
+byte pins of two short curves run; the point reproductions are wall-clock
 limited.
 """
 
+import hashlib
 import math
 import time
 from collections import Counter
@@ -120,6 +121,20 @@ def test_curve_bytes_at_default_config():
     dt = time.perf_counter() - t0
     assert text == CURVE_NEAR_ONE_CSV
     _ok("curve bytes", f"curve(0.99, 1.0, 11) is byte-identical, {dt:.1f}s")
+
+
+# sha256 of curve(0.9994, 1.0, 61).to_csv(), recorded with the plain kappa
+# bisection: 53 of its 61 rows lie above _UL_DEPARTURE, where ul solves,
+# against one row of CURVE_NEAR_ONE_CSV
+CURVE_UL_BAND_SHA256 = "8ff5447d4838d63964f28b22745bd889d0313be680c27467923e39123f24be54"
+
+
+def test_curve_bytes_where_ul_solves():
+    t0 = time.perf_counter()
+    text = curve(0.9994, 1.0, 61).to_csv()
+    dt = time.perf_counter() - t0
+    assert hashlib.sha256(text.encode()).hexdigest() == CURVE_UL_BAND_SHA256
+    _ok("curve bytes where ul solves", f"curve(0.9994, 1.0, 61) is byte-identical, {dt:.1f}s")
 
 
 def test_sum_rate_reduction_and_log3_progression():

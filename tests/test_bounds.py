@@ -22,6 +22,7 @@ from adderbound.bounds import (
     weldon_bound,
     weldon_nonsystematic_bound,
     _bisect,
+    _dh,
     _j_kernel,
     _l_kernel,
     _main_objective,
@@ -34,7 +35,6 @@ from adderbound.bounds import (
     _sum_rate_slope,
     _ul_inner_max,
     _ul_objective,
-    _ul_slope,
 )
 from adderbound.entropy import (
     _h_half,
@@ -100,15 +100,17 @@ def test_resolved_max_quadratic():
     # one bracket per peak, solved together; the last bracket ends before
     # its peak, so its maximum is the endpoint
     peaks = np.array([0.1, 0.5, 0.9])
-    val = _resolved_max(lambda x: -((x - peaks) ** 2), lambda x: x < peaks, 0.0, [1.0, 1.0, 0.6])
+    minus_one = lambda x: -np.ones(x.shape)
+    val = _resolved_max(lambda x: -((x - peaks) ** 2), lambda x: peaks - x, 0.0, [1.0, 1.0, 0.6], minus_one)
     assert val[0] == val[1] == 0.0
     assert val[2] == -((0.6 - 0.9) ** 2)
 
 
 def test_resolved_max_entropy_peak():
     # h(eta) + 1 - eta peaks at eta = 1/3 with value log2(3); its slope is
-    # h'(eta) - 1 = log2((1 - eta)/eta) - 1
-    val = _resolved_max(sum_rate_envelope, lambda e: np.log2((1.0 - e) / e) > 1.0, 0.0, 0.5)
+    # h'(eta) - 1 = log2((1 - eta)/eta) - 1, and h''(eta) = -1/(eta (1 - eta) ln2)
+    curvature = lambda e: -1.0 / (e * (1.0 - e) * math.log(2.0))
+    val = _resolved_max(sum_rate_envelope, lambda e: np.log2((1.0 - e) / e) - 1.0, 0.0, 0.5, curvature)
     assert abs(val - LOG2_3) <= 1e-15
 
 
@@ -117,7 +119,7 @@ def test_nonfinite_objective_raises():
         return np.where(x > 0.5, np.nan, x)
 
     with pytest.raises(EvaluationError) as ei:
-        _resolved_max(bad, lambda x: x < 0.7, 0.0, 1.0)
+        _resolved_max(bad, lambda x: 0.7 - x, 0.0, 1.0, lambda x: -np.ones(x.shape))
     assert ei.value.argument > 0.5
     assert math.isnan(ei.value.value)
 
@@ -156,22 +158,44 @@ def _beta_solves(rho):
     )
 
 
+def _kink_solves(rho, p1):
+    # (f, g, g', lo, hi) of _ul_inner_max: the kink root in b = rho + kappa
+    g, h_rho = ul_mixture_entropy(rho), binary_entropy(rho)
+    return (
+        lambda b: _ul_objective(b - rho, rho, g, p1, h_rho),
+        lambda b: g - (b + _h_half(b)),
+        lambda b: -1.0 - _dh(b),
+        rho,
+        np.full(rho.shape, 0.5),
+    )
+
+
+# the p1 = h_inv(r1) of the UL differential tests: 0, inner values, the
+# h_inv at the float below r1 = 1 (4.4e-9 below 1/2) and 1/2
+UL_P1S = (0.0, 0.1, 0.25, 0.4, 0.49, binary_entropy_inv(math.nextafter(1.0, 0.0)), 0.5)
+
+
 def test_newton_narrowed_solves_match_plain_bisection():
     # after _newton_bracket, _bisect still ends every bracket on adjacent
     # floats across a sign change of g (an end that never moved excepted),
     # and each inner value lies within 1e-15 of the plain bisection's: eta
     # solves on main's first grid at 40 seeded r1 above _MAIN_DEPARTURE,
     # r1 = 1 and the float above the departure; beta solves at 5,000 seeded
-    # rho, 0 and 1/2
+    # rho, 0 and 1/2; kink solves at 1,000 seeded rho, 0 and 1/2 for each
+    # of the UL p1
     rng = np.random.default_rng(20261021)
     r1s = rng.uniform(bounds._MAIN_DEPARTURE, 1.0, 40).tolist()
     r1s += [1.0, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
     rho = np.concatenate([rng.uniform(0.0, 0.5, 5000), [0.0, 0.5]])
-    for f, g, dg, lo, hi in [_eta_solves(r1) for r1 in r1s] + [_beta_solves(rho)]:
+    solves = [_eta_solves(r1) for r1 in r1s] + [_beta_solves(rho)]
+    solves += [_kink_solves(rho[-1002:], p1) for p1 in UL_P1S]
+    for f, g, dg, lo, hi in solves:
         a, b = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, dg, lo, hi))
         assert ((np.nextafter(a, 2.0) == b) | (lo == hi)).all()
         assert ((g(a) > 0.0) | (a == lo)).all() and ((g(b) <= 0.0) | (b == hi)).all()
-        assert np.abs(_resolved_max(f, g, lo, hi, dg) - _resolved_max(f, g, lo, hi)).max() <= 1e-15
+        plain_a, plain_b = _bisect(lambda x: g(x) > 0.0, lo, hi)
+        plain = np.maximum(f(plain_a), f(plain_b))
+        assert np.abs(_resolved_max(f, g, lo, hi, dg) - plain).max() <= 1e-15
 
 
 def test_newton_bracket_without_a_usable_slope():
@@ -224,21 +248,20 @@ def test_sum_rate_slope_limit_at_one_half():
 @pytest.mark.parametrize("fault", [lambda d: 10.0 * d, lambda d: -d], ids=["times_10", "negated"])
 def test_wrong_newton_slopes_change_no_result(monkeypatch, fault):
     # soundness never rests on g': with g' scaled by 10 or negated Newton
-    # only wastes steps, and the bounds and g* stay within 1e-15 of what
-    # plain bisection gives
+    # only wastes steps, and the bounds, g* and the UL inner maxima stay
+    # within 1e-15 of what plain bisection gives. Every g' (eta, beta and the
+    # kink) is faulted where _newton_bracket receives it
     r1s = [1.0, 0.9995, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
     rho = np.linspace(0.0, 0.5, 101)
 
     def results():
-        values = [main_bound(r1) for r1 in r1s] + [ul_bound(1.0)]
-        return np.concatenate([values, ul_mixture_entropy(rho)])
+        values = [main_bound(r1) for r1 in r1s] + [ul_bound(1.0), ul_bound(0.9996)]
+        return np.concatenate([values, ul_mixture_entropy(rho), _ul_inner_max(rho, 0.5)])
 
+    newton = bounds._newton_bracket
     monkeypatch.setattr(bounds, "_newton_bracket", lambda g, dg, lo, hi: (lo, hi))
     plain = results()
-    monkeypatch.undo()
-    slope, curvature = bounds._sum_rate_slope, bounds._mixture_curvature
-    monkeypatch.setattr(bounds, "_sum_rate_slope", lambda e, u: fault(slope(e, u)))
-    monkeypatch.setattr(bounds, "_mixture_curvature", lambda b, r: fault(curvature(b, r)))
+    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, dg, lo, hi: newton(g, lambda x: fault(dg(x)), lo, hi))
     assert np.abs(results() - plain).max() <= 1e-15
 
 
@@ -485,11 +508,20 @@ def test_sum_rate_sign_facts():
     assert (np.diff(b + _h_half(b)) > 0.0).all()
 
 
+def _ul_slope(kappa, rho, g, p1):
+    # the right slope of _ul_objective in kappa: -h'(1 - p1 - kappa) where
+    # that is below 1/2, plus 1 + h'(b) where b = rho + kappa < 1/2 and
+    # b + h(b) < g; nonincreasing, as the objective is concave
+    x, b = 1.0 - p1 - kappa, np.minimum(rho + kappa, 0.5)
+    climbing = (b < 0.5) & (b + _h_half(b) < g)
+    return np.where(climbing, 1.0 + _dh(b), 0.0) - np.where(x < 0.5, _dh(x), 0.0)
+
+
 def test_slopes_are_nonincreasing_and_bracket_the_difference_quotients():
-    # the signs that ul_mixture_entropy and _ul_inner_max bisect on: dH/dbeta
-    # and the UL right slope in kappa. Each is nonincreasing on its bracket,
-    # and, the objectives being concave, lies between the forward and the
-    # backward difference quotient
+    # dH/dbeta, the sign ul_mixture_entropy solves on, and the UL right
+    # slope in kappa, which the reference kappa bisection below solves on.
+    # Each is nonincreasing on its bracket, and, the objectives being
+    # concave, lies between the forward and the backward difference quotient
     step = 1e-6
     betas = np.linspace(0.0, 1.0, 20001)
     for rho in np.linspace(0.0, 0.5, 51):
@@ -510,6 +542,42 @@ def test_slopes_are_nonincreasing_and_bracket_the_difference_quotients():
             f = lambda k: _ul_objective(k, rho, g, p1, h_rho)
             fwd, bwd = (f(x + step) - f(x)) / step, (f(x) - f(x - step)) / step
             assert (fwd - 1e-7 <= sx).all() and (sx <= bwd + 1e-7).all(), (rho, r1)
+
+
+def test_ul_kink_structure():
+    # what _ul_inner_max's single root rests on. Below the kink
+    # b + h(b) = g*(rho), b = rho + kappa, the kappa-slope
+    # 1 + h'(b) - h'(c - b) [c - b < 1/2], c = 1 - p1 + rho, is positive
+    # exactly for b < s, the smaller root of b^2 - (c + 3) b + 2c: there
+    # 1 + h'(b) = h'(c - b), i.e. 2(1 - b)/b = (1 - x)/x with x = c - b.
+    # s lies at least 0.029 above the kink (closest at p1 = 1/2, rho = 0.25),
+    # so the objective rises all the way to the kink. And the kink is
+    # interior to [rho, 1/2] for rho < 1/2, as rho + h(rho) < g*(rho) < 3/2
+    rho, p1 = np.meshgrid(np.linspace(0.0, 0.5, 2001), np.linspace(0.0, 0.5, 51))
+    c = 1.0 - p1 + rho
+    s = 4.0 * c / (c + 3.0 + np.sqrt((c - 1.0) ** 2 + 8.0))
+    x = c - s
+    lhs, rhs = 2.0 * (1.0 - s) / s, (1.0 - x) / x
+    assert (np.abs(lhs - rhs) <= 1e-12 * rhs).all()
+    g = ul_mixture_entropy(rho[0])
+    kink = _bisect(lambda b: g - (b + _h_half(b)) > 0.0, rho[0], 0.5)[1]
+    assert (s - kink).min() > 0.028
+    rho = np.concatenate([np.linspace(0.0, 0.5, 20001)[:-1], 0.5 - np.geomspace(1e-4, 1e-6, 5)])
+    g = ul_mixture_entropy(rho)
+    assert (rho + _h_half(rho) < g).all() and (g < 1.5).all()
+
+
+def test_ul_inner_max_matches_kappa_bisection():
+    # the kink-root max lies within 1e-15 of the plain bisection of the
+    # kappa-slope on [0, 1 - p1], at 5,000 seeded rho, 0 and 1/2
+    rng = np.random.default_rng(20261022)
+    rho = np.concatenate([rng.uniform(0.0, 0.5, 5000), [0.0, 0.5]])
+    g, h_rho = ul_mixture_entropy(rho), binary_entropy(rho)
+    for p1 in UL_P1S:
+        a, b = _bisect(lambda k: _ul_slope(k, rho, g, p1) > 0.0, np.zeros_like(rho), 1.0 - p1)
+        objective = lambda k: _ul_objective(k, rho, g, p1, h_rho)
+        want = np.maximum(objective(a), objective(b))
+        assert np.abs(_ul_inner_max(rho, p1) - want).max() <= 1e-15, p1
 
 
 def test_ul_objective_nonincreasing_in_p1():
@@ -680,18 +748,17 @@ def _count_evaluations(monkeypatch, bound, r1):
 @pytest.mark.parametrize(
     "bound, work",
     [
-        (ul_bound, [15, 15_360, 21, 21_504, 15, 15_360, 201, 205_824]),
+        (ul_bound, [15, 15_360, 42, 43_008, 30, 30_720, 30, 30_720]),
         (main_bound, [9, 9_216, 25, 25_600, 19, 19_456, 15, 15_360]),
     ],
     ids=["ul_bound", "main_bound"],
 )
 def test_solver_work_counts(monkeypatch, bound, work):
     # the solver's work at r1 = 1: 3 outer grids of 1024 points, each inner
-    # solve two objective evaluations at the end. Newton narrows the eta
-    # brackets of main and the beta brackets of g* in a few evaluations of
-    # g and g', two of them probes, and the bisection finishes in about 5
-    # sign evaluations; ul's max over kappa takes up to 64 sign evaluations
-    # per outer grid, and no Newton
+    # solve two objective evaluations at the end. Newton narrows every
+    # bracket (main's eta, and for ul the beta of g* and the kink root in
+    # b = rho + kappa) in a few evaluations of g and g', two of them probes,
+    # and the bisection finishes in about 5 sign evaluations
     assert _count_evaluations(monkeypatch, bound, 1.0) == work
 
 
@@ -923,6 +990,13 @@ def test_curve_csv_roundtrip():
     assert text.splitlines()[0] == "r1,simple,ul,main"
     parsed = BoundCurve.from_csv(text)
     assert parsed.to_csv() == text
+
+
+def test_curve_non_integer_steps():
+    for steps in (3.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            curve(0.9, 1.0, steps)
+    assert len(curve(0.9, 1.0, np.int64(3)).rows) == 3
 
 
 def test_curve_validation():

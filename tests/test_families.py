@@ -230,6 +230,16 @@ def test_project_mask_must_fit():
         project(Family(2, (0,)), 0b100)
 
 
+def test_non_integer_masks_are_value_errors():
+    # a float or text mask is a one-line ValueError, as an out-of-range one is
+    f = Family(2, (0, 1, 2, 3))
+    for mask in (1.5, -1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            project(f, mask)
+        with pytest.raises(ValueError, match="is not an integer$"):
+            is_k_shattered(f, mask, 1)
+
+
 # ----------------------------------------------------------------- shattering
 
 

@@ -356,6 +356,11 @@ def test_derive_hand_example():
     assert is_valid_system(u)
 
 
+def test_derive_non_integer_mask():
+    with pytest.raises(ValueError, match="^subset mask 1.5 is not an integer$"):
+        derive_system(Family(2, (0, 1, 2, 3)), Family(2, (0,)), 1.5, 1)
+
+
 def test_derive_power_of_two_trim():
     # f2 splits into a single cell of size 3 on S={1}; the trim keeps the two
     # lexicographically smallest members, a power of two at least half of 3
