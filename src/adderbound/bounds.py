@@ -16,18 +16,20 @@ g* - b - h(b) in b = rho + kappa, as the maximum sits at the kink. A
 safeguarded Newton on g (_newton_bracket) narrows every bracket of a whole
 array, one per outer point, to a few floats, and one bisection (_bisect) on
 g > 0, by the same sign rule, to two adjacent floats; the inner value is the
-better of the objective at the two. g' sets only the pace: about 8
-evaluations of g, 6 of g' and 5 bisection steps per solve where bisection
-alone takes about 51 steps. There is no step count or
-tolerance: an under-resolved inner max would invalidly lower an upper bound,
-and tests pin the monotonicity the sign relies on. Each outer minimum
-samples _GRID_POINTS points and then zooms in around the best sample; every
-sample is itself an upper bound, so sampling stays sound without any
-assumption on the outer objective. Range checks run where values enter: in
-the public functions, and once per inner solve on its parameters and bracket
-endpoints; the objectives then run on unchecked kernels, as Newton and
-bisection points never leave their bracket. Everything here is
-deterministic: same inputs give bit-identical results.
+better of the objective at the two. g' and Newton's start set only the
+pace: each step evaluates g and g' together, and a solve takes 5 to 9 steps
+from the midpoint or 2 to 3 from a close start, then 2 probes of g and 5
+bisection steps, where bisection alone takes about 51. There is no step
+count or tolerance: an under-resolved inner max would invalidly lower an
+upper bound, and tests pin the monotonicity the sign relies on. Each outer
+minimum samples _GRID_POINTS points and then zooms in around the best
+sample, each pass starting its inner solves at the previous pass's roots,
+interpolated; every sample is itself an upper bound, so sampling stays
+sound without any assumption on the outer objective. Range checks run where
+values enter: in the public functions, and once per inner solve on its
+parameters and bracket endpoints; the objectives then run on unchecked
+kernels, as Newton and bisection points never leave their bracket.
+Everything here is deterministic: same inputs give bit-identical results.
 
 Each bound is an upper bound only if J is not too low and p = h_inv(r1) is
 not too high. J is one formula in u = 1 - 2p and v = 1 - 2 eta, which are
@@ -118,8 +120,8 @@ _MAIN_DEPARTURE = 0.9926454154151924
 _ULPS = 16
 
 
-def _checked(f, x: np.ndarray) -> np.ndarray:
-    v = np.asarray(f(x), dtype=float)
+def _checked(v, x) -> np.ndarray:
+    v = np.asarray(v, dtype=float)  # an objective's values at the points x
     if np.isfinite(v).all():
         return v
     i = int(np.argmax(~np.isfinite(v)))
@@ -165,31 +167,37 @@ def _bisect(pos, lo, hi):
     return a.view(float), b.view(float)
 
 
-def _newton_bracket(g, dg, lo, hi):
+def _inside(step, a, b):
+    # step strictly inside its bracket of bit patterns [a, b]; if not finite, the midpoint
+    mid = 0.5 * (a.view(float) + b.view(float))
+    inner = np.minimum(np.maximum(step, (a + 1).view(float)), (b - 1).view(float))
+    return np.where(np.isfinite(step), inner, mid)
+
+
+def _newton_bracket(g, gdg, lo, hi, x0=math.nan):
     """Narrow every bracket [lo, hi] of _bisect on g > 0 to a few floats, at
-    once, by a safeguarded Newton on g with derivative dg.
+    once, by a safeguarded Newton from x0, on gdg(x) = (g(x), g'(x)).
 
     Each iterate moves lo (g > 0) or hi (else), _bisect's own rule, so the
-    brackets stay valid whatever dg returns: a Newton step is kept strictly
-    inside its bracket, and a non-finite one becomes the midpoint. A bracket
-    stops once its step or width is at most _ULPS floats, as Newton would
-    cycle in g's rounding noise (all stop within 64 steps); g is then probed
-    _ULPS floats either side of where its last Newton step landed.
+    brackets stay valid whatever x0 and g' are: every iterate is kept
+    strictly inside its bracket, and a non-finite one becomes the midpoint.
+    A bracket stops once its step is at most _ULPS floats (so once its width
+    is, as the last iterate is an end), as Newton would cycle in g's rounding
+    noise (all stop within 64 steps); g is then probed _ULPS floats either
+    side of where its last step landed.
     """
     a, b = _bits(lo, hi)
-    x, done = 0.5 * (a.view(float) + b.view(float)), b - a <= _ULPS
-    for _ in range(64):
-        if done.all():
-            break
-        gx, xi = g(x), x.view(np.int64)
-        up = gx > 0.0
-        a, b = np.where(~done & up, xi, a), np.where(~done & ~up, xi, b)
-        with np.errstate(all="ignore"):
-            step = x - gx / dg(x)
-        inside = np.clip(step, (a + 1).view(float), (b - 1).view(float))
-        mid = 0.5 * (a.view(float) + b.view(float))
-        x = np.where(done, x, np.where(np.isfinite(step), inside, mid))
-        done |= (np.abs(x.view(np.int64) - xi) <= _ULPS) | (b - a <= _ULPS)
+    done = b - a <= _ULPS
+    x = np.where(done, 0.5 * (a.view(float) + b.view(float)), _inside(x0, a, b))
+    with np.errstate(all="ignore"):
+        for _ in range(64):
+            if done.all():
+                break
+            (gx, dgx), xi = gdg(x), x.view(np.int64)
+            up = gx > 0.0
+            a, b = np.where(up & ~done, xi, a), np.where(up | done, b, xi)
+            x = np.where(done, x, _inside(x - gx / dgx, a, b))
+            done |= np.abs(x.view(np.int64) - xi) <= _ULPS
     for d in (-_ULPS, _ULPS):
         live = b - a > 1
         p = np.where(live, np.clip(x.view(np.int64) + d, a + 1, b - 1), a)
@@ -198,29 +206,30 @@ def _newton_bracket(g, dg, lo, hi):
     return a.view(float), b.view(float)
 
 
-def _resolved_max(f, g, lo, hi, dg):
-    # the max of f on every bracket, where f rises while g > 0 and never
-    # rises after: f at the better of two adjacent floats across g's root
-    lo, hi = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, dg, lo, hi))
-    return np.maximum(_checked(f, lo), _checked(f, hi))
+def _resolved_max(f, g, gdg, lo, hi, x0=math.nan):
+    # the max of f on every bracket, where f rises while g > 0 and never rises
+    # after: f at the better of two adjacent floats across g's root, and the lower
+    lo, hi = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, gdg, lo, hi, x0))
+    return np.maximum(_checked(f(lo), lo), _checked(f(hi), hi)), lo
 
 
 def _sampled_minimize(f, lo: float, hi: float) -> float:
-    # min of f on [lo, hi] from _GRID_POINTS samples, resampled across the
-    # best sample's two neighbouring cells; f takes an array of points
-    best = math.inf
+    # min of f on [lo, hi] from _GRID_POINTS samples, resampled across the best
+    # sample's two neighbouring cells. f(xs, *starts) returns its values at xs and
+    # the roots of its inner solves, which start at the previous pass's roots
+    best, xs, starts = math.inf, np.linspace(lo, hi, _GRID_POINTS), ()
     for _ in range(_ZOOM_PASSES + 1):
-        xs = np.linspace(lo, hi, _GRID_POINTS)
-        vals = _checked(f, xs)
-        i = int(np.argmin(vals))
+        vals, roots = f(xs, *starts)
+        i = int(np.argmin(_checked(vals, xs)))
         best = min(best, float(vals[i]))
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        zoom = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], _GRID_POINTS)
+        xs, starts = zoom, [np.interp(zoom, xs, r) for r in roots]
     return best
 
 
 def _dh(x):
     # h'(x) = log2((1 - x)/x) element-wise, +inf at x = 0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.log2((1.0 - x) / x)
 
 
@@ -246,21 +255,29 @@ def _j_w(e, u):
     # J(p, e) with u = 1 - 2p, in v = 1 - 2e: both lines of the envelope are
     # 2 h((1 - w)/2) - (1 - w^2)/2, with w = sqrt(v) on the first, where
     # e >= 2p(1 - p) = (1 - u^2)/2, i.e. sqrt(v) <= u, and w = (v + u^2)/(2u)
-    # on the second; they meet at v = u^2. The second needs w <= 1, and at
-    # p = 1/2 (u = 0) below e = 1/2 it has w = inf
+    # on the second; they meet at v = u^2. The second needs w <= 1 (_check_w;
+    # J clips w to 1), and at p = 1/2 (u = 0) below e = 1/2 it has w = inf
     v = 1.0 - 2.0 * e
     r = np.sqrt(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(r <= u, r, (v + u * u) / (2.0 * u))
+        return np.where(r <= u, r, (v + u * u) / (2.0 * u))
+
+
+def _check_w(w):
+    # w falls as e rises, so a solve checks only its bracket's low end
     if (w > 1.0 + 2.0 * PROB_SLACK).any():
         raise ValueError("eta below the valid range of the second branch")
-    return np.minimum(w, 1.0)
+    return w
+
+
+def _j_of_w(w):
+    w = np.minimum(w, 1.0)
+    # h's array path even for a 0-d w, so scalar and array J agree bit for bit
+    return 2.0 * _h_half(np.asarray(0.5 * (1.0 - w))) - 0.5 * (1.0 - w * w)
 
 
 def _j_kernel(e, u):
-    w = _j_w(e, u)
-    # h's array path even for a 0-d e, so scalar and array J agree bit for bit
-    return 2.0 * _h_half(np.asarray(0.5 * (1.0 - w))) - 0.5 * (1.0 - w * w)
+    return _j_of_w(_j_w(e, u))
 
 
 def conditional_sum_envelope(p, eta):
@@ -274,7 +291,7 @@ def conditional_sum_envelope(p, eta):
     element-wise.
     """
     p, e = np.broadcast_arrays(_as_prob_array(p, "p", 0.5), _as_prob_array(eta, "eta", 0.5))
-    return _j_kernel(e, 1.0 - 2.0 * p)[()]
+    return _j_of_w(_check_w(_j_w(e, 1.0 - 2.0 * p)))[()]
 
 
 def _sum_rate_objective(eta, r0, u):
@@ -282,30 +299,31 @@ def _sum_rate_objective(eta, r0, u):
     return np.minimum(_l_kernel(eta), _j_kernel(eta, u) + r0)
 
 
-def _sum_rate_slope(eta, u):
-    # d/deta of L - J(p, .): L' = h'(eta) - 1, and J' = (2 artanh(w)/ln2 - w)/d,
-    # as dJ/dw = w - 2 artanh(w)/ln2 and dw/deta = -1/d, d = w on J's first
-    # branch and u on its second, i.e. d = min(w, u); at eta = 1/2, where
-    # w = 0, J' tends to 2/ln2 - 1
-    w = _j_w(eta, u)
+def _sum_rate_gdg(eta, r0, u):
+    # g = L - J(p, .) - r0 and g' from one w: L' = h'(eta) - 1, and
+    # J' = (2 artanh(w)/ln2 - w)/d, as dJ/dw = w - 2 artanh(w)/ln2 and
+    # dw/deta = -1/d, d = w on J's first branch and u on its second, i.e.
+    # d = min(w, u); at eta = 1/2, where w = 0, J' tends to 2/ln2 - 1
+    w = np.minimum(_j_w(eta, u), 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         dj = (2.0 * np.arctanh(w) / math.log(2.0) - w) / np.minimum(w, u)
-    return _dh(eta) - 1.0 - np.where(w > 0.0, dj, 2.0 / math.log(2.0) - 1.0)
+    dg = _dh(eta) - 1.0 - np.where(w > 0.0, dj, 2.0 / math.log(2.0) - 1.0)
+    return _l_kernel(eta) - _j_of_w(w) - r0, dg
 
 
-def _sum_rate_max(r0, p):
-    # R_sigma with p = h_inv(r1) given; r0 and p broadcast together. L rises
-    # up to 1/3 and falls after, and J(p, .) never falls on [p, 1/2], so the
-    # max lies on [max(p, 1/3), 1/2], where L - J - r0 falls: at its sign
-    # change, or at an end
-    p = _as_prob_array(p, "p", 0.5)  # the solve's one check: [p, 1/2] in [0, 1/2]
-    u = 1.0 - 2.0 * p
+def _sum_rate_max(r0, p, eta0=math.nan):
+    # R_sigma with p = h_inv(r1) given, and its eta; r0, p and Newton's start
+    # eta0 broadcast together. L rises up to 1/3 and falls after, and J(p, .)
+    # never falls on [p, 1/2], so the max lies on [max(p, 1/3), 1/2], where
+    # L - J - r0 falls: at its sign change, or at an end
+    p = _as_prob_array(p, "p", 0.5)  # the solve's checks: [p, 1/2] in [0, 1/2], and w
+    u, lo = 1.0 - 2.0 * p, np.maximum(p, 1.0 / 3.0)
+    _check_w(_j_w(lo, u))
     return _resolved_max(
         lambda eta: _sum_rate_objective(eta, r0, u),
         lambda eta: _l_kernel(eta) - _j_kernel(eta, u) - r0,
-        np.maximum(p, 1.0 / 3.0),
-        0.5,
-        lambda eta: _sum_rate_slope(eta, u),
+        lambda eta: _sum_rate_gdg(eta, r0, u),
+        lo, 0.5, eta0,
     )
 
 
@@ -320,7 +338,7 @@ def sum_rate_bound(r0: float, r1: float) -> float:
     if not r0 >= 0.0:
         raise ValueError(f"r0={r0!r} must be nonnegative")
     p = binary_entropy_inv(_as_prob(float(r1), "r1"))
-    return float(_sum_rate_max(float(r0), p))
+    return float(_sum_rate_max(float(r0), p)[0])
 
 
 def simple_bound(r1: float) -> float:
@@ -349,26 +367,30 @@ def _mixture_slope(beta, r):
     return _xlog2(1.0 - r, a) - _xlog2(1.0 - 2.0 * r, b) - _xlog2(r, c)
 
 
-def _mixture_curvature(beta, r):
-    # d/dbeta of _mixture_slope, -[(1-rho)^2/a + (1-2rho)^2/b + rho^2/c]/ln2:
-    # (1-rho)^2/a = (1-rho)/(1-beta) and rho^2/c = rho/beta, finite inside (0, 1)
-    s = (1.0 - r) / (1.0 - beta) + (1.0 - 2.0 * r) ** 2 / (r + (1.0 - 2.0 * r) * beta) + r / beta
-    return -s / math.log(2.0)
+def _mixture_gdg(beta, r):
+    # _mixture_slope and its derivative -[(1-rho)^2/a + (1-2rho)^2/b + rho^2/c]/ln2,
+    # with (1-rho)^2/a = (1-rho)/(1-beta) and rho^2/c = rho/beta, finite inside (0, 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = (1.0 - r) / (1.0 - beta) + (1.0 - 2.0 * r) ** 2 / (r + (1.0 - 2.0 * r) * beta) + r / beta
+    return _mixture_slope(beta, r), -s / math.log(2.0)
+
+
+def _mixture_max(rho, beta0=math.nan):
+    # g*(rho) and its beta, from beta0; the pmf is linear in beta, so its entropy is concave
+    r = _as_prob_array(rho, "rho", 0.5)
+    return _resolved_max(
+        lambda beta: _sum_entropy(beta, r),
+        lambda beta: _mixture_slope(beta, r),
+        lambda beta: _mixture_gdg(beta, r),
+        np.zeros_like(r), 1.0, beta0,
+    )
 
 
 def ul_mixture_entropy(rho):
     """g*(rho) = max over beta in [0,1] of the entropy of the ternary pmf
     ((1-rho)(1-beta), rho(1-beta) + (1-rho)beta, rho*beta). Element-wise
     over arrays of rho."""
-    r = _as_prob_array(rho, "rho", 0.5)
-    # the pmf is linear in beta, so its entropy is concave in beta
-    return _resolved_max(
-        lambda beta: _sum_entropy(beta, r),
-        lambda beta: _mixture_slope(beta, r),
-        np.zeros_like(r),
-        1.0,
-        lambda beta: _mixture_curvature(beta, r),
-    )[()]
+    return _mixture_max(rho)[0][()]
 
 
 def _ul_objective(kappa, rho, g, p1, h_rho):
@@ -379,20 +401,20 @@ def _ul_objective(kappa, rho, g, p1, h_rho):
     return first - h_rho + np.minimum(g, b + _h_half(b))
 
 
-def _ul_inner_max(rho, p1: float):
+def _ul_inner_max(rho, p1: float, beta0=math.nan, b0=math.nan):
     # max over kappa of _ul_objective in b = rho + kappa on [rho, 1/2], past
-    # which it never rises. Below the kink b + h(b) = g* its slope is positive
-    # up to the smaller root of b^2 - (c + 3) b + 2c, c = 1 - p1 + rho, which
-    # lies above the kink (tests/test_bounds.py); past the kink it never
-    # rises. So the max is at the kink
-    g, h_rho = ul_mixture_entropy(rho), binary_entropy(rho)
-    return _resolved_max(
+    # which it never rises, and the roots (beta, b) of its solves, from
+    # (beta0, b0). Below the kink b + h(b) = g* its slope is positive up to the
+    # smaller root of b^2 - (c + 3) b + 2c, c = 1 - p1 + rho, which lies above
+    # the kink (tests/test_bounds.py); past it it never rises: the max is there
+    (g, beta), h_rho = _mixture_max(rho, beta0), binary_entropy(rho)
+    v, b = _resolved_max(
         lambda b: _ul_objective(b - rho, rho, g, p1, h_rho),
         lambda b: g - (b + _h_half(b)),
-        rho,
-        0.5,
-        lambda b: -1.0 - _dh(b),
+        lambda b: (g - (b + _h_half(b)), -1.0 - _dh(b)),
+        rho, 0.5, b0,
     )
+    return v, (beta, b)
 
 
 def ul_sum_bound(r1: float) -> float:
@@ -413,7 +435,7 @@ def ul_sum_bound(r1: float) -> float:
     if r1c <= _UL_DEPARTURE:
         return 1.5
     p1 = binary_entropy_inv(r1c)
-    return _sampled_minimize(lambda rho: _ul_inner_max(rho, p1), 0.0, 0.5)
+    return _sampled_minimize(lambda rho, *starts: _ul_inner_max(rho, p1, *starts), 0.0, 0.5)
 
 
 def ul_bound(r1: float) -> float:
@@ -427,12 +449,12 @@ def ul_bound(r1: float) -> float:
     return min(max(ul_sum_bound(r1c) - r1c, 0.0), 1.0, 1.5 - r1c)
 
 
-def _main_objective(alpha, p1: float):
-    # ratio = h_inv(Gamma) lies in [0, p1] for alpha in [0, p1], so no
-    # singularity (alpha <= 1/2 < 1); r_sigma takes it directly
+def _main_objective(alpha, p1: float, eta0=math.nan):
+    # and r_sigma's eta, from eta0. ratio = h_inv(Gamma) lies in [0, p1] for
+    # alpha in [0, p1], so no singularity (alpha <= 1/2 < 1); r_sigma takes it
     ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
-    r_sigma = _sum_rate_max(alpha / (1.0 - alpha), ratio)
-    return (1.0 - alpha) * (r_sigma - _h_half(ratio))
+    r_sigma, eta = _sum_rate_max(alpha / (1.0 - alpha), ratio, eta0)
+    return (1.0 - alpha) * (r_sigma - _h_half(ratio)), (eta,)
 
 
 def main_bound(r1: float) -> float:
@@ -458,7 +480,7 @@ def main_bound(r1: float) -> float:
     if r1c <= _MAIN_DEPARTURE:
         return min(1.5 - r1c, 1.0)
     p1 = binary_entropy_inv(r1c)
-    v = _sampled_minimize(lambda alpha: _main_objective(alpha, p1), 0.0, p1)
+    v = _sampled_minimize(lambda alpha, *starts: _main_objective(alpha, p1, *starts), 0.0, p1)
     return min(max(v, 0.0), 1.0, 1.5 - r1c)
 
 
@@ -515,8 +537,11 @@ def curve(r1_lo: float, r1_hi: float, steps: int) -> BoundCurve:
         raise ValueError(f"steps={steps!r} is not an integer")
     if not 2 <= steps <= MAX_CURVE_STEPS:
         raise ValueError(f"steps={steps} outside [2, {MAX_CURVE_STEPS}]")
+    r1s = np.linspace(r1_lo, min(r1_hi, 1.0), steps)
+    if not (np.diff(r1s) > 0.0).all():
+        raise ValueError(f"r1 grid of {steps} steps over [{r1_lo!r}, {r1_hi!r}] does not strictly increase")
     rows = []
-    for r1 in np.linspace(r1_lo, min(r1_hi, 1.0), steps):
+    for r1 in r1s:
         r1 = float(r1)
         rows.append((r1, simple_bound(r1), ul_bound(r1), main_bound(r1)))
     return BoundCurve(tuple(rows))

@@ -26,13 +26,13 @@ from adderbound.bounds import (
     _j_kernel,
     _l_kernel,
     _main_objective,
-    _mixture_curvature,
+    _mixture_gdg,
     _mixture_slope,
     _newton_bracket,
     _resolved_max,
     _sampled_minimize,
+    _sum_rate_gdg,
     _sum_rate_objective,
-    _sum_rate_slope,
     _ul_inner_max,
     _ul_objective,
 )
@@ -100,18 +100,20 @@ def test_resolved_max_quadratic():
     # one bracket per peak, solved together; the last bracket ends before
     # its peak, so its maximum is the endpoint
     peaks = np.array([0.1, 0.5, 0.9])
-    minus_one = lambda x: -np.ones(x.shape)
-    val = _resolved_max(lambda x: -((x - peaks) ** 2), lambda x: peaks - x, 0.0, [1.0, 1.0, 0.6], minus_one)
+    gdg = lambda x: (peaks - x, -np.ones(x.shape))
+    val, x = _resolved_max(lambda x: -((x - peaks) ** 2), lambda x: peaks - x, gdg, 0.0, [1.0, 1.0, 0.6])
     assert val[0] == val[1] == 0.0
     assert val[2] == -((0.6 - 0.9) ** 2)
+    assert (x == np.nextafter([0.1, 0.5, 0.6], 0.0)).all()
 
 
 def test_resolved_max_entropy_peak():
     # h(eta) + 1 - eta peaks at eta = 1/3 with value log2(3); its slope is
     # h'(eta) - 1 = log2((1 - eta)/eta) - 1, and h''(eta) = -1/(eta (1 - eta) ln2)
-    curvature = lambda e: -1.0 / (e * (1.0 - e) * math.log(2.0))
-    val = _resolved_max(sum_rate_envelope, lambda e: np.log2((1.0 - e) / e) - 1.0, 0.0, 0.5, curvature)
-    assert abs(val - LOG2_3) <= 1e-15
+    slope = lambda e: np.log2((1.0 - e) / e) - 1.0
+    gdg = lambda e: (slope(e), -1.0 / (e * (1.0 - e) * math.log(2.0)))
+    val, eta = _resolved_max(sum_rate_envelope, slope, gdg, 0.0, 0.5)
+    assert abs(val - LOG2_3) <= 1e-15 and abs(eta - 1.0 / 3.0) <= 1e-15
 
 
 def test_nonfinite_objective_raises():
@@ -119,7 +121,7 @@ def test_nonfinite_objective_raises():
         return np.where(x > 0.5, np.nan, x)
 
     with pytest.raises(EvaluationError) as ei:
-        _resolved_max(bad, lambda x: 0.7 - x, 0.0, 1.0, lambda x: -np.ones(x.shape))
+        _resolved_max(bad, lambda x: 0.7 - x, lambda x: (0.7 - x, -np.ones(x.shape)), 0.0, 1.0)
     assert ei.value.argument > 0.5
     assert math.isnan(ei.value.value)
 
@@ -133,7 +135,7 @@ def test_nonfinite_envelope_raises_from_bound(monkeypatch):
 
 
 def _eta_solves(r1):
-    # (f, g, g', lo, hi) of _sum_rate_max on main_bound's first outer grid
+    # (f, g, gdg, lo, hi) of _sum_rate_max on main_bound's first outer grid
     p1 = binary_entropy_inv(r1)
     alpha = np.linspace(0.0, p1, bounds._GRID_POINTS)
     ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
@@ -141,30 +143,30 @@ def _eta_solves(r1):
     return (
         lambda e: _sum_rate_objective(e, r0, u),
         lambda e: _l_kernel(e) - _j_kernel(e, u) - r0,
-        lambda e: _sum_rate_slope(e, u),
+        lambda e: _sum_rate_gdg(e, r0, u),
         np.maximum(ratio, 1.0 / 3.0),
         np.full(alpha.shape, 0.5),
     )
 
 
 def _beta_solves(rho):
-    # (f, g, g', lo, hi) of ul_mixture_entropy
+    # (f, g, gdg, lo, hi) of ul_mixture_entropy
     return (
         lambda b: _sum_entropy(b, rho),
         lambda b: _mixture_slope(b, rho),
-        lambda b: _mixture_curvature(b, rho),
+        lambda b: _mixture_gdg(b, rho),
         np.zeros_like(rho),
         np.ones_like(rho),
     )
 
 
 def _kink_solves(rho, p1):
-    # (f, g, g', lo, hi) of _ul_inner_max: the kink root in b = rho + kappa
+    # (f, g, gdg, lo, hi) of _ul_inner_max: the kink root in b = rho + kappa
     g, h_rho = ul_mixture_entropy(rho), binary_entropy(rho)
     return (
         lambda b: _ul_objective(b - rho, rho, g, p1, h_rho),
         lambda b: g - (b + _h_half(b)),
-        lambda b: -1.0 - _dh(b),
+        lambda b: (g - (b + _h_half(b)), -1.0 - _dh(b)),
         rho,
         np.full(rho.shape, 0.5),
     )
@@ -189,13 +191,13 @@ def test_newton_narrowed_solves_match_plain_bisection():
     rho = np.concatenate([rng.uniform(0.0, 0.5, 5000), [0.0, 0.5]])
     solves = [_eta_solves(r1) for r1 in r1s] + [_beta_solves(rho)]
     solves += [_kink_solves(rho[-1002:], p1) for p1 in UL_P1S]
-    for f, g, dg, lo, hi in solves:
-        a, b = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, dg, lo, hi))
+    for f, g, gdg, lo, hi in solves:
+        a, b = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, gdg, lo, hi))
         assert ((np.nextafter(a, 2.0) == b) | (lo == hi)).all()
         assert ((g(a) > 0.0) | (a == lo)).all() and ((g(b) <= 0.0) | (b == hi)).all()
         plain_a, plain_b = _bisect(lambda x: g(x) > 0.0, lo, hi)
         plain = np.maximum(f(plain_a), f(plain_b))
-        assert np.abs(_resolved_max(f, g, lo, hi, dg) - plain).max() <= 1e-15
+        assert np.abs(_resolved_max(f, g, gdg, lo, hi)[0] - plain).max() <= 1e-15
 
 
 def test_newton_bracket_without_a_usable_slope():
@@ -204,18 +206,20 @@ def test_newton_bracket_without_a_usable_slope():
     # the roots near 0 in [0, 2.7e-20]); bad brackets raise as in _bisect
     roots = np.array([0.0, 1e-300, 1.0 / 3.0, 0.5, 1.0])
     g = lambda x: roots - x
-    a, b = _newton_bracket(g, lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
+    a, b = _newton_bracket(g, lambda x: (g(x), np.full(x.shape, np.nan)), 0.0, 1.0)
     assert ((g(a) > 0.0) | (a == 0.0)).all() and ((g(b) <= 0.0) | (b == 1.0)).all()
     assert (b[:2] < 3e-20).all() and (b.view(np.int64) - a.view(np.int64))[2:].max() <= 2 * bounds._ULPS
-    assert _newton_bracket(lambda x: 0.5 - x, lambda x: -np.ones(x.shape), 0.25, 0.25) == (0.25, 0.25)
+    gdg = lambda x: (0.5 - x, -np.ones(x.shape))
+    assert _newton_bracket(lambda x: 0.5 - x, gdg, 0.25, 0.25) == (0.25, 0.25)
     for lo, hi in ((1.0, 0.0), (-1.0, 0.5), (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(ValueError):
-            _newton_bracket(g, lambda x: -np.ones(x.shape), lo, hi)
+            _newton_bracket(g, gdg, lo, hi)
 
 
 def test_newton_slopes_match_central_differences():
     # g' of the eta solve on both branches of J (they split at
-    # eta = 2p(1 - p)) and of the beta solve for rho in [0, 1/2]
+    # eta = 2p(1 - p)) and of the beta solve for rho in [0, 1/2]; the g that
+    # comes with it is the sign functions' own, bit for bit
     step = 1e-6
     branches = np.zeros(2, dtype=int)
     for p in (0.0, 0.05, 0.2, 0.3, 0.45, 0.499):
@@ -224,14 +228,18 @@ def test_newton_slopes_match_central_differences():
         split = 2.0 * p * (1.0 - p)
         etas = etas[np.abs(etas - split) > 10.0 * step]  # g'' jumps where the branches meet
         branches += [(etas >= split).sum(), (etas < split).sum()]
-        g = lambda e: _l_kernel(e) - _j_kernel(e, u)
+        g = lambda e: _l_kernel(e) - _j_kernel(e, u) - 0.1
         central = (g(etas + step) - g(etas - step)) / (2.0 * step)
-        assert (np.abs(central - _sum_rate_slope(etas, u)) <= 1e-6 * (1.0 + np.abs(central))).all(), p
+        got, slope = _sum_rate_gdg(etas, 0.1, u)
+        assert (got == g(etas)).all(), p
+        assert (np.abs(central - slope) <= 1e-6 * (1.0 + np.abs(central))).all(), p
     assert (branches > 1000).all()
     betas = np.linspace(0.01, 0.99, 1001)
     for rho in np.linspace(0.0, 0.5, 51):
         central = (_mixture_slope(betas + step, rho) - _mixture_slope(betas - step, rho)) / (2.0 * step)
-        assert np.abs(central / _mixture_curvature(betas, rho) - 1.0).max() <= 1e-6, rho
+        got, curvature = _mixture_gdg(betas, rho)
+        assert (got == _mixture_slope(betas, rho)).all(), rho
+        assert np.abs(central / curvature - 1.0).max() <= 1e-6, rho
 
 
 def test_sum_rate_slope_limit_at_one_half():
@@ -240,8 +248,9 @@ def test_sum_rate_slope_limit_at_one_half():
     limit = -2.0 / math.log(2.0)
     for p in (0.0, 0.3, 0.45):
         u = 1.0 - 2.0 * p
-        assert abs(_sum_rate_slope(np.array(0.5), u) - limit) <= 1e-15, p
-        gaps = [abs(_sum_rate_slope(np.array(0.5 - d), u) - limit) for d in (1e-4, 1e-6, 1e-8)]
+        slope = lambda e: _sum_rate_gdg(np.array(e), 0.0, u)[1]
+        assert abs(slope(0.5) - limit) <= 1e-15, p
+        gaps = [abs(slope(0.5 - d) - limit) for d in (1e-4, 1e-6, 1e-8)]
         assert gaps[0] <= 1e-3 and gaps[1] <= 1e-5 and gaps[2] <= 1e-7, (p, gaps)
 
 
@@ -250,19 +259,92 @@ def test_wrong_newton_slopes_change_no_result(monkeypatch, fault):
     # soundness never rests on g': with g' scaled by 10 or negated Newton
     # only wastes steps, and the bounds, g* and the UL inner maxima stay
     # within 1e-15 of what plain bisection gives. Every g' (eta, beta and the
-    # kink) is faulted where _newton_bracket receives it
-    r1s = [1.0, 0.9995, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
-    rho = np.linspace(0.0, 0.5, 101)
+    # kink) is faulted where _newton_bracket receives it, in the (g, g')
+    # pair that gdg returns
+    def faulted(gdg):
+        def gdg_fault(x):
+            gx, dgx = gdg(x)
+            return gx, fault(dgx)
 
-    def results():
-        values = [main_bound(r1) for r1 in r1s] + [ul_bound(1.0), ul_bound(0.9996)]
-        return np.concatenate([values, ul_mixture_entropy(rho), _ul_inner_max(rho, 0.5)])
+        return gdg_fault
 
     newton = bounds._newton_bracket
-    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, dg, lo, hi: (lo, hi))
-    plain = results()
-    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, dg, lo, hi: newton(g, lambda x: fault(dg(x)), lo, hi))
-    assert np.abs(results() - plain).max() <= 1e-15
+    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, gdg, lo, hi, x0: (lo, hi))
+    plain = _newton_results()
+    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, gdg, lo, hi, x0: newton(g, faulted(gdg), lo, hi, x0))
+    assert np.abs(_newton_results() - plain).max() <= 1e-15
+
+
+def _newton_results():
+    # main_bound at r1 = 1, 0.9995 and the float above its departure,
+    # ul_bound at 1 and 0.9996, g* and the UL inner maxima at p1 = 1/2 over
+    # 101 rho
+    r1s = [1.0, 0.9995, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
+    rho = np.linspace(0.0, 0.5, 101)
+    values = [main_bound(r1) for r1 in r1s] + [ul_bound(1.0), ul_bound(0.9996)]
+    return np.concatenate([values, ul_mixture_entropy(rho), _ul_inner_max(rho, 0.5)[0]])
+
+
+def _recorded_solves(monkeypatch, bound, r1):
+    # every inner solve bound(r1) makes, in order, as (f, g, gdg, lo, hi, x0)
+    calls, resolved = [], bounds._resolved_max
+
+    def recording(f, g, gdg, lo, hi, x0=math.nan):
+        calls.append((f, g, gdg, lo, hi, x0))
+        return resolved(f, g, gdg, lo, hi, x0)
+
+    monkeypatch.setattr(bounds, "_resolved_max", recording)
+    bound(r1)
+    monkeypatch.setattr(bounds, "_resolved_max", resolved)
+    return calls
+
+
+def test_warm_started_solves_match_cold_ones(monkeypatch):
+    # passes 2 and 3 of each outer minimum start Newton at the previous
+    # pass's roots, interpolated, and pass 1 at the midpoint. Every solve of
+    # main_bound at 6 seeded r1 above _MAIN_DEPARTURE and of ul_bound at 2
+    # above _UL_DEPARTURE, and of both at r1 = 1, is run from its own start
+    # and from the midpoint: both end on adjacent floats across a sign change
+    # of g (an end that never moved excepted), within 1e-15 of each other
+    rng = np.random.default_rng(20261022)
+    cases = [(main_bound, r1) for r1 in rng.uniform(bounds._MAIN_DEPARTURE, 1.0, 6).tolist() + [1.0]]
+    cases += [(ul_bound, r1) for r1 in rng.uniform(bounds._UL_DEPARTURE, 1.0, 2).tolist() + [1.0]]
+    warm = 0
+    for bound, r1 in cases:
+        for f, g, gdg, lo, hi, x0 in _recorded_solves(monkeypatch, bound, r1):
+            values = []
+            for start in (x0, math.nan):
+                a, b = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, gdg, lo, hi, start))
+                assert ((np.nextafter(a, 2.0) == b) | (lo == hi)).all(), (bound.__name__, r1)
+                assert ((g(a) > 0.0) | (a == lo)).all() and ((g(b) <= 0.0) | (b == hi)).all()
+                values.append(np.maximum(f(a), f(b)))
+            assert np.abs(values[0] - values[1]).max() <= 1e-15, (bound.__name__, r1)
+            warm += bool(np.isfinite(x0).all())
+    assert warm == 7 * 2 + 3 * 4  # passes 2 and 3: one solve each for main, two for ul
+
+
+ADVERSARIAL_STARTS = {
+    "nan": lambda lo, hi, x0: math.nan,
+    "inf": lambda lo, hi, x0: math.inf,
+    "minus_inf": lambda lo, hi, x0: -math.inf,
+    "below": lambda lo, hi, x0: np.asarray(lo) - 1.0,
+    "above": lambda lo, hi, x0: np.asarray(hi) + 1.0,
+    "at_lo": lambda lo, hi, x0: lo,
+    "at_hi": lambda lo, hi, x0: hi,
+    "reversed": lambda lo, hi, x0: np.flip(x0),
+}
+
+
+@pytest.mark.parametrize("start", ADVERSARIAL_STARTS.values(), ids=ADVERSARIAL_STARTS.keys())
+def test_adversarial_newton_starts_change_no_result(monkeypatch, start):
+    # the start is only Newton's first iterate: one that is NaN, infinite,
+    # outside or at an end of its bracket, or the interpolated roots in
+    # reverse order, moves no bound, g* or UL inner maximum by more than 1e-15
+    want = _newton_results()
+    newton = bounds._newton_bracket
+    adversarial = lambda g, gdg, lo, hi, x0: newton(g, gdg, lo, hi, start(lo, hi, x0))
+    monkeypatch.setattr(bounds, "_newton_bracket", adversarial)
+    assert np.abs(_newton_results() - want).max() <= 1e-15
 
 
 # ---------------------------------------------------------------- envelopes
@@ -374,10 +456,11 @@ def test_conditional_envelope_matches_high_precision_reference():
 def test_conditional_envelope_domain_errors():
     # the second branch is undefined at p = 1/2 below eta = 1/2 (w = inf) and
     # far below eta = 2p^2 (w > 1)
-    with pytest.raises(ValueError):
-        conditional_sum_envelope(0.5, 0.3)
-    with pytest.raises(ValueError):
-        conditional_sum_envelope(0.4, 0.01)
+    for p, eta in ((0.5, 0.3), (0.4, 0.01), (0.5, 0.1), (0.3, 0.05)):
+        with pytest.raises(ValueError, match="^eta below the valid range of the second branch$"):
+            conditional_sum_envelope(p, eta)
+        with pytest.raises(ValueError, match="^eta below the valid range of the second branch$"):
+            conditional_sum_envelope(np.array([0.25, p]), np.array([0.5, eta]))
 
 
 # ---------------------------------------------------------------- r_sigma
@@ -445,7 +528,7 @@ def test_sum_rate_bound_against_dense_grid():
         a = np.clip(1.0 - p1 - kappas, 0.0, 0.5)
         vals = binary_entropy(a) - binary_entropy(rho) + np.minimum(g, b + binary_entropy(b))
         want = float(vals.max())
-        got = float(_ul_inner_max(rho, p1))
+        got = float(_ul_inner_max(rho, p1)[0])
         assert abs(got - want) <= 1e-6, (rho, r1, got, want)
         assert got >= want - 1e-12
 
@@ -577,7 +660,7 @@ def test_ul_inner_max_matches_kappa_bisection():
         a, b = _bisect(lambda k: _ul_slope(k, rho, g, p1) > 0.0, np.zeros_like(rho), 1.0 - p1)
         objective = lambda k: _ul_objective(k, rho, g, p1, h_rho)
         want = np.maximum(objective(a), objective(b))
-        assert np.abs(_ul_inner_max(rho, p1) - want).max() <= 1e-15, p1
+        assert np.abs(_ul_inner_max(rho, p1)[0] - want).max() <= 1e-15, p1
 
 
 def test_ul_objective_nonincreasing_in_p1():
@@ -725,48 +808,63 @@ def test_sum_rate_and_mixture_bit_pins():
 
 def _count_evaluations(monkeypatch, bound, r1):
     # [calls, elements] of the objective evaluations, which all pass
-    # bounds._checked, then of Newton's evaluations of g and of its
-    # derivative, then of the bisection's sign evaluations
-    seen = [0] * 8
+    # bounds._checked, then of Newton's evaluations of (g, g'), then of its
+    # probes of g, then of the bisection's sign evaluations; and the number
+    # of (g, g') evaluations of each _newton_bracket call, in order
+    seen, steps = [0] * 8, []
     checked, newton, bisect = bounds._checked, bounds._newton_bracket, bounds._bisect
+
+    def tally(i, x):
+        seen[i] += 1
+        seen[i + 1] += np.size(x)
 
     def counting(f, i):
         def counted(x):
-            seen[i] += 1
-            seen[i + 1] += np.size(x)
+            tally(i, x)
             return f(x)
 
         return counted
 
-    monkeypatch.setattr(bounds, "_checked", lambda f, x: checked(counting(f, 0), x))
-    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, dg, lo, hi: newton(counting(g, 2), counting(dg, 4), lo, hi))
+    def newton_counted(g, gdg, lo, hi, x0):
+        before = seen[2]
+        out = newton(counting(g, 4), counting(gdg, 2), lo, hi, x0)
+        steps.append(seen[2] - before)
+        return out
+
+    monkeypatch.setattr(bounds, "_checked", lambda v, x: (tally(0, v), checked(v, x))[1])
+    monkeypatch.setattr(bounds, "_newton_bracket", newton_counted)
     monkeypatch.setattr(bounds, "_bisect", lambda pos, lo, hi: bisect(counting(pos, 6), lo, hi))
     bound(r1)
-    return seen
+    return seen, steps
 
 
 @pytest.mark.parametrize(
-    "bound, work",
+    "bound, work, solves",
     [
-        (ul_bound, [15, 15_360, 42, 43_008, 30, 30_720, 30, 30_720]),
-        (main_bound, [9, 9_216, 25, 25_600, 19, 19_456, 15, 15_360]),
+        (ul_bound, [15, 15_360, 19, 19_456, 12, 12_288, 30, 30_720], 2),
+        (main_bound, [9, 9_216, 14, 14_336, 6, 6_144, 15, 15_360], 1),
     ],
     ids=["ul_bound", "main_bound"],
 )
-def test_solver_work_counts(monkeypatch, bound, work):
+def test_solver_work_counts(monkeypatch, bound, work, solves):
     # the solver's work at r1 = 1: 3 outer grids of 1024 points, each inner
     # solve two objective evaluations at the end. Newton narrows every
     # bracket (main's eta, and for ul the beta of g* and the kink root in
-    # b = rho + kappa) in a few evaluations of g and g', two of them probes,
-    # and the bisection finishes in about 5 sign evaluations
-    assert _count_evaluations(monkeypatch, bound, 1.0) == work
+    # b = rho + kappa) in a few evaluations of (g, g') and two probes of g,
+    # and the bisection finishes in about 5 sign evaluations. Passes 2 and 3
+    # start Newton at the previous pass's roots, so each of their solves
+    # takes fewer steps than the same solve in pass 1
+    seen, steps = _count_evaluations(monkeypatch, bound, 1.0)
+    assert seen == work
+    first, *zooms = np.reshape(steps, (3, solves))
+    assert all((zoom < first).all() for zoom in zooms), steps
 
 
 @pytest.mark.parametrize("bound, calls, elems", [(ul_bound, 0, 0), (main_bound, 0, 0)])
 def test_endpoint_work_counts(monkeypatch, bound, calls, elems):
     # at r1 = 0.95, below both departure points, neither bound solves
     # anything: no objective, Newton or sign evaluations
-    assert _count_evaluations(monkeypatch, bound, 0.95) == [calls, elems] * 4
+    assert _count_evaluations(monkeypatch, bound, 0.95) == ([calls, elems] * 4, [])
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -804,10 +902,10 @@ def _golden_sum_rate_max(r0, p, iters):
 
 
 def _golden_main_objective(alpha, p1, iters):
-    # _main_objective with its inner maximum by _golden_max
+    # _main_objective with its inner maximum by _golden_max, and no roots
     ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
     r_sigma = _golden_sum_rate_max(alpha / (1.0 - alpha), ratio, iters)
-    return (1.0 - alpha) * (r_sigma - _h_half(ratio))
+    return (1.0 - alpha) * (r_sigma - _h_half(ratio)), ()
 
 
 def _golden_mixture_entropy(rho, iters):
@@ -818,20 +916,20 @@ def _golden_mixture_entropy(rho, iters):
 def _golden_ul_inner_max(rho, p1, iters):
     g, h_rho = _golden_mixture_entropy(rho, iters), binary_entropy(rho)
     objective = lambda kappa: _ul_objective(kappa, rho, g, p1, h_rho)
-    return _golden_max(objective, np.zeros_like(rho), 1.0 - p1, iters)
+    return _golden_max(objective, np.zeros_like(rho), 1.0 - p1, iters), ()
 
 
 def _sampled_ul(r1, inner=_ul_inner_max):
     # ul_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
-    v = _sampled_minimize(lambda rho: inner(rho, p1), 0.0, 0.5)
+    v = _sampled_minimize(lambda rho, *starts: inner(rho, p1, *starts), 0.0, 0.5)
     return min(max(v - r1, 0.0), 1.0)
 
 
 def _sampled_main(r1, objective=_main_objective):
     # main_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
-    v = _sampled_minimize(lambda alpha: objective(alpha, p1), 0.0, p1)
+    v = _sampled_minimize(lambda alpha, *starts: objective(alpha, p1, *starts), 0.0, p1)
     return min(max(v, 0.0), 1.0, 1.5 - r1)
 
 
@@ -893,7 +991,7 @@ def test_main_slope_at_zero_matches_finite_differences():
     for r1 in (0.95, 0.99, 0.995, 0.999):
         p1 = binary_entropy_inv(r1)
         alpha = 1e-6 * p1
-        f0, f1 = _main_objective(np.array([0.0, alpha]), p1)
+        f0, f1 = _main_objective(np.array([0.0, alpha]), p1)[0]
         with mpmath.workdps(40):
             want = float(_main_slope_at_zero(p1))
         assert abs((f1 - f0) / alpha - want) <= 4e-7, (r1, (f1 - f0) / alpha, want)
@@ -997,6 +1095,21 @@ def test_curve_non_integer_steps():
         with pytest.raises(ValueError, match="is not an integer$"):
             curve(0.9, 1.0, steps)
     assert len(curve(0.9, 1.0, np.int64(3)).rows) == 3
+
+
+def test_curve_rejects_a_grid_that_does_not_increase(monkeypatch):
+    # a range a few floats wide, or one past 1 by less than the slack (whose
+    # grid is all 1.0), fails on its grid, before any bound is solved
+    def no_solve(r1):
+        raise AssertionError("solved a row")
+
+    monkeypatch.setattr(bounds, "ul_bound", no_solve)
+    monkeypatch.setattr(bounds, "main_bound", no_solve)
+    for lo, hi, steps in ((0.9999999999999999, 1.0, 5), (1.0, 1.0000000000001, 3)):
+        want = f"r1 grid of {steps} steps over [{lo!r}, {hi!r}] does not strictly increase"
+        with pytest.raises(ValueError) as ei:
+            curve(lo, hi, steps)
+        assert str(ei.value) == want
 
 
 def test_curve_validation():

@@ -103,6 +103,13 @@ def test_curve_stdout_roundtrips(capsys):
     assert bc.to_csv() == out
 
 
+def test_curve_grid_that_does_not_increase_is_usage_error(capsys):
+    for lo, hi, steps in (("0.9999999999999999", "1", "5"), ("1.0", "1.0000000000001", "3")):
+        code, out, err = run_cli(capsys, "curve", "--from", lo, "--to", hi, "--steps", steps)
+        assert code == 2 and out == ""
+        assert err == f"error: r1 grid of {steps} steps over [{float(lo)!r}, {float(hi)!r}] does not strictly increase\n"
+
+
 def test_curve_out_file(tmp_path, capsys):
     path = tmp_path / "curve.csv"
     code, out, _ = run_cli(
