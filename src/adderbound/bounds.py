@@ -12,23 +12,23 @@ The minimax bounds are a sampled outer minimum of inner maxima. Each inner
 objective rises while a smooth, falling g is positive and never rises after:
 g is the objective's slope for g*, L - J - r0 (which side of min{L, J + r0}
 is active) for r_sigma, and for the UL max over kappa the kink residual
-g* - b - h(b) in b = rho + kappa, as the maximum sits at the kink. A
-safeguarded Newton on g (_newton_bracket) narrows every bracket of a whole
-array, one per outer point, to a few floats, and one bisection (_bisect) on
-g > 0, by the same sign rule, to two adjacent floats; the inner value is the
-better of the objective at the two. g' and Newton's start set only the
-pace: each step evaluates g and g' together, and a solve takes 5 to 9 steps
-from the midpoint or 2 to 3 from a close start, then 2 probes of g and 5
-bisection steps, where bisection alone takes about 51. There is no step
-count or tolerance: an under-resolved inner max would invalidly lower an
-upper bound, and tests pin the monotonicity the sign relies on. Each outer
-minimum samples _GRID_POINTS points and then zooms in around the best
-sample, each pass starting its inner solves at the previous pass's roots,
-interpolated; every sample is itself an upper bound, so sampling stays
-sound without any assumption on the outer objective. Range checks run where
-values enter: in the public functions, and once per inner solve on its
-parameters and bracket endpoints; the objectives then run on unchecked
-kernels, as Newton and bisection points never leave their bracket.
+g* - b - h(b) in b = rho + kappa, as the maximum sits at the kink. One
+solve, _resolved_max, takes every bracket of a whole array, one per outer
+point, to two adjacent floats across g's sign change, each round moving
+an end by g's sign: Newton rounds on (g, g'), 2 probes of g, then
+halvings; the inner value is the better of the objective at the two. g'
+and Newton's start set only the pace: a solve takes 5 to 9 Newton rounds
+from the midpoint or 2 to 3 from a close start, then about 5 halvings,
+where halving alone takes about 51. There is no step count or tolerance:
+an under-resolved inner max would invalidly lower an upper bound, and
+tests pin the monotonicity the sign relies on. Each outer minimum samples
+_GRID_POINTS points and then zooms in around the best sample, each pass
+starting its inner solves at the previous pass's roots, interpolated;
+every sample is itself an upper bound, so sampling stays sound without
+any assumption on the outer objective. Range checks run where values
+enter: in the public functions, and once per inner solve on its
+parameters and bracket; the objectives then run on unchecked kernels, as
+no solve point leaves its bracket.
 Everything here is deterministic: same inputs give bit-identical results.
 
 Each bound is an upper bound only if J is not too low and p = h_inv(r1) is
@@ -116,7 +116,7 @@ _UL_DEPARTURE = 0.9994783125464713
 # derives it in mpmath)
 _MAIN_DEPARTURE = 0.9926454154151924
 
-# _newton_bracket's stopping width and probe distance, in floats
+# _resolved_max's Newton stopping width and probe distance, in floats
 _ULPS = 16
 
 
@@ -128,65 +128,45 @@ def _checked(v, x) -> np.ndarray:
     raise EvaluationError(float(x.flat[i]), float(v.flat[i]))
 
 
-def _bits(lo, hi):
-    # the brackets [lo, hi], broadcast together, as the int64 bit patterns
-    # of their ends, which order nonnegative floats like their values
-    a, b = (np.array(v + 0.0) for v in np.broadcast_arrays(lo, hi))  # + 0.0 turns -0.0 into 0.0
-    if not ((0.0 <= a) & (a <= b) & (b < math.inf)).all():
-        raise ValueError(f"bad bracket [{lo!r}, {hi!r}]")
-    return a.view(np.int64), b.view(np.int64)
+def _inside(step, a, b):
+    # step strictly inside its bracket of bit patterns [a, b]; if not finite, the midpoint
+    inner = np.minimum(np.maximum(step, (a + 1).view(float)), (b - 1).view(float))
+    return np.where(np.isfinite(step), inner, 0.5 * (a.view(float) + b.view(float)))
 
 
-def _bisect(pos, lo, hi):
-    """Shrink every bracket [lo, hi] to two adjacent floats, at once.
+def _resolved_max(f, g, gdg, lo, hi, x0=math.nan):
+    """The max of f on every bracket [lo, hi] of an array, at once, where f
+    rises while g > 0 and never rises after: f at the better of two adjacent
+    floats across g's sign change, and the lower of the two. lo, hi and x0
+    broadcast together; a degenerate bracket stays as it is.
 
-    lo moves only to points where pos is true and hi only to points where it
-    is false, so where pos is true below some point and false above it, that
-    point ends in [lo, hi]. Each step asks pos at one point per bracket:
-    strictly inside it while it is wider, else at its lo, with the answer
-    ignored. The halving runs on the int64 bit patterns of the endpoints:
-    at most 64 steps, no tolerance.
-
-    Args:
-        pos: takes an array of points, one per bracket, and returns a bool
-           array.
-        lo, hi: nonnegative finite floats or arrays that broadcast together,
-           lo <= hi; a degenerate bracket stays as it is.
-
-    Returns:
-        (lo, hi) as float arrays of the broadcast shape.
+    Every round asks g at one point per bracket and moves lo there where
+    g > 0, else hi, so the sign change never leaves [lo, hi]; the rounds
+    differ only in the point. First a safeguarded Newton from x0 on
+    gdg(x) = (g(x), g'(x)): each iterate is kept strictly inside its
+    bracket, and a non-finite one becomes the midpoint, so x0 and g' set
+    only the pace. A bracket stops once its step is at most _ULPS floats
+    (so once its width is, as the last iterate is an end), as Newton would
+    cycle in g's rounding noise (all stop within 64 rounds). Then, while a
+    bracket is wider, g is probed _ULPS floats either side of the last
+    iterate, and the int64 bit patterns of the ends, which order nonnegative
+    floats like their values, are halved until the ends are adjacent floats:
+    at most 64 halvings.
 
     Raises:
         ValueError: on a negative, non-finite or reversed bracket.
+        EvaluationError: where f is not finite at an end.
     """
-    a, b = _bits(lo, hi)
-    while (wide := b - a > 1).any():
-        m = a + (b - a) // 2
-        up = pos(m.view(float))
-        a, b = np.where(wide & up, m, a), np.where(wide & ~up, m, b)
-    return a.view(float), b.view(float)
+    a, b = (np.array(v + 0.0) for v in np.broadcast_arrays(lo, hi))  # + 0.0 turns -0.0 into 0.0
+    if not ((0.0 <= a) & (a <= b) & (b < math.inf)).all():
+        raise ValueError(f"bad bracket [{lo!r}, {hi!r}]")
+    a, b = a.view(np.int64), b.view(np.int64)
 
+    def moved(p, gp, live):
+        # the live brackets' ends, lo moved to p where g(p) > 0 and hi where not
+        up = gp > 0.0
+        return np.where(live & up, p, a), np.where(live & ~up, p, b)
 
-def _inside(step, a, b):
-    # step strictly inside its bracket of bit patterns [a, b]; if not finite, the midpoint
-    mid = 0.5 * (a.view(float) + b.view(float))
-    inner = np.minimum(np.maximum(step, (a + 1).view(float)), (b - 1).view(float))
-    return np.where(np.isfinite(step), inner, mid)
-
-
-def _newton_bracket(g, gdg, lo, hi, x0=math.nan):
-    """Narrow every bracket [lo, hi] of _bisect on g > 0 to a few floats, at
-    once, by a safeguarded Newton from x0, on gdg(x) = (g(x), g'(x)).
-
-    Each iterate moves lo (g > 0) or hi (else), _bisect's own rule, so the
-    brackets stay valid whatever x0 and g' are: every iterate is kept
-    strictly inside its bracket, and a non-finite one becomes the midpoint.
-    A bracket stops once its step is at most _ULPS floats (so once its width
-    is, as the last iterate is an end), as Newton would cycle in g's rounding
-    noise (all stop within 64 steps); g is then probed _ULPS floats either
-    side of where its last step landed.
-    """
-    a, b = _bits(lo, hi)
     done = b - a <= _ULPS
     x = np.where(done, 0.5 * (a.view(float) + b.view(float)), _inside(x0, a, b))
     with np.errstate(all="ignore"):
@@ -194,22 +174,14 @@ def _newton_bracket(g, gdg, lo, hi, x0=math.nan):
             if done.all():
                 break
             (gx, dgx), xi = gdg(x), x.view(np.int64)
-            up = gx > 0.0
-            a, b = np.where(up & ~done, xi, a), np.where(up | done, b, xi)
+            a, b = moved(xi, gx, ~done)
             x = np.where(done, x, _inside(x - gx / dgx, a, b))
             done |= np.abs(x.view(np.int64) - xi) <= _ULPS
-    for d in (-_ULPS, _ULPS):
-        live = b - a > 1
-        p = np.where(live, np.clip(x.view(np.int64) + d, a + 1, b - 1), a)
-        up = g(p.view(float)) > 0.0
-        a, b = np.where(live & up, p, a), np.where(live & ~up, p, b)
-    return a.view(float), b.view(float)
-
-
-def _resolved_max(f, g, gdg, lo, hi, x0=math.nan):
-    # the max of f on every bracket, where f rises while g > 0 and never rises
-    # after: f at the better of two adjacent floats across g's root, and the lower
-    lo, hi = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, gdg, lo, hi, x0))
+    probes = [x.view(np.int64) + d for d in (-_ULPS, _ULPS)]
+    while (live := b - a > 1).any():
+        p = np.where(live, np.clip(probes.pop(0), a + 1, b - 1), a) if probes else a + (b - a) // 2
+        a, b = moved(p, g(p.view(float)), live)
+    lo, hi = a.view(float), b.view(float)
     return np.maximum(_checked(f(lo), lo), _checked(f(hi), hi)), lo
 
 

@@ -185,7 +185,7 @@ def _check_mask(n: int, s_mask: int) -> None:
 def is_k_shattered(f: Family, s_mask: int, k: int) -> bool:
     """True iff every submask of s_mask occurs at least k times in project(f, s_mask)."""
     _check_mask(f.n, s_mask)
-    if k < 1:
+    if (k := _integer(k, "k")) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     cells = 1 << s_mask.bit_count()
     if k * cells > len(f):
@@ -219,7 +219,7 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
     to that cap number more than the internal budget, SearchBudgetError is
     raised before any work.
     """
-    ks = sorted(set(int(k) for k in ks))
+    ks = sorted({_integer(k, "k") for k in ks})
     if not ks:
         raise ValueError("need at least one k")
     if ks[0] < 1:
@@ -309,6 +309,7 @@ def soft_sauer_bound(n: int, d: int, k: int) -> SoftSauerBound:
     every per-cardinality cap is tight, so dropping the t=0 term would
     undercount it by exactly one (n=1, f={{},{1}}, k=2 already fails).
     """
+    n, d, k = _integer(n, "n"), _integer(d, "d"), _integer(k, "k")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     if k < 1:
@@ -358,6 +359,7 @@ def shattering_guarantee(rate: float, alpha: float, n: int) -> Tuple[int, int]:
 
 def hamming_ball(n: int, radius: int) -> Family:
     """All subsets of [n] of cardinality at most `radius`."""
+    n, radius = _integer(n, "n"), _integer(radius, "radius")
     if not 1 <= n <= 25:
         raise ValueError(f"n {n} outside [1, 25]")
     if not 0 <= radius <= n:
@@ -402,7 +404,7 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     exactly the vector sums a + c, `sums1 << s_c` is exactly {s_a + s_c},
     and c collides iff that set meets `used`. Bits stay below 3^n.
     """
-    if not 1 <= n <= 6:
+    if not 1 <= (n := _integer(n, "n")) <= 6:
         raise ValueError(f"n {n} outside [1, 6]")
     if not 0 < budget_secs * SEARCH_NODES_PER_SEC < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget_secs}")

@@ -29,6 +29,7 @@ from .families import (
     Family,
     _check_mask,
     _check_same_ground,
+    _integer,
     _read_families,
     _spread,
     _write_families,
@@ -58,18 +59,20 @@ class UnionFreeSystem:
     pairs: Tuple[Tuple[Family, Family], ...]
 
     def __post_init__(self) -> None:
+        n = _integer(self.n, "ground set size")
         if not self.pairs:
             raise ValueError("a system needs at least one pair")
         m1 = len(self.pairs[0][0])
         m2 = len(self.pairs[0][1])
         for i, (f1, f2) in enumerate(self.pairs):
-            if f1.n != self.n or f2.n != self.n:
+            if f1.n != n or f2.n != n:
                 raise ValueError(f"pair {i} lives on a different ground set")
             for side, f, m in (("first", f1, m1), ("second", f2, m2)):
                 if not f:
                     raise ValueError(f"pair {i}: {side} family is empty")
                 if len(f) != m:
                     raise ValueError(f"pair {i}: {side} family has {len(f)} members, expected {m}")
+        object.__setattr__(self, "n", n)
 
     @property
     def m0(self) -> int:
@@ -200,7 +203,7 @@ def log3_construction(n: int) -> UnionFreeSystem:
     F0_i, which keeps the supports disjoint across pairs. M0 = C(n, 2n/3),
     M1 = 1, M2 = 2^{2n/3}.
     """
-    if n % 3 != 0:
+    if (n := _integer(n, "n")) % 3 != 0:
         raise ValueError(f"n must be divisible by 3, got {n}")
     if not 3 <= n <= 15:
         raise ValueError(f"n {n} outside [3, 15]")
@@ -238,7 +241,7 @@ def derive_system(
     from the input pair.
     """
     _check_same_ground(f1, f2)
-    n = f1.n
+    n, k = f1.n, _integer(k, "k")
     _check_mask(n, s_mask)
     if s_mask == (1 << n) - 1:
         raise DerivationError("S covers the whole ground set; nothing remains to project onto")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import mpmath
@@ -21,14 +22,12 @@ from adderbound.bounds import (
     ul_sum_bound,
     weldon_bound,
     weldon_nonsystematic_bound,
-    _bisect,
     _dh,
     _j_kernel,
     _l_kernel,
     _main_objective,
     _mixture_gdg,
     _mixture_slope,
-    _newton_bracket,
     _resolved_max,
     _sampled_minimize,
     _sum_rate_gdg,
@@ -63,37 +62,79 @@ def _counted(pos):
     return counting, calls
 
 
+def _bisect(pos, lo, hi):
+    """Shrink every bracket [lo, hi] to two adjacent floats, at once: the
+    plain bisection, kept as the reference for _resolved_max.
+
+    lo moves only to points where pos is true and hi only to points where it
+    is false, so where pos is true below some point and false above it, that
+    point ends in [lo, hi]. Each step asks pos at one point per bracket:
+    strictly inside it while it is wider, else at its lo, with the answer
+    ignored. The halving runs on the int64 bit patterns of the endpoints,
+    nonnegative finite floats with lo <= hi: at most 64 steps, no tolerance.
+    """
+    a, b = (np.array(v + 0.0).view(np.int64) for v in np.broadcast_arrays(lo, hi))
+    while (wide := b - a > 1).any():
+        m = a + (b - a) // 2
+        up = pos(m.view(float))
+        a, b = np.where(wide & up, m, a), np.where(wide & ~up, m, b)
+    return a.view(float), b.view(float)
+
+
+def _plain_max(f, g, gdg, lo, hi, x0=math.nan):
+    # _resolved_max by plain bisection on g > 0, neither g' nor x0 used
+    a, b = _bisect(lambda x: g(x) > 0.0, lo, hi)
+    return np.maximum(f(a), f(b)), a
+
+
+def _ends(g, gdg, lo, hi, x0=math.nan):
+    # the two adjacent floats _resolved_max ends every bracket on: with
+    # f(x) = x its value is the upper one
+    hi, lo = _resolved_max(lambda x: x, g, gdg, lo, hi, x0)
+    return lo, hi
+
+
+def _halving(g):
+    # g and (g, g') with a NaN slope, which makes every Newton round the
+    # midpoint, each counted apart: the rounds that ask only g (the 2 probes
+    # and the halvings), and the Newton rounds
+    g_counted, calls = _counted(g)
+    gdg, steps = _counted(lambda x: (g(x), np.full(np.shape(x), np.nan)))
+    return g_counted, gdg, calls, steps
+
+
 def test_bisect_ends_at_adjacent_floats():
     # a sign change anywhere from 0 up to the largest float: lo and hi end
-    # one float apart around it within 64 steps, brackets touching 0 and a
-    # -0.0 end included
+    # one float apart around it within 64 Newton rounds and 64 halvings,
+    # brackets touching 0 and a -0.0 end included
     big = np.finfo(float).max
     roots = np.array([0.0, 5e-324, 1e-300, 1.0 / 3.0, 0.5, 1.0, 1e300])
-    pos, calls = _counted(lambda x: x < roots)
-    lo, hi = _bisect(pos, -0.0, np.where(roots < 1.0, 1.0, big))
+    g, gdg, calls, steps = _halving(lambda x: roots - x)
+    lo, hi = _ends(g, gdg, -0.0, np.where(roots < 1.0, 1.0, big))
     assert (np.nextafter(lo, np.inf) == hi).all()
     assert ((lo < roots) | (lo == 0.0)).all() and (roots <= hi).all()
-    assert calls[0] <= 64
+    assert steps[0] <= 64 and calls[0] <= 2 + 64
 
 
 def test_bisect_all_true_all_false_and_degenerate():
-    # lo moves only where pos is true and hi only where it is false, so with
-    # one sign everywhere one end stays put; [x, x] stays as it is
+    # lo moves only where g > 0 and hi only where it is not, so with one
+    # sign everywhere one end stays put; [x, x] stays as it is, unasked
     lo, hi = np.array([0.0, 0.25, 0.7, 0.0]), np.array([1.0, 0.5, 0.7, 0.0])
     for sign in (True, False):
-        pos, calls = _counted(lambda x: np.full(x.shape, sign))
-        a, b = _bisect(pos, lo, hi)
+        g, gdg, calls, steps = _halving(lambda x: np.full(x.shape, 1.0 if sign else -1.0))
+        a, b = _ends(g, gdg, lo, hi)
         assert (a == np.where(sign & (lo < hi), np.nextafter(hi, -1.0), lo)).all(), sign
         assert (b == np.where((not sign) & (lo < hi), np.nextafter(lo, 2.0), hi)).all(), sign
-        assert calls[0] <= 64
-    pos, calls = _counted(lambda x: x < 0.7)
-    assert _bisect(pos, 0.7, 0.7) == (0.7, 0.7) and calls[0] == 0
+        assert steps[0] <= 64 and calls[0] <= 2 + 64
+    g, gdg, calls, steps = _halving(lambda x: 0.7 - x)
+    assert _ends(g, gdg, 0.7, 0.7) == (0.7, 0.7) and calls[0] == steps[0] == 0
 
 
 def test_bisect_bad_bracket():
+    g, gdg, _, _ = _halving(lambda x: 0.5 - x)
     for lo, hi in ((1.0, 0.0), (-1.0, 0.5), (0.0, [1.0, -1.0]), (0.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(ValueError):
-            _bisect(lambda x: x < 0.5, lo, hi)
+        with pytest.raises(ValueError, match="^bad bracket"):
+            _ends(g, gdg, lo, hi)
 
 
 def test_resolved_max_quadratic():
@@ -178,13 +219,13 @@ UL_P1S = (0.0, 0.1, 0.25, 0.4, 0.49, binary_entropy_inv(math.nextafter(1.0, 0.0)
 
 
 def test_newton_narrowed_solves_match_plain_bisection():
-    # after _newton_bracket, _bisect still ends every bracket on adjacent
-    # floats across a sign change of g (an end that never moved excepted),
-    # and each inner value lies within 1e-15 of the plain bisection's: eta
-    # solves on main's first grid at 40 seeded r1 above _MAIN_DEPARTURE,
-    # r1 = 1 and the float above the departure; beta solves at 5,000 seeded
-    # rho, 0 and 1/2; kink solves at 1,000 seeded rho, 0 and 1/2 for each
-    # of the UL p1
+    # after the Newton rounds, _resolved_max still ends every bracket on
+    # adjacent floats across a sign change of g (an end that never moved
+    # excepted), and each inner value lies within 1e-15 of the plain
+    # bisection's: eta solves on main's first grid at 40 seeded r1 above
+    # _MAIN_DEPARTURE, r1 = 1 and the float above the departure; beta
+    # solves at 5,000 seeded rho, 0 and 1/2; kink solves at 1,000 seeded
+    # rho, 0 and 1/2 for each of the UL p1
     rng = np.random.default_rng(20261021)
     r1s = rng.uniform(bounds._MAIN_DEPARTURE, 1.0, 40).tolist()
     r1s += [1.0, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
@@ -192,28 +233,34 @@ def test_newton_narrowed_solves_match_plain_bisection():
     solves = [_eta_solves(r1) for r1 in r1s] + [_beta_solves(rho)]
     solves += [_kink_solves(rho[-1002:], p1) for p1 in UL_P1S]
     for f, g, gdg, lo, hi in solves:
-        a, b = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, gdg, lo, hi))
+        a, b = _ends(g, gdg, lo, hi)
         assert ((np.nextafter(a, 2.0) == b) | (lo == hi)).all()
         assert ((g(a) > 0.0) | (a == lo)).all() and ((g(b) <= 0.0) | (b == hi)).all()
-        plain_a, plain_b = _bisect(lambda x: g(x) > 0.0, lo, hi)
-        plain = np.maximum(f(plain_a), f(plain_b))
+        plain = _plain_max(f, g, gdg, lo, hi)[0]
         assert np.abs(_resolved_max(f, g, gdg, lo, hi)[0] - plain).max() <= 1e-15
 
 
 def test_newton_bracket_without_a_usable_slope():
-    # a NaN slope makes every step the midpoint, which still narrows each
-    # bracket around its root by the sign rule (64 halvings of [0, 1] leave
-    # the roots near 0 in [0, 2.7e-20]); bad brackets raise as in _bisect
+    # a NaN slope makes every Newton round the midpoint, which still narrows
+    # each bracket around its root by the sign rule: every later point g is
+    # asked at, the probes and the halvings, lies in the bracket the Newton
+    # rounds and probes leave, so 64 midpoints of [0, 1] keep the roots near
+    # 0 in [0, 2.7e-20], and the others within 2 _ULPS floats
     roots = np.array([0.0, 1e-300, 1.0 / 3.0, 0.5, 1.0])
-    g = lambda x: roots - x
-    a, b = _newton_bracket(g, lambda x: (g(x), np.full(x.shape, np.nan)), 0.0, 1.0)
-    assert ((g(a) > 0.0) | (a == 0.0)).all() and ((g(b) <= 0.0) | (b == 1.0)).all()
-    assert (b[:2] < 3e-20).all() and (b.view(np.int64) - a.view(np.int64))[2:].max() <= 2 * bounds._ULPS
-    gdg = lambda x: (0.5 - x, -np.ones(x.shape))
-    assert _newton_bracket(lambda x: 0.5 - x, gdg, 0.25, 0.25) == (0.25, 0.25)
+    sign = lambda x: roots - x
+    asked = []
+    g = lambda x: (asked.append(x), sign(x))[1]
+    a, b = _ends(g, lambda x: (sign(x), np.full(x.shape, np.nan)), 0.0, 1.0)
+    assert ((sign(a) > 0.0) | (a == 0.0)).all() and ((sign(b) <= 0.0) | (b == 1.0)).all()
+    asked = np.array(asked)  # one row per probe and halving
+    bits = asked.view(np.int64)
+    assert (asked[:, :2] < 3e-20).all()
+    assert (bits.max(axis=0) - bits.min(axis=0))[2:].max() <= 2 * bounds._ULPS
+    g, gdg, _, _ = _halving(lambda x: 0.5 - x)
+    assert _ends(g, gdg, 0.25, 0.25) == (0.25, 0.25)
     for lo, hi in ((1.0, 0.0), (-1.0, 0.5), (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(ValueError):
-            _newton_bracket(g, gdg, lo, hi)
+            _ends(g, gdg, lo, hi)
 
 
 def test_newton_slopes_match_central_differences():
@@ -259,7 +306,7 @@ def test_wrong_newton_slopes_change_no_result(monkeypatch, fault):
     # soundness never rests on g': with g' scaled by 10 or negated Newton
     # only wastes steps, and the bounds, g* and the UL inner maxima stay
     # within 1e-15 of what plain bisection gives. Every g' (eta, beta and the
-    # kink) is faulted where _newton_bracket receives it, in the (g, g')
+    # kink) is faulted where _resolved_max receives it, in the (g, g')
     # pair that gdg returns
     def faulted(gdg):
         def gdg_fault(x):
@@ -268,10 +315,11 @@ def test_wrong_newton_slopes_change_no_result(monkeypatch, fault):
 
         return gdg_fault
 
-    newton = bounds._newton_bracket
-    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, gdg, lo, hi, x0: (lo, hi))
+    resolved = bounds._resolved_max
+    monkeypatch.setattr(bounds, "_resolved_max", _plain_max)
     plain = _newton_results()
-    monkeypatch.setattr(bounds, "_newton_bracket", lambda g, gdg, lo, hi, x0: newton(g, faulted(gdg), lo, hi, x0))
+    solve = lambda f, g, gdg, lo, hi, x0: resolved(f, g, faulted(gdg), lo, hi, x0)
+    monkeypatch.setattr(bounds, "_resolved_max", solve)
     assert np.abs(_newton_results() - plain).max() <= 1e-15
 
 
@@ -314,7 +362,7 @@ def test_warm_started_solves_match_cold_ones(monkeypatch):
         for f, g, gdg, lo, hi, x0 in _recorded_solves(monkeypatch, bound, r1):
             values = []
             for start in (x0, math.nan):
-                a, b = _bisect(lambda x: g(x) > 0.0, *_newton_bracket(g, gdg, lo, hi, start))
+                a, b = _ends(g, gdg, lo, hi, start)
                 assert ((np.nextafter(a, 2.0) == b) | (lo == hi)).all(), (bound.__name__, r1)
                 assert ((g(a) > 0.0) | (a == lo)).all() and ((g(b) <= 0.0) | (b == hi)).all()
                 values.append(np.maximum(f(a), f(b)))
@@ -341,9 +389,9 @@ def test_adversarial_newton_starts_change_no_result(monkeypatch, start):
     # outside or at an end of its bracket, or the interpolated roots in
     # reverse order, moves no bound, g* or UL inner maximum by more than 1e-15
     want = _newton_results()
-    newton = bounds._newton_bracket
-    adversarial = lambda g, gdg, lo, hi, x0: newton(g, gdg, lo, hi, start(lo, hi, x0))
-    monkeypatch.setattr(bounds, "_newton_bracket", adversarial)
+    resolved = bounds._resolved_max
+    adversarial = lambda f, g, gdg, lo, hi, x0: resolved(f, g, gdg, lo, hi, start(lo, hi, x0))
+    monkeypatch.setattr(bounds, "_resolved_max", adversarial)
     assert np.abs(_newton_results() - want).max() <= 1e-15
 
 
@@ -808,11 +856,12 @@ def test_sum_rate_and_mixture_bit_pins():
 
 def _count_evaluations(monkeypatch, bound, r1):
     # [calls, elements] of the objective evaluations, which all pass
-    # bounds._checked, then of Newton's evaluations of (g, g'), then of its
-    # probes of g, then of the bisection's sign evaluations; and the number
-    # of (g, g') evaluations of each _newton_bracket call, in order
+    # bounds._checked, then of Newton's evaluations of (g, g'), then of the
+    # probes, the first two evaluations of g in each solve, then of the
+    # halvings' sign evaluations, the rest; and the number of (g, g')
+    # evaluations of each _resolved_max call, in order
     seen, steps = [0] * 8, []
-    checked, newton, bisect = bounds._checked, bounds._newton_bracket, bounds._bisect
+    checked, resolved = bounds._checked, bounds._resolved_max
 
     def tally(i, x):
         seen[i] += 1
@@ -825,15 +874,19 @@ def _count_evaluations(monkeypatch, bound, r1):
 
         return counted
 
-    def newton_counted(g, gdg, lo, hi, x0):
-        before = seen[2]
-        out = newton(counting(g, 4), counting(gdg, 2), lo, hi, x0)
+    def resolved_counted(f, g, gdg, lo, hi, x0):
+        before, asked = seen[2], itertools.count()
+
+        def g_counted(x):
+            tally(4 if next(asked) < 2 else 6, x)
+            return g(x)
+
+        out = resolved(f, g_counted, counting(gdg, 2), lo, hi, x0)
         steps.append(seen[2] - before)
         return out
 
     monkeypatch.setattr(bounds, "_checked", lambda v, x: (tally(0, v), checked(v, x))[1])
-    monkeypatch.setattr(bounds, "_newton_bracket", newton_counted)
-    monkeypatch.setattr(bounds, "_bisect", lambda pos, lo, hi: bisect(counting(pos, 6), lo, hi))
+    monkeypatch.setattr(bounds, "_resolved_max", resolved_counted)
     bound(r1)
     return seen, steps
 

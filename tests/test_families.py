@@ -240,6 +240,35 @@ def test_non_integer_masks_are_value_errors():
             is_k_shattered(f, mask, 1)
 
 
+CUBE = Family(3, tuple(range(8)))
+INTEGER_PARAMETERS = {
+    "shattering_profile": ("k", 2, lambda v: shattering_profile(CUBE, (1, v))),
+    "max_k_shattered": ("k", 2, lambda v: max_k_shattered(CUBE, v)),
+    "is_k_shattered": ("k", 2, lambda v: is_k_shattered(CUBE, 3, v)),
+    "soft_sauer_bound_n": ("n", 5, lambda v: soft_sauer_bound(v, 2, 1)),
+    "soft_sauer_bound_d": ("d", 2, lambda v: soft_sauer_bound(5, v, 1)),
+    "soft_sauer_bound_k": ("k", 2, lambda v: soft_sauer_bound(5, 2, v)),
+    "hamming_ball_n": ("n", 3, lambda v: hamming_ball(v, 1)),
+    "hamming_ball_radius": ("radius", 1, lambda v: hamming_ball(3, v)),
+    "exhaustive_pair_search": ("n", 2, lambda v: exhaustive_pair_search(v)),
+}
+
+
+@pytest.mark.parametrize("name, good, call", INTEGER_PARAMETERS.values(), ids=INTEGER_PARAMETERS.keys())
+def test_integer_parameters_reject_non_integers(name, good, call):
+    # a float, even a whole or a fractional one below 1, a bool or text is a
+    # one-line ValueError, never a truncation or a TypeError; numpy ints
+    # give what Python ints give, and a stored k is an int
+    for bad in (1.5, 0.5, 2.0, True, "a", None, np.float64(good)):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{name} {bad!r} is not an integer"
+    got = call(np.int64(good))
+    assert got == call(good)
+    if name == "k" and hasattr(got, "k"):
+        assert type(got.k) is int
+
+
 # ----------------------------------------------------------------- shattering
 
 

@@ -58,6 +58,33 @@ def test_system_ground_mismatch():
         UnionFreeSystem(3, ((Family(2, (0,)), Family(2, (1,))),))
 
 
+LOG3_3 = log3_construction(3)
+INTEGER_PARAMETERS = {
+    "UnionFreeSystem": ("ground set size", 3, lambda v: UnionFreeSystem(v, LOG3_3.pairs)),
+    "log3_construction": ("n", 3, lambda v: log3_construction(v)),
+    "derive_system": ("k", 1, lambda v: derive_system(Family(2, (0, 1, 2, 3)), Family(2, (0,)), 0b01, v)),
+}
+
+
+@pytest.mark.parametrize("name, good, call", INTEGER_PARAMETERS.values(), ids=INTEGER_PARAMETERS.keys())
+def test_integer_parameters_reject_non_integers(name, good, call):
+    # a float, even a whole one, a bool or text is a one-line ValueError,
+    # never a truncation or a TypeError; numpy ints give what Python ints give
+    for bad in (1.5, 3.0, True, "3", None, np.float64(good)):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{name} {bad!r} is not an integer"
+    assert call(np.int64(good)) == call(good)
+
+
+def test_system_stores_an_int_ground_set_size():
+    # a numpy n is stored as an int, so the system validates and serializes
+    u = UnionFreeSystem(np.int64(3), LOG3_3.pairs)
+    assert type(u.n) is int and u == LOG3_3
+    assert validate_system(u) is None
+    assert system_to_json(u) == system_to_json(LOG3_3)
+
+
 @pytest.mark.parametrize(
     "pairs, message",
     [
