@@ -50,7 +50,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -61,6 +60,8 @@ from .entropy import (
     _as_prob,
     _as_prob_array,
     _h_half,
+    _integer,
+    _real,
     _sum_entropy,
     binary_entropy,
     binary_entropy_inv,
@@ -307,29 +308,26 @@ def sum_rate_bound(r0: float, r1: float) -> float:
     first-family rate is r1 and pair-index rate is r0. Always in
     [3/2, log2(3)]; equals exactly 3/2 at r0 = 0.
     """
-    if not r0 >= 0.0:
+    if not (r0 := _real(r0, "r0")) >= 0.0:
         raise ValueError(f"r0={r0!r} must be nonnegative")
-    p = binary_entropy_inv(_as_prob(float(r1), "r1"))
-    return float(_sum_rate_max(float(r0), p)[0])
+    p = binary_entropy_inv(_as_prob(r1, "r1"))
+    return float(_sum_rate_max(r0, p)[0])
 
 
 def simple_bound(r1: float) -> float:
     """r2 <= 3/2 - r1: the classical sum-rate bound, floored at 0."""
-    r1c = _as_prob(float(r1), "r1")
-    return max(1.5 - r1c, 0.0)
+    return max(1.5 - _as_prob(r1, "r1"), 0.0)
 
 
 def weldon_bound(r1: float) -> float:
     """r2 <= (1 - r1) log2(3), for systematic first families; clamped to [0,1]."""
-    r1c = _as_prob(float(r1), "r1")
-    return min(max((1.0 - r1c) * LOG2_3, 0.0), 1.0)
+    return min(max((1.0 - _as_prob(r1, "r1")) * LOG2_3, 0.0), 1.0)
 
 
 def weldon_nonsystematic_bound(r1: float) -> float:
     """r2 <= (1 - h_inv(r1)) log2(3), dropping the systematic requirement;
     clamped to [0,1]. Looser than the sum-rate bound everywhere."""
-    r1c = _as_prob(float(r1), "r1")
-    return min(max((1.0 - binary_entropy_inv(r1c)) * LOG2_3, 0.0), 1.0)
+    return min(max((1.0 - binary_entropy_inv(_as_prob(r1, "r1"))) * LOG2_3, 0.0), 1.0)
 
 
 def _mixture_slope(beta, r):
@@ -403,7 +401,7 @@ def ul_sum_bound(r1: float) -> float:
     3/2 on an interval of r1 from 0; up to _UL_DEPARTURE, where the sampled
     minimum is still 3/2, this returns 3/2 without sampling.
     """
-    r1c = _as_prob(float(r1), "r1")
+    r1c = _as_prob(r1, "r1")
     if r1c <= _UL_DEPARTURE:
         return 1.5
     p1 = binary_entropy_inv(r1c)
@@ -417,7 +415,7 @@ def ul_bound(r1: float) -> float:
     Note this is a bound on the sum converted to a bound on r2; at r1 = 1 it
     evaluates to about 0.492.
     """
-    r1c = _as_prob(float(r1), "r1")
+    r1c = _as_prob(r1, "r1")
     return min(max(ul_sum_bound(r1c) - r1c, 0.0), 1.0, 1.5 - r1c)
 
 
@@ -448,7 +446,7 @@ def main_bound(r1: float) -> float:
     bound holds at every r1. Above it the minimum is sampled, and every
     sample is an upper bound.
     """
-    r1c = _as_prob(float(r1), "r1")
+    r1c = _as_prob(r1, "r1")
     if r1c <= _MAIN_DEPARTURE:
         return min(1.5 - r1c, 1.0)
     p1 = binary_entropy_inv(r1c)
@@ -503,17 +501,13 @@ class BoundCurve:
 
 def curve(r1_lo: float, r1_hi: float, steps: int) -> BoundCurve:
     """Evaluate simple_bound, ul_bound and main_bound on a uniform r1 grid."""
+    r1_lo, r1_hi, steps = _real(r1_lo, "r1_lo"), _real(r1_hi, "r1_hi"), _integer(steps, "steps")
     if not 0.0 <= r1_lo < r1_hi <= 1.0 + PROB_SLACK:
         raise ValueError(f"bad range [{r1_lo!r}, {r1_hi!r}]")
-    if not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps={steps!r} is not an integer")
     if not 2 <= steps <= MAX_CURVE_STEPS:
         raise ValueError(f"steps={steps} outside [2, {MAX_CURVE_STEPS}]")
     r1s = np.linspace(r1_lo, min(r1_hi, 1.0), steps)
     if not (np.diff(r1s) > 0.0).all():
         raise ValueError(f"r1 grid of {steps} steps over [{r1_lo!r}, {r1_hi!r}] does not strictly increase")
-    rows = []
-    for r1 in r1s:
-        r1 = float(r1)
-        rows.append((r1, simple_bound(r1), ul_bound(r1), main_bound(r1)))
+    rows = ((r1, simple_bound(r1), ul_bound(r1), main_bound(r1)) for r1 in r1s.tolist())
     return BoundCurve(tuple(rows))

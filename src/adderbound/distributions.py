@@ -22,6 +22,7 @@ import numpy as np
 from .entropy import (
     PROB_SLACK,
     _as_prob,
+    _real,
     _sum_entropy,
     binary_convolve,
     binary_entropy,
@@ -52,10 +53,6 @@ class InfeasibleRateError(ValueError):
     """Raised when a disagreement probability is below what the rate allows."""
 
 
-def _prob_tuple(values, name: str) -> Tuple[float, ...]:
-    return tuple(_as_prob(float(v), name) for v in values)
-
-
 @dataclass(frozen=True)
 class AuxBinaryJoint:
     """Joint law of (U, X1, X2) with X1 and X2 independent bits given U.
@@ -69,7 +66,7 @@ class AuxBinaryJoint:
     q: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        masses = _prob_tuple(self.u_masses, "mass")
+        masses = tuple(_as_prob(v, "mass") for v in self.u_masses)
         if not masses:
             raise ValueError("empty auxiliary support")
         if len(self.t) != len(masses) or len(self.q) != len(masses):
@@ -77,8 +74,8 @@ class AuxBinaryJoint:
         if abs(sum(masses) - 1.0) > 1e-9:
             raise ValueError(f"u_masses sum to {sum(masses)!r}, not 1")
         object.__setattr__(self, "u_masses", masses)
-        object.__setattr__(self, "t", _prob_tuple(self.t, "t"))
-        object.__setattr__(self, "q", _prob_tuple(self.q, "q"))
+        object.__setattr__(self, "t", tuple(_as_prob(v, "t") for v in self.t))
+        object.__setattr__(self, "q", tuple(_as_prob(v, "q") for v in self.q))
 
     @property
     def support_size(self) -> int:
@@ -119,10 +116,11 @@ class EntropyTriplet:
     h1_cond: float
 
     def __post_init__(self) -> None:
-        for name, v in (("hs", self.hs), ("hs_cond", self.hs_cond),
-                        ("h1_cond", self.h1_cond)):
-            if math.isnan(v) or v < -1e-9 or v > _LOG2_3 + 1e-9:
+        for name in ("hs", "hs_cond", "h1_cond"):
+            v = _real(getattr(self, name), name)
+            if not -1e-9 <= v <= _LOG2_3 + 1e-9:  # NaN fails too
                 raise ValueError(f"{name}={v!r} outside [0, log2(3)]")
+            object.__setattr__(self, name, v)
         # conditioning can only lose entropy
         if self.hs_cond > self.hs + 1e-12:
             raise ValueError("hs_cond exceeds hs")
@@ -154,8 +152,8 @@ def bernoulli_sum_entropy(y: float, z: float) -> float:
     convolution and the last term read as 0 when y*z = 0. Symmetric in its
     arguments and jointly concave in (y, z).
     """
-    yf = _as_prob(float(y), "y")
-    zf = _as_prob(float(z), "z")
+    yf = _as_prob(y, "y")
+    zf = _as_prob(z, "z")
     conv = binary_convolve(yf, zf)
     if conv <= 0.0:
         return binary_entropy(yf) + binary_entropy(zf)
@@ -169,7 +167,7 @@ def quad_entropy_envelope(y: float) -> float:
     The argument is a squared deviation of a probability from 1/2, which is
     how second-moment bounds enter the entropy estimates.
     """
-    yc = _as_prob(float(y), "y", 0.25)
+    yc = _as_prob(y, "y", 0.25)
     return binary_entropy(min(0.5 + math.sqrt(yc), 1.0)) + yc
 
 
@@ -180,7 +178,7 @@ def entropy_at_variance(y: float) -> float:
     E h(1/2 + X) <= entropy_at_variance(E X^2), the workhorse inequality for
     converting entropy constraints into variance constraints.
     """
-    yc = _as_prob(float(y), "y", 0.25)
+    yc = _as_prob(y, "y", 0.25)
     return binary_entropy(max(0.5 - math.sqrt(yc), 0.0))
 
 
@@ -207,7 +205,7 @@ def attaining_joint(eta: float) -> AuxBinaryJoint:
     independently with probability p = (1 - sqrt(1 - 2 eta))/2, so that
     P(X1 != X2) = eta. Its triplet is (h(eta) + 1 - eta, 2 h(p) - eta, h(p)).
     """
-    e = _as_prob(float(eta), "eta", 0.5)
+    e = _as_prob(eta, "eta", 0.5)
     p = 0.5 * (1.0 - math.sqrt(max(1.0 - 2.0 * e, 0.0)))
     return AuxBinaryJoint((0.5, 0.5), (p, 1.0 - p), (p, 1.0 - p))
 
@@ -219,9 +217,9 @@ def moment_ratio_floor(mu: float, max_ex2: float) -> float:
     decomposition achieving mu must put weight ((1 + lam)^2 / lam) * mu on
     the square, with lam this ratio floored at 1.
     """
-    if math.isnan(mu) or mu < 0.0:
+    if not (mu := _real(mu, "mu")) >= 0.0:
         raise ValueError(f"mu={mu!r} must be nonnegative")
-    if not max_ex2 > 0.0:
+    if not (max_ex2 := _real(max_ex2, "max_ex2")) > 0.0:
         raise ValueError(f"max_ex2={max_ex2!r} must be positive")
     return max(mu / max_ex2, 1.0)
 
@@ -239,8 +237,8 @@ def cond_envelope_via_moments(r1: float, eta: float) -> float:
     branches. Raises InfeasibleRateError when eta < h_inv(r1), which no
     joint can achieve.
     """
-    r1c = _as_prob(float(r1), "r1")
-    e = _as_prob(float(eta), "eta", 0.5)
+    r1c = _as_prob(r1, "r1")
+    e = _as_prob(eta, "eta", 0.5)
     p1 = binary_entropy_inv(r1c)
     if e < p1 - PROB_SLACK:
         raise InfeasibleRateError(

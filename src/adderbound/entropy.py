@@ -1,14 +1,21 @@
-"""Entropy primitives, all in bits.
+"""Entropy primitives, all in bits, and the package's argument readers.
 
 Scalar arguments take a fast pure-math path; numpy arrays are handled
 element-wise. Probabilities are validated with a small slack (1e-12) so that
 accumulated rounding never trips a domain check, but anything further outside
 [0, 1] is treated as a caller bug and raises ValueError.
+
+Every public numeric argument of the package is read once, on entry, by one
+reader per kind, all defined here: _integer, _real, _as_prob (a real clamped
+into [0, hi]) and _as_prob_array (its element-wise twin). The scalar ones
+reject bools, and each raises a one-line ValueError naming the parameter.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,11 +33,34 @@ PROB_SLACK = 1e-12
 ArrayLike = Union[float, np.ndarray]
 
 
-def _as_prob(p: float, name: str = "p", hi: float = 1.0) -> float:
-    """Clamp a float into [0, hi], rejecting anything beyond the slack."""
+def _integer(x, what: str) -> int:
+    """x as an int, for any integer type but bool."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {x!r} is not an integer")
+
+
+def _real(x, name: str) -> float:
+    """x as a float, for any real type but bool. A float skips the slow
+    numbers.Real test."""
+    if isinstance(x, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            raise ValueError(f"{name} is outside the float range") from None
+    raise ValueError(f"{name}={x!r} is not a real number")
+
+
+def _as_prob(p, name: str = "p", hi: float = 1.0) -> float:
+    """A real p as a float clamped into [0, hi], rejecting anything beyond the slack."""
+    if type(p) is not float:
+        p = _real(p, name)
     if 0.0 <= p <= hi:
         return p
-    if math.isnan(p) or p < -PROB_SLACK or p > hi + PROB_SLACK:
+    if not -PROB_SLACK <= p <= hi + PROB_SLACK:  # NaN fails too
         raise ValueError(f"{name}={p!r} outside [0, {hi}]")
     return 0.0 if p < 0.0 else hi
 
@@ -69,7 +99,7 @@ def binary_entropy(p: ArrayLike) -> ArrayLike:
     if isinstance(p, np.ndarray):
         q = _as_prob_array(p)
         return _h_half(np.asarray(np.minimum(q, 1.0 - q)))  # a 0-d q stays an array
-    q = _as_prob(float(p))
+    q = _as_prob(p)
     # canonicalize to the smaller argument: 1-q is exact for q >= 1/2
     # (Sterbenz), which makes h(p) and h(1-p) agree to the last few ulps
     return _h_half(1.0 - q if q > 0.5 else q)
@@ -85,7 +115,7 @@ def binary_entropy_inv(x: float) -> float:
     p = h_inv(r1) only rises as p falls, so this side is the sound one. The
     restriction makes the inverse single-valued; the other preimage is 1 - p.
     """
-    if math.isnan(x) or x < -PROB_SLACK or x > 1.0 + PROB_SLACK:
+    if not -PROB_SLACK <= (x := _real(x, "x")) <= 1.0 + PROB_SLACK:  # NaN fails too
         raise ValueError(f"entropy value {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     if x == 0.0:
@@ -107,8 +137,8 @@ def binary_convolve(p: ArrayLike, q: ArrayLike) -> ArrayLike:
         pa = _as_prob_array(p, "p")
         qa = _as_prob_array(q, "q")
         return pa * (1.0 - qa) + qa * (1.0 - pa)
-    pf = _as_prob(float(p), "p")
-    qf = _as_prob(float(q), "q")
+    pf = _as_prob(p, "p")
+    qf = _as_prob(q, "q")
     return pf * (1.0 - qf) + qf * (1.0 - pf)
 
 
@@ -117,13 +147,12 @@ def entropy(pmf: Sequence[float]) -> float:
 
     The masses must be nonnegative and sum to 1 within 1e-12.
     """
-    masses = [float(m) for m in pmf]
+    masses = [_as_prob(m, "mass") for m in pmf]
     if not masses:
         raise ValueError("empty pmf")
     total = 0.0
     acc = 0.0
-    for m in masses:
-        mm = _as_prob(m, "mass")
+    for mm in masses:
         total += mm
         if mm > 0.0:
             acc -= mm * math.log2(mm)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .entropy import PROB_SLACK, _as_prob, binary_entropy, binary_entropy_inv
+from .entropy import PROB_SLACK, _as_prob, _integer, _real, binary_entropy, binary_entropy_inv
 
 __all__ = [
     "MAX_GROUND",
@@ -70,16 +70,6 @@ _SUBSET_BUDGET = 2_000_000
 
 # cap on materialized Hamming-ball members
 _BALL_CAP = 4_000_000
-
-
-def _integer(x, what: str) -> int:
-    # x as an int, for any integer type but bool
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} {x!r} is not an integer")
 
 
 class SearchBudgetError(RuntimeError):
@@ -170,21 +160,20 @@ def is_multiset_union_free(f1: Family, f2: Family) -> bool:
 
 def project(f: Family, s_mask: int) -> Counter:
     """The multiset {F & S : F in f}: c[m] is 0 for a mask that never occurs, c.total() is |f|."""
-    _check_mask(f.n, s_mask)
+    s_mask = _check_mask(f.n, s_mask)
     return Counter(m & s_mask for m in f.members)
 
 
-def _check_mask(n: int, s_mask: int) -> None:
-    try:
-        if s_mask >> n or s_mask < 0:
-            raise ValueError(f"subset mask {s_mask} does not fit a {n}-element ground set")
-    except TypeError:
-        raise ValueError(f"subset mask {s_mask!r} is not an integer") from None
+def _check_mask(n: int, s_mask) -> int:
+    """s_mask as an int, checked to fit an n-element ground set."""
+    if (s_mask := _integer(s_mask, "subset mask")) >> n or s_mask < 0:
+        raise ValueError(f"subset mask {s_mask} does not fit a {n}-element ground set")
+    return s_mask
 
 
 def is_k_shattered(f: Family, s_mask: int, k: int) -> bool:
     """True iff every submask of s_mask occurs at least k times in project(f, s_mask)."""
-    _check_mask(f.n, s_mask)
+    s_mask = _check_mask(f.n, s_mask)
     if (k := _integer(k, "k")) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     cells = 1 << s_mask.bit_count()
@@ -219,7 +208,10 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
     to that cap number more than the internal budget, SearchBudgetError is
     raised before any work.
     """
-    ks = sorted({_integer(k, "k") for k in ks})
+    try:
+        ks = sorted({_integer(k, "k") for k in ks})
+    except TypeError:
+        raise ValueError(f"ks {ks!r} is not a collection of integers") from None
     if not ks:
         raise ValueError("need at least one k")
     if ks[0] < 1:
@@ -338,11 +330,10 @@ def shattering_guarantee(rate: float, alpha: float, n: int) -> Tuple[int, int]:
     0 <= alpha <= h_inv(rate); ValueError when 2^{n*beta} is past the
     largest float.
     """
-    n = _integer(n, "n")
-    if not 1 <= n < 2**1024:  # n * alpha must be a float
+    if not 1 <= (n := _integer(n, "n")) < 2**1024:  # n * alpha must be a float
         raise ValueError(f"n={n} outside [1, 2^1024)")
-    p = binary_entropy_inv(_as_prob(float(rate), "rate"))
-    if not 0.0 <= alpha <= p + PROB_SLACK:  # NaN fails too
+    p = binary_entropy_inv(_as_prob(rate, "rate"))
+    if not 0.0 <= (alpha := _real(alpha, "alpha")) <= p + PROB_SLACK:  # NaN fails too
         raise ValueError(f"alpha {alpha} outside [0, h_inv(rate)] = [0, {p}]")
     alpha = min(alpha, p)
     if p == alpha:
@@ -406,6 +397,8 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     """
     if not 1 <= (n := _integer(n, "n")) <= 6:
         raise ValueError(f"n {n} outside [1, 6]")
+    if type(budget_secs) is not int:  # an int budget stays exact, however large
+        budget_secs = _real(budget_secs, "budget_secs")
     if not 0 < budget_secs * SEARCH_NODES_PER_SEC < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget_secs}")
     node_budget = int(budget_secs * SEARCH_NODES_PER_SEC)
@@ -494,10 +487,9 @@ def _byte_text(first: int) -> Tuple[str, ...]:
 _BYTE_TEXT = tuple(_byte_text(8 * k) for k in range(MAX_GROUND // 8))
 
 
-def _member_lines(masks: Sequence[int], n: int) -> List[str]:
-    """The text line of each mask, `-` for the empty set."""
-    low_text = _BYTE_TEXT[0]
-    high_text = _BYTE_TEXT[1 : (n + 7) // 8]
+def _member_lines(masks: Sequence[int]) -> List[str]:
+    """The text line of each mask, `-` for the empty set; it does not depend on n."""
+    low_text, high_text = _BYTE_TEXT[0], _BYTE_TEXT[1:]
     # masks come sorted, so for small n neighbours mostly share their elements
     # past 8: that text is rebuilt, one lookup per byte, only when it changes
     lines = []
@@ -518,13 +510,13 @@ def family_to_text(f: Family) -> str:
     Members are written as sorted comma-separated 1-indexed elements, with
     `-` standing for the empty set.
     """
-    return "\n".join([f"n={f.n}", *_member_lines(f.members, f.n)]) + "\n"
+    return _write_families([f])[0]
 
 
 def _write_families(fams: Sequence[Family]) -> List[str]:
-    """family_to_text of each family; a member line, the same for any n, is built once."""
+    """family_to_text of each family; a member line is built once."""
     masks = sorted({m for f in fams for m in f.members})
-    line = dict(zip(masks, (ln + "\n" for ln in _member_lines(masks, MAX_GROUND)))).__getitem__
+    line = dict(zip(masks, (ln + "\n" for ln in _member_lines(masks)))).__getitem__
     return [f"n={f.n}\n" + "".join(map(line, f.members)) for f in fams]
 
 

@@ -25,11 +25,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .entropy import _integer
 from .families import (
     Family,
     _check_mask,
     _check_same_ground,
-    _integer,
     _read_families,
     _spread,
     _write_families,
@@ -242,7 +242,7 @@ def derive_system(
     """
     _check_same_ground(f1, f2)
     n, k = f1.n, _integer(k, "k")
-    _check_mask(n, s_mask)
+    s_mask = _check_mask(n, s_mask)
     if s_mask == (1 << n) - 1:
         raise DerivationError("S covers the whole ground set; nothing remains to project onto")
     if len(f2) == 0:

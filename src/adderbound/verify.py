@@ -27,7 +27,7 @@ from .distributions import (
     quad_entropy_envelope,
     symmetrize,
 )
-from .entropy import binary_convolve, binary_entropy, binary_entropy_inv
+from .entropy import _integer, binary_convolve, binary_entropy, binary_entropy_inv
 from .families import (
     Family,
     exhaustive_pair_search,
@@ -347,11 +347,12 @@ def run_suite(name: str, seed: int = 0) -> List[CheckResult]:
     """Run one named suite with a fixed seed."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if seed < 0:
+    if (seed := _integer(seed, "seed")) < 0:
         raise ValueError(f"seed={seed} must be non-negative")
     return _SUITES[name](seed)
 
 
 def run_all(seed: int = 0) -> Dict[str, List[CheckResult]]:
     """Run every suite; the per-suite seeds are offset so samples differ."""
+    seed = _integer(seed, "seed")
     return {name: run_suite(name, seed + i) for i, name in enumerate(SUITE_NAMES)}

@@ -1145,8 +1145,9 @@ def test_curve_csv_roundtrip():
 
 def test_curve_non_integer_steps():
     for steps in (3.0, 2.5, "3", None):
-        with pytest.raises(ValueError, match="is not an integer$"):
+        with pytest.raises(ValueError) as exc:
             curve(0.9, 1.0, steps)
+        assert str(exc.value) == f"steps {steps!r} is not an integer"
     assert len(curve(0.9, 1.0, np.int64(3)).rows) == 3
 
 

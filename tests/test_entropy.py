@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,12 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from adderbound.bounds import (
+    curve,
+    main_bound,
+    simple_bound,
+    sum_rate_bound,
+    ul_bound,
+    ul_sum_bound,
+    weldon_bound,
+    weldon_nonsystematic_bound,
+)
+from adderbound.distributions import (
+    EntropyTriplet,
+    bernoulli_sum_entropy,
+    cond_envelope_via_moments,
+    moment_ratio_floor,
+)
 from adderbound.entropy import (
     binary_convolve,
     binary_entropy,
     binary_entropy_inv,
     entropy,
 )
+from adderbound.families import exhaustive_pair_search, shattering_guarantee
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -162,3 +180,55 @@ def test_grouping_upper_bound_and_equality():
         val = entropy((p0, half, half))
         cap = binary_entropy(p0) + 1.0 - p0
         assert abs(val - cap) <= 1e-12
+
+
+# ------------------------------------------------------------ argument readers
+
+
+# name, a good whole value, and a call that reads it
+REAL_PARAMETERS = {
+    "binary_entropy": ("p", 1, lambda v: binary_entropy(v)),
+    "binary_entropy_inv": ("x", 1, lambda v: binary_entropy_inv(v)),
+    "binary_convolve": ("q", 1, lambda v: binary_convolve(0.25, v)),
+    "sum_rate_bound_r0": ("r0", 1, lambda v: sum_rate_bound(v, 0.5)),
+    "sum_rate_bound_r1": ("r1", 1, lambda v: sum_rate_bound(0.1, v)),
+    "simple_bound": ("r1", 1, lambda v: simple_bound(v)),
+    "weldon_bound": ("r1", 1, lambda v: weldon_bound(v)),
+    "weldon_nonsystematic_bound": ("r1", 1, lambda v: weldon_nonsystematic_bound(v)),
+    "ul_sum_bound": ("r1", 1, lambda v: ul_sum_bound(v)),
+    "ul_bound": ("r1", 1, lambda v: ul_bound(v)),
+    "main_bound": ("r1", 1, lambda v: main_bound(v)),
+    "curve_r1_lo": ("r1_lo", 0, lambda v: curve(v, 0.5, 3)),
+    "curve_r1_hi": ("r1_hi", 1, lambda v: curve(0.9, v, 3)),
+    "shattering_guarantee_rate": ("rate", 1, lambda v: shattering_guarantee(v, 0.25, 12)),
+    "shattering_guarantee_alpha": ("alpha", 0, lambda v: shattering_guarantee(0.5, v, 12)),
+    "exhaustive_pair_search": ("budget_secs", 1, lambda v: exhaustive_pair_search(2, v)),
+    "moment_ratio_floor_mu": ("mu", 1, lambda v: moment_ratio_floor(v, 0.5)),
+    "moment_ratio_floor_max_ex2": ("max_ex2", 1, lambda v: moment_ratio_floor(0.5, v)),
+    "EntropyTriplet_hs": ("hs", 1, lambda v: EntropyTriplet(v, 0.5, 0.25)),
+    "EntropyTriplet_hs_cond": ("hs_cond", 0, lambda v: EntropyTriplet(1.0, v, 0.25)),
+    "EntropyTriplet_h1_cond": ("h1_cond", 1, lambda v: EntropyTriplet(1.0, 0.5, v)),
+    "bernoulli_sum_entropy": ("z", 1, lambda v: bernoulli_sum_entropy(0.25, v)),
+    "cond_envelope_via_moments": ("r1", 0, lambda v: cond_envelope_via_moments(v, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name, good, call", REAL_PARAMETERS.values(), ids=REAL_PARAMETERS.keys())
+def test_real_parameters_reject_non_reals(name, good, call):
+    # text, even numeric text, a bool or None is a one-line ValueError naming
+    # the parameter, never a TypeError or a bool read as 0 or 1; an int, a
+    # numpy float and a Fraction give what a float gives; a real past the
+    # float range is a one-line ValueError that does not print its digits
+    # (an int budget_secs stays exact: test_families.py)
+    for bad in ("a", "0.5", True, None):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{name}={bad!r} is not a real number"
+    for huge in (10**400, -(10**400), Fraction(10**400, 3)):
+        if name != "budget_secs":
+            with pytest.raises(ValueError) as exc:
+                call(huge)
+            assert str(exc.value) == f"{name} is outside the float range"
+    want = call(float(good))
+    for same in (int(good), np.float64(good), Fraction(good)):
+        assert call(same) == want

@@ -7,6 +7,7 @@ import pytest
 import adderbound
 
 MODULES = ["bounds", "cli", "distributions", "entropy", "families", "systems", "verify"]
+PACKAGE_MODULES = [m for m in MODULES if m != "cli"]
 
 
 @pytest.mark.parametrize("name", ["adderbound", *(f"adderbound.{m}" for m in MODULES)])
@@ -19,3 +20,16 @@ def test_all_names_resolve_once(name):
 
 def test_package_all_is_sorted():
     assert adderbound.__all__ == sorted(adderbound.__all__)
+
+
+def test_package_exports_the_module_lists():
+    # each public name is declared once, in its module: the package list is
+    # their union and every name is the module's own object
+    modules = [importlib.import_module(f"adderbound.{m}") for m in PACKAGE_MODULES]
+    assert adderbound.__all__ == sorted(n for m in modules for n in m.__all__)
+    for m in modules:
+        assert [n for n in m.__all__ if getattr(adderbound, n) is not getattr(m, n)] == []
+    # the package's `entropy` is the Shannon entropy function, not its module
+    assert adderbound.entropy is importlib.import_module("adderbound.entropy").entropy
+    assert adderbound.SearchBudgetError.__module__ == "adderbound.families"
+    assert adderbound.EvaluationError.__module__ == "adderbound.bounds"

@@ -32,6 +32,7 @@ from adderbound.families import (
     soft_sauer_bound,
 )
 from adderbound.systems import system_from_json
+from adderbound.verify import run_all, run_suite
 
 
 def masks_of(*elem_sets):
@@ -230,10 +231,16 @@ def test_project_mask_must_fit():
         project(Family(2, (0,)), 0b100)
 
 
+def test_project_reads_a_numpy_mask_as_an_int():
+    counts = project(Family(2, (0, 1, 2, 3)), np.int64(1))
+    assert counts == {0: 2, 1: 2}
+    assert all(type(key) is int for key in counts)
+
+
 def test_non_integer_masks_are_value_errors():
-    # a float or text mask is a one-line ValueError, as an out-of-range one is
+    # a float, text or bool mask is a one-line ValueError, as an out-of-range one is
     f = Family(2, (0, 1, 2, 3))
-    for mask in (1.5, -1.5, 2.0, "1", None):
+    for mask in (1.5, -1.5, 2.0, "1", None, True):
         with pytest.raises(ValueError, match="is not an integer$"):
             project(f, mask)
         with pytest.raises(ValueError, match="is not an integer$"):
@@ -251,6 +258,8 @@ INTEGER_PARAMETERS = {
     "hamming_ball_n": ("n", 3, lambda v: hamming_ball(v, 1)),
     "hamming_ball_radius": ("radius", 1, lambda v: hamming_ball(3, v)),
     "exhaustive_pair_search": ("n", 2, lambda v: exhaustive_pair_search(v)),
+    "run_suite": ("seed", 2, lambda v: run_suite("systems", v)),
+    "run_all": ("seed", 2, lambda v: run_all(v)),
 }
 
 
@@ -279,6 +288,14 @@ def test_is_k_shattered_examples():
     assert not is_k_shattered(f, 0b11, 2)
     with pytest.raises(ValueError):
         is_k_shattered(f, 0b01, 0)
+
+
+def test_shattering_profile_needs_a_collection_of_ks():
+    # a bare k is a one-line ValueError; max_k_shattered takes the bare k
+    with pytest.raises(ValueError) as exc:
+        shattering_profile(CUBE, 2)
+    assert str(exc.value) == "ks 2 is not a collection of integers"
+    assert shattering_profile(CUBE, (2,))[2] == max_k_shattered(CUBE, 2)
 
 
 def test_max_k_shattered_full_cube():
