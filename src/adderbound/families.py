@@ -24,6 +24,7 @@ wall-clock time so results are machine-independent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -377,6 +378,15 @@ class PairSearchResult:
     nodes: int
 
 
+def _pair_conflicts(n: int) -> List[List[int]]:
+    """rows[a][b]: bit c * 2^n + c' for each c' - c = a - b (so c' >= c if a >= b)."""
+    num = 1 << n
+    diffs: Dict[Tuple[int, int], int] = defaultdict(int)
+    for c, c2 in itertools.product(range(num), repeat=2):
+        diffs[c2 & ~c, c & ~c2] |= 1 << (c * num + c2)  # c2 - c keyed by its 1s and -1s
+    return [[diffs[a & ~b, b & ~a] for b in range(num)] for a in range(num)]
+
+
 def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResult:
     """Best multiset-union-free pair over [n] by branch-and-bound.
 
@@ -384,16 +394,26 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     families. The budget is converted to a deterministic node count
     (SEARCH_NODES_PER_SEC per second), so identical arguments give identical results
     on any machine; `exact` reports whether the space was exhausted. Ties are
-    broken toward the lexicographically smallest (f1, f2) member tuples,
-    which the ascending-mask enumeration yields for free. For n <= 3 the
-    search completes exactly well within the default budget. A budget spent
-    before the first pair is found raises ValueError.
+    broken toward the lexicographically smallest (f1, f2) member tuples. For
+    n <= 4 the search completes exactly within the default budget. A budget
+    spent before the first pair is found raises ValueError. Nodes count f1
+    nodes, f1 canonicity tests, f2 nodes and colour classes.
 
-    Sums are Python-int bitsets: `sums1` has bit s_a set for each a in f1,
-    `used` bit s_a + s_c for each a in f1 and c in f2. Spreads have base-3
-    digits <= 1, so their sums have digits <= 2 and never carry: they are
-    exactly the vector sums a + c, `sums1 << s_c` is exactly {s_a + s_c},
-    and c collides iff that set meets `used`. Bits stay below 3^n.
+    a + c = b + d iff a - b = d - c, so a pair is union-free iff f1 - f1 and
+    f2 - f2 (vectors in {-1, 0, 1}^n) share only 0. For a fixed f1 the best
+    f2 is thus a largest set of masks with no c' - c in f1 - f1, grown from
+    the lowest candidate and cut by a greedy colouring of the candidates into
+    classes of pairwise conflicting masks. That largest size only falls as
+    f1 grows, so it bounds the children of f1 as `ub2`.
+
+    Only f1 that contain 0 and are least among their n! coordinate-permuted
+    images are visited. XOR of both families by a common mask and a common
+    permutation keep a pair union-free, so the least optimal f1 passes both
+    tests (XOR by its least member, or the permutation, would give a smaller
+    one), and a prefix with a smaller image has extensions with smaller
+    images. f1 and then f2 are visited in lexicographic order, only a
+    strictly larger product replaces the incumbent, and every cut drops only
+    subtrees that cannot beat it, so the first optimum found is the least.
     """
     if not 1 <= (n := _integer(n, "n")) <= 6:
         raise ValueError(f"n {n} outside [1, 6]")
@@ -403,71 +423,91 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         raise ValueError(f"budget must be positive and finite, got {budget_secs}")
     node_budget = int(budget_secs * SEARCH_NODES_PER_SEC)
     num = 1 << n
-    spreads = [_spread(m) for m in range(num)]
-    cap = 3**n
+    everyone = (1 << num) - 1
+    rows = _pair_conflicts(n)
+    # keys[m]: m's image under each permutation, identity first, in (num + 1)-bit fields
+    perms = itertools.permutations(range(n))
+    images = [[sum(1 << p[i] for i in range(n) if m >> i & 1) for m in range(num)] for p in perms]
+    width = num + 1
+    ones = sum(1 << (j * width) for j in range(len(images)))
+    guard = ones << num
+    keys = [sum(1 << (j * width + image[m]) for j, image in enumerate(images)) for m in range(num)]
 
-    best_product = 0
-    best_pair: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
-    nodes = 0
+    best, best_pair = 0, ((), ())
+    nodes = top = enough = 0
+    f1, f2 = [0], []
 
-    f1: List[int] = []
-    f2: List[int] = []
-    sums1 = 0
-    used = 0
-
-    def extend_f2(start: int) -> None:
-        # grow f2 with masks >= start, keeping all pairwise sums distinct
-        nonlocal nodes, best_product, best_pair, used
+    def spend() -> None:
+        nonlocal nodes
         nodes += 1
         if nodes >= node_budget:
             raise _NodeBudgetSpent
-        prod = len(f1) * len(f2)
-        if f2 and prod > best_product:
-            best_product = prod
+
+    def settled(k: int) -> int:
+        # f2 sizes up to this neither beat the incumbent nor matter to f1's children
+        return max(top, min(enough, best // k))
+
+    def grow_f2(cand: int, conf: List[int]) -> None:
+        # extend f2 by masks in cand: above f2[-1], conflicting with no member
+        nonlocal best, best_pair, top
+        spend()
+        k, size = len(f1), len(f2)
+        if size and k * size > best:
+            best = k * size
             best_pair = (tuple(f1), tuple(f2))
-        # even taking every remaining mask cannot beat the incumbent
-        if len(f1) * (len(f2) + num - start) <= best_product:
+        top = max(top, size)
+        rest, classes = cand, settled(k) - size  # colour into pairwise conflicting classes
+        while rest and classes > 0:
+            classes -= 1
+            spend()
+            q = rest
+            while q:
+                low = q & -q
+                rest ^= low
+                q = q & conf[low.bit_length() - 1] ^ low
+        if not rest:
             return
-        for c in range(start, num):
-            block = sums1 << spreads[c]
-            if used & block:
-                continue
-            used |= block
-            f2.append(c)
-            extend_f2(c + 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if size + 1 + cand.bit_count() <= settled(k):
+                return
+            f2.append(low.bit_length() - 1)
+            grow_f2(cand & ~conf[f2[-1]], conf)
             f2.pop()
-            used ^= block
 
-    def extend_f1(start: int) -> None:
-        nonlocal nodes, sums1
-        nodes += 1
-        if nodes >= node_budget:
-            raise _NodeBudgetSpent
-        if f1:
-            # the partner family can never push the product past 3^n
-            if len(f1) * min(num, cap // len(f1)) > best_product:
-                extend_f2(0)
-        for a in range(start, num):
-            if (len(f1) + 1 + num - a - 1) * num <= best_product:
+    def grow_f1(packed: int, img: int, ub2: int) -> None:
+        # packed: the conflicts f1 makes with c < c'; img: its images, f1 itself first
+        nonlocal top, enough
+        spend()
+        if (k := len(f1)) * min(ub2, 3**n // k) > best:
+            top, enough = 0, best // (k + num - f1[-1] - 1)  # an f2 size that cuts every child
+            grow_f2(everyone, [packed >> (c * num) & everyone for c in range(num)])
+            ub2 = min(ub2, settled(k))
+        for a in range(f1[-1] + 1, num):
+            if (k + num - a) * min(ub2, 3**n // (k + 1)) <= best:
                 break
+            spend()
+            # f1 + a is least among its images iff, in each field, the least mask
+            # where f1 + a and the image differ (the guard if none) is not the image's
+            child = img | keys[a]
+            diff = child ^ (child & everyone) * ones | guard  # guard: top bit of each field
+            if diff & ~(diff - ones) & child:
+                continue
             f1.append(a)
-            sums1 |= 1 << spreads[a]
-            extend_f1(a + 1)
+            grow_f1(functools.reduce(operator.or_, [rows[a][b] for b in f1], packed), child, ub2)
             f1.pop()
-            sums1 ^= 1 << spreads[a]
 
     exact = True
     try:
-        extend_f1(0)
+        grow_f1(rows[0][0], keys[0], num)
     except _NodeBudgetSpent:
         exact = False
-    if best_product == 0:
+    if best == 0:
         raise ValueError(
             f"budget {budget_secs!r} s ({node_budget} nodes) ran out before the first pair"
         )
-    fam1 = Family(n, best_pair[0])
-    fam2 = Family(n, best_pair[1])
-    return PairSearchResult(fam1, fam2, best_product, exact, nodes)
+    return PairSearchResult(Family(n, best_pair[0]), Family(n, best_pair[1]), best, exact, nodes)
 
 
 def _byte_text(first: int) -> Tuple[str, ...]:

@@ -331,3 +331,14 @@ def test_desk_scale_search_ground_truth():
         assert is_valid_system(u)
         details.append(f"n={n}: product {res.product}, derived total {rates.total:.3f}")
     _ok("desk-scale search", "; ".join(details))
+
+
+def test_exact_search_at_n4():
+    t0 = time.perf_counter()
+    res = exhaustive_pair_search(4)
+    dt = time.perf_counter() - t0
+    assert (res.product, res.exact) == (36, True)
+    assert (res.f1.members, res.f2.members) == ((0, 1, 2, 3, 4, 5, 8, 10, 12), (0, 6, 9, 15))
+    assert res.nodes == 10_363
+    assert is_multiset_union_free(res.f1, res.f2)
+    _ok("exact n=4 search", f"product 36 = 9 x 4, exact in {res.nodes:,} nodes, {dt:.3f}s")

@@ -280,6 +280,15 @@ def test_search_json_families_check_out(capsys):
     assert is_multiset_union_free(f1, f2)
 
 
+def test_search_json_exact_at_n4(capsys):
+    code, out, _ = run_cli(capsys, "search", "--n", "4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["exact"], payload["product"]) == (True, 36)
+    f1, f2 = family_from_text(payload["f1"]), family_from_text(payload["f2"])
+    assert len(f1) * len(f2) == 36 and is_multiset_union_free(f1, f2)
+
+
 def test_search_deterministic(capsys):
     runs = [run_cli(capsys, "search", "--n", "3", "--budget", "1") for _ in range(2)]
     assert runs[0] == runs[1]
@@ -452,7 +461,7 @@ PINNED_JSON = [
   "n": 3,
   "product": 14,
   "exact": true,
-  "nodes": 6148,
+  "nodes": 285,
   "f1": "n=3\\n-\\n1\\n2\\n1,2\\n3\\n1,3\\n2,3\\n",
   "f2": "n=3\\n-\\n1,2,3\\n"
 }

@@ -4,19 +4,24 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from typing import List, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adderbound.entropy import binary_entropy, binary_entropy_inv
+from adderbound.entropy import _integer, _real, binary_entropy, binary_entropy_inv
 from adderbound.families import (
     MAX_SAUER_N,
+    SEARCH_NODES_PER_SEC,
     Family,
     PairSearchResult,
     SearchBudgetError,
+    _NodeBudgetSpent,
+    _pair_conflicts,
     _spread,
     exhaustive_pair_search,
     family_from_text,
@@ -631,6 +636,163 @@ def test_hamming_ball_validation():
 # ----------------------------------------------------------------- pair search
 
 
+# the search as it was before f2 became a clique over f1's difference set,
+# kept unchanged as the reference: plain ascending branch and bound on spread
+# sums, with no symmetry cut
+def _reference_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResult:
+    """Best multiset-union-free pair over [n] by branch-and-bound.
+
+    Maximizes |f1|*|f2| over ordered pairs of nonempty duplicate-free
+    families. The budget is converted to a deterministic node count
+    (SEARCH_NODES_PER_SEC per second), so identical arguments give identical results
+    on any machine; `exact` reports whether the space was exhausted. Ties are
+    broken toward the lexicographically smallest (f1, f2) member tuples,
+    which the ascending-mask enumeration yields for free. For n <= 3 the
+    search completes exactly well within the default budget. A budget spent
+    before the first pair is found raises ValueError.
+
+    Sums are Python-int bitsets: `sums1` has bit s_a set for each a in f1,
+    `used` bit s_a + s_c for each a in f1 and c in f2. Spreads have base-3
+    digits <= 1, so their sums have digits <= 2 and never carry: they are
+    exactly the vector sums a + c, `sums1 << s_c` is exactly {s_a + s_c},
+    and c collides iff that set meets `used`. Bits stay below 3^n.
+    """
+    if not 1 <= (n := _integer(n, "n")) <= 6:
+        raise ValueError(f"n {n} outside [1, 6]")
+    if type(budget_secs) is not int:  # an int budget stays exact, however large
+        budget_secs = _real(budget_secs, "budget_secs")
+    if not 0 < budget_secs * SEARCH_NODES_PER_SEC < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget_secs}")
+    node_budget = int(budget_secs * SEARCH_NODES_PER_SEC)
+    num = 1 << n
+    spreads = [_spread(m) for m in range(num)]
+    cap = 3**n
+
+    best_product = 0
+    best_pair: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
+    nodes = 0
+
+    f1: List[int] = []
+    f2: List[int] = []
+    sums1 = 0
+    used = 0
+
+    def extend_f2(start: int) -> None:
+        # grow f2 with masks >= start, keeping all pairwise sums distinct
+        nonlocal nodes, best_product, best_pair, used
+        nodes += 1
+        if nodes >= node_budget:
+            raise _NodeBudgetSpent
+        prod = len(f1) * len(f2)
+        if f2 and prod > best_product:
+            best_product = prod
+            best_pair = (tuple(f1), tuple(f2))
+        # even taking every remaining mask cannot beat the incumbent
+        if len(f1) * (len(f2) + num - start) <= best_product:
+            return
+        for c in range(start, num):
+            block = sums1 << spreads[c]
+            if used & block:
+                continue
+            used |= block
+            f2.append(c)
+            extend_f2(c + 1)
+            f2.pop()
+            used ^= block
+
+    def extend_f1(start: int) -> None:
+        nonlocal nodes, sums1
+        nodes += 1
+        if nodes >= node_budget:
+            raise _NodeBudgetSpent
+        if f1:
+            # the partner family can never push the product past 3^n
+            if len(f1) * min(num, cap // len(f1)) > best_product:
+                extend_f2(0)
+        for a in range(start, num):
+            if (len(f1) + 1 + num - a - 1) * num <= best_product:
+                break
+            f1.append(a)
+            sums1 |= 1 << spreads[a]
+            extend_f1(a + 1)
+            f1.pop()
+            sums1 ^= 1 << spreads[a]
+
+    exact = True
+    try:
+        extend_f1(0)
+    except _NodeBudgetSpent:
+        exact = False
+    if best_product == 0:
+        raise ValueError(
+            f"budget {budget_secs!r} s ({node_budget} nodes) ran out before the first pair"
+        )
+    fam1 = Family(n, best_pair[0])
+    fam2 = Family(n, best_pair[1])
+    return PairSearchResult(fam1, fam2, best_product, exact, nodes)
+
+
+def _permuted(masks, perm):
+    # the masks with coordinate i moved to perm[i]
+    return tuple(sorted(sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1) for m in masks))
+
+
+def _random_family(rng, n, size):
+    return Family(n, tuple(rng.sample(range(1 << n), size)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_search_matches_reference(n):
+    want = _reference_pair_search(n)
+    got = exhaustive_pair_search(n)
+    assert want.exact and got.exact
+    assert (got.f1, got.f2, got.product) == (want.f1, want.f2, want.product)
+
+
+def test_pair_conflicts_are_difference_collisions():
+    # a conflict bit of (c, c') under f1 is exactly a sum collision of f1 with {c, c'}
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        num = 1 << n
+        f1 = _random_family(rng, n, rng.randint(1, num))
+        rows = _pair_conflicts(n)
+        packed = 0  # as the search builds it: each member with itself and each smaller one
+        for b, a in itertools.combinations_with_replacement(f1.members, 2):
+            packed |= rows[a][b]
+        for c, c2 in itertools.combinations(range(num), 2):
+            collides = not is_multiset_union_free(f1, Family(n, (c, c2)))
+            assert bool(packed >> (c * num + c2) & 1) == collides, (f1, c, c2)
+
+
+def test_union_freeness_is_invariant_under_the_search_symmetries():
+    # a common coordinate permutation or XOR by a common mask keeps
+    # union-freeness; the search's symmetry cut rests on both
+    rng = random.Random(67)
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        f1 = _random_family(rng, n, rng.randint(1, min(6, 1 << n)))
+        f2 = _random_family(rng, n, rng.randint(1, min(6, 1 << n)))
+        free = is_multiset_union_free(f1, f2)
+        verdicts[free] += 1
+        for perm in itertools.permutations(range(n)):
+            moved = (Family(n, _permuted(f.members, perm)) for f in (f1, f2))
+            assert is_multiset_union_free(*moved) == free, (f1, f2, perm)
+        for x in range(1 << n):
+            flipped = (Family(n, tuple(m ^ x for m in f.members)) for f in (f1, f2))
+            assert is_multiset_union_free(*flipped) == free, (f1, f2, x)
+    assert verdicts[True] > 20 and verdicts[False] > 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_optimum_is_canonical(n):
+    # the returned f1 contains 0 and no coordinate permutation makes it smaller
+    f1 = exhaustive_pair_search(n).f1.members
+    assert f1[0] == 0
+    assert all(_permuted(f1, perm) >= f1 for perm in itertools.permutations(range(n)))
+
+
 def test_search_n1():
     res = exhaustive_pair_search(1)
     assert res.exact
@@ -669,9 +831,10 @@ def test_search_results_are_union_free_and_capped():
 
 
 def test_search_budget_exhaustion_is_flagged():
-    res = exhaustive_pair_search(3, budget_secs=0.001)
+    res = exhaustive_pair_search(3, budget_secs=0.0005)
     assert not res.exact
-    assert res.nodes <= 150  # 0.001 s * 150000 nodes/s
+    assert res.nodes <= 75  # 0.0005 s * 150000 nodes/s
+    assert (res.product, res.f1.members, res.f2.members) == (12, (0, 1, 2), (0, 3, 4, 7))
 
 
 def test_search_budget_spent_before_first_pair_raises():
@@ -679,7 +842,8 @@ def test_search_budget_spent_before_first_pair_raises():
     message = r"budget 2e-05 s \(3 nodes\) ran out before the first pair"
     with pytest.raises(ValueError, match=message):
         exhaustive_pair_search(3, budget_secs=2e-5)
-    assert exhaustive_pair_search(3, budget_secs=3.4e-5).product == 1  # 5 nodes
+    assert exhaustive_pair_search(3, budget_secs=2.7e-5).product == 1  # 4 nodes: f2 = (0,)
+    assert exhaustive_pair_search(3, budget_secs=3.4e-5).product == 2  # 5 nodes: f2 = (0, 1)
 
 
 def test_search_deterministic():
@@ -706,17 +870,21 @@ def test_search_validation():
     assert exhaustive_pair_search(3, budget_secs=10**400).exact
 
 
+_N5_F1 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18, 19, 21, 22, 23, 25, 26, 27)
+
+
 @pytest.mark.parametrize(
     "n, budget, product, nodes, f1, f2",
     [
-        (3, 0.01, 14, 1_500, (0, 1, 2, 3, 4, 5, 6), (0, 7)),
-        (4, 1.0, 36, 150_000, (0, 1, 2, 3, 4, 5, 8, 10, 12), (0, 6, 9, 15)),
-        (5, 0.1, 32, 15_000, (0,), tuple(range(32))),
+        (3, 0.001, 14, 150, (0, 1, 2, 3, 4, 5, 6), (0, 7)),
+        (4, 0.05, 36, 7_500, (0, 1, 2, 3, 4, 5, 8, 10, 12), (0, 6, 9, 15)),
+        (5, 0.1, 72, 15_000, _N5_F1, (0, 15, 28)),
     ],
+    ids=["n3", "n4", "n5"],
 )
 def test_search_results_pinned(n, budget, product, nodes, f1, f2):
     # budget-limited runs: the node count and incumbent pin the enumeration
-    # order and both prune rules, not only the optimum
+    # order, the prune rules and the symmetry cut, not only the optimum
     res = exhaustive_pair_search(n, budget_secs=budget)
     assert (res.product, res.exact, res.nodes) == (product, False, nodes)
     assert (res.f1.members, res.f2.members) == (f1, f2)
