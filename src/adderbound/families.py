@@ -31,7 +31,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .entropy import PROB_SLACK, _as_prob, _integer, _real, binary_entropy, binary_entropy_inv
 
@@ -81,7 +81,7 @@ class _NodeBudgetSpent(Exception):
     """Unwinds the pair search once its node budget is spent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Family:
     """A list of subsets of [n], kept sorted; duplicates are permitted."""
 
@@ -369,7 +369,7 @@ def hamming_ball(n: int, radius: int) -> Family:
     return Family(n, tuple(members))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairSearchResult:
     f1: Family
     f2: Family
@@ -378,13 +378,65 @@ class PairSearchResult:
     nodes: int
 
 
-def _pair_conflicts(n: int) -> List[List[int]]:
-    """rows[a][b]: bit c * 2^n + c' for each c' - c = a - b (so c' >= c if a >= b)."""
+@functools.cache
+def _pair_conflicts(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """rows[a][b]: bit c * 2^n + c' for each c' - c = a - b or b - a."""
     num = 1 << n
     diffs: Dict[Tuple[int, int], int] = defaultdict(int)
     for c, c2 in itertools.product(range(num), repeat=2):
-        diffs[c2 & ~c, c & ~c2] |= 1 << (c * num + c2)  # c2 - c keyed by its 1s and -1s
-    return [[diffs[a & ~b, b & ~a] for b in range(num)] for a in range(num)]
+        # c2 - c keyed by its 1s and -1s, with the pair that has the opposite difference
+        diffs[c2 & ~c, c & ~c2] |= 1 << (c * num + c2) | 1 << (c2 * num + c)
+    return tuple(tuple(diffs[a & ~b, b & ~a] for b in range(num)) for a in range(num))
+
+
+@functools.cache
+def _permutation_keys(n: int) -> Tuple[Tuple[int, ...], int]:
+    """(keys, ones): keys[m] has one bit per (2^n + 1)-bit field, m's image under
+    each coordinate permutation, identity first; ones has each field's lowest bit."""
+    num, width = 1 << n, (1 << n) + 1
+    perms = itertools.permutations(range(n))
+    images = [[sum(1 << p[i] for i in range(n) if m >> i & 1) for m in range(num)] for p in perms]
+    keys = tuple(sum(1 << (j * width + im[m]) for j, im in enumerate(images)) for m in range(num))
+    return keys, sum(1 << (j * width) for j in range(len(images)))
+
+
+def _cliques(conf: List[int], lo: int, hi: int, spend: Callable) -> Iterator[Tuple[int, ...]]:
+    """Ever larger cliques above size lo, up to size hi; the last is the least largest one.
+
+    conf[c] has bit c and each c' that cannot share a clique with c. Cliques
+    grow depth-first from their lowest candidate, on an explicit stack. A node
+    colours its candidates from the top into classes of pairwise conflicting
+    vertices and branches only on those up to the top of what lo - size
+    classes leave, if any. spend() is called per node and per colour class.
+    """
+    # stack[d]: the untried candidates at depth d, and a bit past the last worth trying
+    clique, stack, cand = [], [], (1 << len(conf)) - 1
+    while lo < hi:
+        spend()
+        if (size := len(clique)) > lo:
+            lo = size
+            yield tuple(clique)
+        rest, classes = cand if cand.bit_count() > lo - size else 0, lo - size
+        while rest and classes:
+            classes -= 1
+            spend()
+            q = rest
+            while q:
+                rest ^= 1 << (top := q.bit_length() - 1)
+                q = q & conf[top] ^ 1 << top
+        if rest:
+            stack.append((cand, 2 << (rest.bit_length() - 1)))
+        while stack:
+            (rem, stop), depth = stack[-1], len(stack) - 1
+            low = rem & -rem
+            if 0 < low < stop and depth + rem.bit_count() > lo:
+                stack[-1] = rem ^ low, stop
+                clique[depth:] = [low.bit_length() - 1]
+                cand = rem & ~conf[clique[-1]]
+                break
+            stack.pop()
+        else:
+            return
 
 
 def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResult:
@@ -392,28 +444,32 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
 
     Maximizes |f1|*|f2| over ordered pairs of nonempty duplicate-free
     families. The budget is converted to a deterministic node count
-    (SEARCH_NODES_PER_SEC per second), so identical arguments give identical results
-    on any machine; `exact` reports whether the space was exhausted. Ties are
-    broken toward the lexicographically smallest (f1, f2) member tuples. For
-    n <= 4 the search completes exactly within the default budget. A budget
-    spent before the first pair is found raises ValueError. Nodes count f1
-    nodes, f1 canonicity tests, f2 nodes and colour classes.
+    (SEARCH_NODES_PER_SEC per second), so identical arguments give identical
+    results on any machine; `exact` reports whether the space was exhausted.
+    For n <= 5 the search completes exactly within the default budget. A
+    budget spent before the first pair is found raises ValueError. Nodes
+    count nodes of the smaller family S, its canonicity tests, clique nodes
+    and colour classes.
 
     a + c = b + d iff a - b = d - c, so a pair is union-free iff f1 - f1 and
-    f2 - f2 (vectors in {-1, 0, 1}^n) share only 0. For a fixed f1 the best
-    f2 is thus a largest set of masks with no c' - c in f1 - f1, grown from
-    the lowest candidate and cut by a greedy colouring of the candidates into
-    classes of pairwise conflicting masks. That largest size only falls as
-    f1 grows, so it bounds the children of f1 as `ub2`.
+    f2 - f2 (vectors in {-1, 0, 1}^n) share only 0. That is symmetric, so
+    only the smaller family S is enumerated; the larger family L is a largest
+    set of masks with no c' - c in S - S, a maximum clique of size w(S). Each
+    S finds w(S) exactly, or shows w(S) < |S| or w(S)^2 <= best. w(S) only
+    falls as S grows and a smaller family has |S'| <= w(S'), so then no S'
+    grown from S is the smaller family of a better pair; and S's children
+    stop once |S| + 1 > w(S), or once min(|S| + 2^n - a, w(S)) * w(S) <= best
+    for the next mask a. A child keeps its parent's w with no clique search
+    when the parent's largest clique is still a clique and cannot beat best.
 
-    Only f1 that contain 0 and are least among their n! coordinate-permuted
+    Only S that contain 0 and are least among their n! coordinate-permuted
     images are visited. XOR of both families by a common mask and a common
-    permutation keep a pair union-free, so the least optimal f1 passes both
-    tests (XOR by its least member, or the permutation, would give a smaller
-    one), and a prefix with a smaller image has extensions with smaller
-    images. f1 and then f2 are visited in lexicographic order, only a
-    strictly larger product replaces the incumbent, and every cut drops only
-    subtrees that cannot beat it, so the first optimum found is the least.
+    permutation keep a pair union-free, so every optimum has an image whose
+    smaller family passes both tests, and a prefix with a smaller image has
+    extensions with smaller images. S grows in ascending order and only a
+    strictly larger product replaces the best, so the result is the first S
+    in that order to reach the best product, with L its least largest
+    clique: (f1, f2) is the lesser of (S, L) and (L, S).
     """
     if not 1 <= (n := _integer(n, "n")) <= 6:
         raise ValueError(f"n {n} outside [1, 6]")
@@ -425,17 +481,9 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     num = 1 << n
     everyone = (1 << num) - 1
     rows = _pair_conflicts(n)
-    # keys[m]: m's image under each permutation, identity first, in (num + 1)-bit fields
-    perms = itertools.permutations(range(n))
-    images = [[sum(1 << p[i] for i in range(n) if m >> i & 1) for m in range(num)] for p in perms]
-    width = num + 1
-    ones = sum(1 << (j * width) for j in range(len(images)))
-    guard = ones << num
-    keys = [sum(1 << (j * width + image[m]) for j, image in enumerate(images)) for m in range(num)]
+    keys, ones = _permutation_keys(n)
 
-    best, best_pair = 0, ((), ())
-    nodes = top = enough = 0
-    f1, f2 = [0], []
+    best, best_pair, nodes, small = 0, ((), ()), 0, [0]
 
     def spend() -> None:
         nonlocal nodes
@@ -443,71 +491,47 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         if nodes >= node_budget:
             raise _NodeBudgetSpent
 
-    def settled(k: int) -> int:
-        # f2 sizes up to this neither beat the incumbent nor matter to f1's children
-        return max(top, min(enough, best // k))
-
-    def grow_f2(cand: int, conf: List[int]) -> None:
-        # extend f2 by masks in cand: above f2[-1], conflicting with no member
-        nonlocal best, best_pair, top
+    def grow(packed: int, img: int, ub: int, witness: Tuple[int, ...]) -> None:
+        # packed: S's conflicts; img: its images, itself first; witness: a clique of size ub
+        nonlocal best, best_pair
         spend()
-        k, size = len(f1), len(f2)
-        if size and k * size > best:
-            best = k * size
-            best_pair = (tuple(f1), tuple(f2))
-        top = max(top, size)
-        rest, classes = cand, settled(k) - size  # colour into pairwise conflicting classes
-        while rest and classes > 0:
-            classes -= 1
-            spend()
-            q = rest
-            while q:
-                low = q & -q
-                rest ^= low
-                q = q & conf[low.bit_length() - 1] ^ low
-        if not rest:
-            return
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if size + 1 + cand.bit_count() <= settled(k):
-                return
-            f2.append(low.bit_length() - 1)
-            grow_f2(cand & ~conf[f2[-1]], conf)
-            f2.pop()
-
-    def grow_f1(packed: int, img: int, ub2: int) -> None:
-        # packed: the conflicts f1 makes with c < c'; img: its images, f1 itself first
-        nonlocal top, enough
-        spend()
-        if (k := len(f1)) * min(ub2, 3**n // k) > best:
-            top, enough = 0, best // (k + num - f1[-1] - 1)  # an f2 size that cuts every child
-            grow_f2(everyone, [packed >> (c * num) & everyone for c in range(num)])
-            ub2 = min(ub2, settled(k))
-        for a in range(f1[-1] + 1, num):
-            if (k + num - a) * min(ub2, 3**n // (k + 1)) <= best:
+        k = len(small)
+        conf = [packed >> (c * num) & everyone for c in range(num)]
+        wmask = sum(1 << c for c in witness)
+        if k * ub > best or any(conf[c] & wmask ^ 1 << c for c in witness):
+            witness = ()
+            for witness in _cliques(conf, max(k - 1, math.isqrt(best)), ub, spend):
+                if k * len(witness) > best:
+                    best, best_pair = k * len(witness), (tuple(small), witness)
+            if not witness:
+                return  # w(S) < |S| or w(S)^2 <= best: no S' >= S can do better
+            ub = len(witness)
+        for a in range(small[-1] + 1, num):
+            if k >= ub or min(k + num - a, ub) * ub <= best:
                 break
             spend()
-            # f1 + a is least among its images iff, in each field, the least mask
-            # where f1 + a and the image differ (the guard if none) is not the image's
+            # S + a is least among its images iff, in each field, the least mask
+            # where S + a and the image differ (the guard if none) is not the image's
             child = img | keys[a]
-            diff = child ^ (child & everyone) * ones | guard  # guard: top bit of each field
+            diff = child ^ (child & everyone) * ones | ones << num  # guard: top bit of each field
             if diff & ~(diff - ones) & child:
                 continue
-            f1.append(a)
-            grow_f1(functools.reduce(operator.or_, [rows[a][b] for b in f1], packed), child, ub2)
-            f1.pop()
+            small.append(a)
+            packed_child = functools.reduce(operator.or_, [rows[a][b] for b in small], packed)
+            grow(packed_child, child, ub, witness)
+            small.pop()
 
     exact = True
     try:
-        grow_f1(rows[0][0], keys[0], num)
+        grow(rows[0][0], keys[0], num, ())
     except _NodeBudgetSpent:
         exact = False
     if best == 0:
         raise ValueError(
             f"budget {budget_secs!r} s ({node_budget} nodes) ran out before the first pair"
         )
-    return PairSearchResult(Family(n, best_pair[0]), Family(n, best_pair[1]), best, exact, nodes)
+    f1, f2 = min(best_pair, best_pair[::-1])
+    return PairSearchResult(Family(n, f1), Family(n, f2), best, exact, nodes)
 
 
 def _byte_text(first: int) -> Tuple[str, ...]:

@@ -1,8 +1,10 @@
 """Tests for the subset-family combinatorics."""
 
+import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +22,7 @@ from adderbound.families import (
     Family,
     PairSearchResult,
     SearchBudgetError,
+    _cliques,
     _NodeBudgetSpent,
     _pair_conflicts,
     _spread,
@@ -765,6 +768,59 @@ def test_pair_conflicts_are_difference_collisions():
             assert bool(packed >> (c * num + c2) & 1) == collides, (f1, c, c2)
 
 
+def _reference_max_clique(n, s_members):
+    # the least largest set of masks with no pairwise difference in S - S, by
+    # plain ascending depth-first search, cut only by the candidate count
+    def diff(a, b):
+        return tuple((a >> i & 1) - (b >> i & 1) for i in range(n))
+
+    diffs = {diff(a, b) for a in s_members for b in s_members}
+    best: List[int] = []
+
+    def extend(clique, cands):
+        nonlocal best
+        if len(clique) > len(best):
+            best = clique
+        for j, c in enumerate(cands):
+            if len(clique) + len(cands) - j <= len(best):
+                return
+            extend(clique + [c], [d for d in cands[j + 1 :] if diff(d, c) not in diffs])
+
+    extend([], list(range(1 << n)))
+    return tuple(best)
+
+
+def test_clique_kernel_matches_a_plain_maximum_clique():
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        num = 1 << n
+        s = _random_family(rng, n, rng.randint(1, min(6, num)))
+        rows = _pair_conflicts(n)
+        packed = 0  # as the search builds it
+        for b, a in itertools.combinations_with_replacement(s.members, 2):
+            packed |= rows[a][b]
+        conf = [packed >> (c * num) & (1 << num) - 1 for c in range(num)]
+        cliques = list(_cliques(conf, 0, num, lambda: None))
+        want = _reference_max_clique(n, s.members)
+        assert cliques[-1] == want, (s, cliques)
+        assert [len(c) for c in cliques] == sorted({len(c) for c in cliques})
+        assert is_multiset_union_free(s, Family(n, cliques[-1]))
+        # nothing above the largest size; a cap stops at the first clique of its size
+        assert list(_cliques(conf, len(want), num, lambda: None)) == []
+        capped = list(_cliques(conf, 0, 1, lambda: None))
+        assert [len(c) for c in capped] == [1]
+
+
+def test_search_dataclasses_have_slots():
+    res = exhaustive_pair_search(2)
+    for obj, field in ((res, "nodes"), (res.f1, "n")):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 3)
+    assert pickle.loads(pickle.dumps(res)) == res
+
+
 def test_union_freeness_is_invariant_under_the_search_symmetries():
     # a common coordinate permutation or XOR by a common mask keeps
     # union-freeness; the search's symmetry cut rests on both
@@ -838,12 +894,12 @@ def test_search_budget_exhaustion_is_flagged():
 
 
 def test_search_budget_spent_before_first_pair_raises():
-    # 2e-5 s is 3 nodes, spent before f2 gets its first member
+    # 2e-5 s is 3 nodes, spent before the first clique of S = (0,) gets a member
     message = r"budget 2e-05 s \(3 nodes\) ran out before the first pair"
     with pytest.raises(ValueError, match=message):
         exhaustive_pair_search(3, budget_secs=2e-5)
-    assert exhaustive_pair_search(3, budget_secs=2.7e-5).product == 1  # 4 nodes: f2 = (0,)
-    assert exhaustive_pair_search(3, budget_secs=3.4e-5).product == 2  # 5 nodes: f2 = (0, 1)
+    assert exhaustive_pair_search(3, budget_secs=2.7e-5).product == 1  # 4 nodes: clique (0,)
+    assert exhaustive_pair_search(3, budget_secs=3.4e-5).product == 2  # 5 nodes: clique (0, 1)
 
 
 def test_search_deterministic():
@@ -870,15 +926,12 @@ def test_search_validation():
     assert exhaustive_pair_search(3, budget_secs=10**400).exact
 
 
-_N5_F1 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18, 19, 21, 22, 23, 25, 26, 27)
-
-
 @pytest.mark.parametrize(
     "n, budget, product, nodes, f1, f2",
     [
-        (3, 0.001, 14, 150, (0, 1, 2, 3, 4, 5, 6), (0, 7)),
-        (4, 0.05, 36, 7_500, (0, 1, 2, 3, 4, 5, 8, 10, 12), (0, 6, 9, 15)),
-        (5, 0.1, 72, 15_000, _N5_F1, (0, 15, 28)),
+        (3, 0.001, 12, 150, (0, 1, 2), (0, 3, 4, 7)),
+        (4, 0.01, 36, 1_500, (0, 1, 2, 7, 13, 14), (3, 4, 7, 8, 11, 12)),
+        (5, 0.1, 64, 15_000, (0, 1, 2, 3, 4, 5, 8, 10), (0, 6, 9, 15, 16, 22, 25, 31)),
     ],
     ids=["n3", "n4", "n5"],
 )
