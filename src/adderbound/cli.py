@@ -45,10 +45,10 @@ from .families import (
     soft_sauer_bound,
 )
 from .systems import (
+    _json_chunks,
     log3_construction,
     system_from_json,
     system_rates,
-    system_to_json,
     validate_system,
 )
 from .verify import SUITE_NAMES, run_all, run_suite
@@ -210,7 +210,7 @@ def _cmd_system(args):
     reason, fields, lines = _system_summary(u)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(system_to_json(u))
+            fh.writelines(_json_chunks(u))  # system_to_json's text, never held whole
         lines.append(f"wrote {args.out}")
     record = {**fields, "valid": reason is None, "out": args.out}
     return 0 if reason is None else 1, record, lines

@@ -81,10 +81,11 @@ class _NodeBudgetSpent(Exception):
     """Unwinds the pair search once its node budget is spent."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Family:
     """A list of subsets of [n], kept sorted; duplicates are permitted."""
 
+    __slots__ = ("n", "members")  # not slots=True: on Python 3.11 it breaks FrozenInstanceError
     n: int
     members: Tuple[int, ...]
 
@@ -120,6 +121,9 @@ class Family:
         object.__setattr__(f, "n", n)
         object.__setattr__(f, "members", members)
         return f
+
+    def __reduce__(self):  # the frozen __setattr__ refuses pickle's slot-by-slot restore
+        return Family, (self.n, self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -359,23 +363,21 @@ def hamming_ball(n: int, radius: int) -> Family:
     count = sum(math.comb(n, t) for t in range(radius + 1))
     if count > _BALL_CAP:
         raise ValueError(f"ball has {count} members, over the in-memory cap {_BALL_CAP}")
-    members = []
-    for t in range(radius + 1):
-        for combo in itertools.combinations(range(n), t):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            members.append(m)
-    return Family(n, tuple(members))
+    subsets = (c for t in range(radius + 1) for c in itertools.combinations(range(n), t))
+    return Family(n, tuple(sum(1 << i for i in c) for c in subsets))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PairSearchResult:
+    __slots__ = ("f1", "f2", "product", "exact", "nodes")  # as Family's
     f1: Family
     f2: Family
     product: int
     exact: bool
     nodes: int
+
+    def __reduce__(self):
+        return PairSearchResult, (self.f1, self.f2, self.product, self.exact, self.nodes)
 
 
 @functools.cache
@@ -393,11 +395,15 @@ def _pair_conflicts(n: int) -> Tuple[Tuple[int, ...], ...]:
 def _permutation_keys(n: int) -> Tuple[Tuple[int, ...], int]:
     """(keys, ones): keys[m] has one bit per (2^n + 1)-bit field, m's image under
     each coordinate permutation, identity first; ones has each field's lowest bit."""
-    num, width = 1 << n, (1 << n) + 1
-    perms = itertools.permutations(range(n))
-    images = [[sum(1 << p[i] for i in range(n) if m >> i & 1) for m in range(num)] for p in perms]
-    keys = tuple(sum(1 << (j * width + im[m]) for j, im in enumerate(images)) for m in range(num))
-    return keys, sum(1 << (j * width) for j in range(len(images)))
+    num = 1 << n
+    perms = [*itertools.permutations(range(n))][::-1]  # the highest field leads a key's text
+    cols = [(0,) * len(perms)]  # cols[m]: m's image under each permutation
+    for i in range(n):
+        bits = [1 << p[i] for p in perms]
+        cols += [tuple(map(operator.or_, col, bits)) for col in cols]
+    field = ["0" * (num - v) + "1" + "0" * v for v in range(num)]  # bit v set
+    keys = tuple(int("".join(map(field.__getitem__, col)), 2) for col in cols)
+    return keys, int(field[0] * len(perms), 2)
 
 
 def _cliques(conf: List[int], lo: int, hi: int, spend: Callable) -> Iterator[Tuple[int, ...]]:
@@ -574,14 +580,7 @@ def family_to_text(f: Family) -> str:
     Members are written as sorted comma-separated 1-indexed elements, with
     `-` standing for the empty set.
     """
-    return _write_families([f])[0]
-
-
-def _write_families(fams: Sequence[Family]) -> List[str]:
-    """family_to_text of each family; a member line is built once."""
-    masks = sorted({m for f in fams for m in f.members})
-    line = dict(zip(masks, (ln + "\n" for ln in _member_lines(masks)))).__getitem__
-    return [f"n={f.n}\n" + "".join(map(line, f.members)) for f in fams]
+    return "\n".join([f"n={f.n}", *_member_lines(f.members), ""])
 
 
 def _parse_member(ln: str, n: int) -> int:
@@ -600,39 +599,54 @@ def _parse_member(ln: str, n: int) -> int:
     return m
 
 
+def _memo_masks(lines: List[str], n: int, memo: Dict[str, int], bit, strict: bool):
+    """The masks of lines[1:]: memo hits, then each miss in order, added to memo.
+
+    A miss not of plain elements makes a strict read return None, else goes to _parse_member.
+    """
+    masks = [*map(memo.get, lines), None]  # the None past the last line ends the search
+    i = masks.index(None, 1)
+    while i < len(lines):
+        parts = lines[i].split(",")
+        m = sum(map(bit, parts))
+        # too few bits (a repeat carries, a miss or "-" adds none) or bits past n
+        if m.bit_count() != len(parts) or m >> n:
+            if strict:
+                return None
+            m = _parse_member(lines[i], n)
+        masks[i] = memo[lines[i]] = m
+        i = masks.index(None, i + 1)
+    return masks[1:-1]
+
+
 def _read_families(texts: Iterable[str]) -> Iterator[Family]:
-    """family_from_text of each text; no line is parsed again in a later text of its n."""
-    # the bit of each canonical element, 0 for any other part, and per n a line memo
+    """family_from_text of each text; no line is parsed again in a later text of its n.
+
+    A text is first split at "\n" and read strictly (a canonical header, every line
+    a memo hit or plain elements); else it is read as family_from_text describes.
+    """
+    # the bit of each canonical element, 0 for any other part; per n a line memo
     bit = defaultdict(int, {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}).__getitem__
+    heads = {f"n={n}": n for n in range(1, MAX_GROUND + 1)}
     memos: Dict[int, Dict[str, int]] = {}
     for text in texts:
-        lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-        if not lines or not lines[0].startswith("n="):
-            raise ValueError("family text must start with an n=<int> line")
-        try:
-            n = int(lines[0][2:])
-        except ValueError:
-            raise ValueError(f"bad ground set line {lines[0]!r}") from None
-        if not 1 <= n <= MAX_GROUND:
-            # before any 1 << (elem - 1): a huge n would admit a huge element
-            raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
-        memo = memos.setdefault(n, {})
-        masks, fresh, fresh_masks = [], [], []
-        for ln in lines[1:]:
-            if memo and ln in memo:
-                m = memo[ln]
-            else:
-                parts = ln.split(",")
-                m = sum(map(bit, parts))
-                # too few bits (a repeat carries, a miss or "-" adds none) or bits past n
-                if m.bit_count() != len(parts) or m >> n:
-                    m = _parse_member(ln, n)
-                fresh.append(ln)
-                fresh_masks.append(m)
-            masks.append(m)
-        # in range but maybe unsorted; the memo takes new lines only if a next text is read
-        yield Family._trusted(n, tuple(sorted(masks)))
-        memo.update(zip(fresh, fresh_masks))
+        lines = text.removesuffix("\n").split("\n")
+        n = heads.get(lines[0])
+        masks = n and _memo_masks(lines, n, memos.setdefault(n, {}), bit, strict=True)
+        if masks is None:
+            lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+            if not lines or not lines[0].startswith("n="):
+                raise ValueError("family text must start with an n=<int> line")
+            try:
+                n = int(lines[0][2:])
+            except ValueError:
+                raise ValueError(f"bad ground set line {lines[0]!r}") from None
+            if not 1 <= n <= MAX_GROUND:
+                # before any 1 << (elem - 1): a huge n would admit a huge element
+                raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
+            masks = _memo_masks(lines, n, memos.setdefault(n, {}), bit, strict=False)
+        masks.sort()  # in range but maybe unsorted
+        yield Family._trusted(n, tuple(masks))
 
 
 def family_from_text(text: str) -> Family:

@@ -21,7 +21,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .families import (
     Family,
     _check_mask,
     _check_same_ground,
+    _member_lines,
     _read_families,
     _spread,
-    _write_families,
     is_k_shattered,
     is_multiset_union_free,
 )
@@ -177,12 +177,7 @@ def is_valid_system(u: UnionFreeSystem) -> bool:
 
 
 def system_rates(u: UnionFreeSystem) -> SystemRates:
-    n = u.n
-    return SystemRates(
-        math.log2(u.m0) / n,
-        math.log2(u.m1) / n,
-        math.log2(u.m2) / n,
-    )
+    return SystemRates(*(math.log2(m) / u.n for m in (u.m0, u.m1, u.m2)))
 
 
 def _submasks(mask: int) -> List[int]:
@@ -210,19 +205,13 @@ def log3_construction(n: int) -> UnionFreeSystem:
     m = 2 * n // 3
     pairs = []
     for combo in itertools.combinations(range(n), m):
-        f0 = 0
-        for i in combo:
-            f0 |= 1 << i
+        f0 = sum(1 << i for i in combo)
         pairs.append((Family._trusted(n, (f0,)), Family._trusted(n, tuple(_submasks(f0)))))
     return UnionFreeSystem(n, tuple(pairs))
 
 
 def _compact(mask: int, bits: List[int]) -> int:
-    out = 0
-    for j, b in enumerate(bits):
-        if mask >> b & 1:
-            out |= 1 << j
-    return out
+    return sum(1 << j for j, b in enumerate(bits) if mask >> b & 1)
 
 
 def derive_system(
@@ -284,17 +273,28 @@ def derive_system(
     return system, system_rates(system)
 
 
+def _json_chunks(u: UnionFreeSystem) -> Iterator[str]:
+    """system_to_json's text, a pair at a time.
+
+    JSON escapes nothing in a family text but its newlines, so each distinct
+    member line is escaped once.
+    """
+    masks = sorted(set().union(*(f.members for pair in u.pairs for f in pair)))
+    line = dict(zip(masks, (ln + "\\n" for ln in _member_lines(masks)))).__getitem__
+    head = f'      "n={u.n}\\n'
+    yield f'{{\n  "n": {u.n},\n  "m0": {u.m0},\n  "m1": {u.m1},\n  "m2": {u.m2},\n  "pairs": ['
+    sep = "\n"
+    for f1, f2 in u.pairs:
+        body1, body2 = "".join(map(line, f1.members)), "".join(map(line, f2.members))
+        yield f'{sep}    [\n{head}{body1}",\n{head}{body2}"\n    ]'
+        sep = ",\n"
+    yield "\n  ]\n}\n"
+
+
 def system_to_json(u: UnionFreeSystem) -> str:
-    """Each distinct member line printed once; the family texts are family_to_text's bytes."""
-    texts = _write_families([f for pair in u.pairs for f in pair])
-    payload = {
-        "n": u.n,
-        "m0": u.m0,
-        "m1": u.m1,
-        "m2": u.m2,
-        "pairs": list(zip(texts[::2], texts[1::2])),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) + "\n", where payload is {"n", "m0", "m1", "m2",
+    "pairs": [[family_to_text(f1), family_to_text(f2)], ...]}."""
+    return "".join(_json_chunks(u))
 
 
 def system_from_json(text: str) -> UnionFreeSystem:

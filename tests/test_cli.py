@@ -347,6 +347,14 @@ def test_system_log3_writes_roundtrippable_json(tmp_path, capsys):
     assert u == log3_construction(6)
 
 
+def test_system_out_file_is_system_to_json(tmp_path, capsys):
+    # the file is written a pair at a time but holds system_to_json's bytes
+    path = tmp_path / "log3.json"
+    code, _, _ = run_cli(capsys, "system", "--log3", "--n", "6", "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == system_to_json(log3_construction(6)).encode()
+
+
 def test_system_requires_construction_flag(capsys):
     code, _, err = run_cli(capsys, "system", "--n", "3")
     assert code == 2 and "--log3" in err

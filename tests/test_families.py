@@ -1,5 +1,6 @@
 """Tests for the subset-family combinatorics."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -25,6 +26,8 @@ from adderbound.families import (
     _cliques,
     _NodeBudgetSpent,
     _pair_conflicts,
+    _permutation_keys,
+    _read_families,
     _spread,
     exhaustive_pair_search,
     family_from_text,
@@ -821,6 +824,35 @@ def test_search_dataclasses_have_slots():
     assert pickle.loads(pickle.dumps(res)) == res
 
 
+@pytest.mark.parametrize(
+    "obj", [Family(2, (0, 1)), PairSearchResult(Family(1, (0,)), Family(1, (1,)), 1, True, 7)]
+)
+def test_search_dataclasses_refuse_every_assignment(obj):
+    # a field and a name that is not one alike raise FrozenInstanceError
+    for name in (dataclasses.fields(obj)[0].name, "foo"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+    assert not hasattr(obj, "foo") and not hasattr(obj, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert twin == obj and type(twin) is type(obj) and hash(twin) == hash(obj)
+
+
+def _reference_permutation_keys(n):
+    # the table as first built: each image bit by bit, each key one field at a time
+    num, width = 1 << n, (1 << n) + 1
+    perms = itertools.permutations(range(n))
+    images = [[sum(1 << p[i] for i in range(n) if m >> i & 1) for m in range(num)] for p in perms]
+    keys = tuple(sum(1 << (j * width + im[m]) for j, im in enumerate(images)) for m in range(num))
+    return keys, sum(1 << (j * width) for j in range(len(images)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permutation_keys_pinned_to_the_bit_by_bit_table(n):
+    assert _permutation_keys(n) == _reference_permutation_keys(n)
+
+
 def test_union_freeness_is_invariant_under_the_search_symmetries():
     # a common coordinate permutation or XOR by a common mask keeps
     # union-freeness; the search's symmetry cut rests on both
@@ -1023,6 +1055,119 @@ def test_family_text_fixture_above_one_byte():
     assert family_to_text(f) == (
         "n=12\n-\n1,2,3,4,5,6,7,8\n9\n1,9\n9,12\n1,2,3,4,5,6,7,8,9,10,11,12\n"
     )
+
+
+def _reference_family(text):
+    # family_from_text as documented, line by line and without a memo
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("n="):
+        raise ValueError("family text must start with an n=<int> line")
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        raise ValueError(f"bad ground set line {lines[0]!r}") from None
+    if not 1 <= n <= 64:
+        raise ValueError(f"ground set size {n} outside [1, 64]")
+    members = []
+    for ln in lines[1:]:
+        m = 0
+        for part in [] if ln == "-" else ln.split(","):
+            try:
+                elem = int(part)
+            except ValueError:
+                raise ValueError(f"bad element {part!r} in line {ln!r}") from None
+            if not 1 <= elem <= n:
+                raise ValueError(f"element {elem} outside [1, {n}]")
+            m |= 1 << (elem - 1)
+        members.append(m)
+    return Family(n, members)
+
+
+def _each(read, texts):
+    # the families read before the first error, and that error's message
+    fams = []
+    try:
+        for f in read(texts):
+            fams.append(f)
+    except ValueError as exc:
+        return fams, str(exc)
+    return fams, None
+
+
+def _text_by_text(parse):
+    return lambda texts: map(parse, texts)
+
+
+def assert_read_as_text_by_text(texts):
+    # one memo across the texts reads each as family_from_text alone and as the reference
+    got = _each(_read_families, texts)
+    assert got == _each(_text_by_text(family_from_text), texts)
+    assert got == _each(_text_by_text(_reference_family), texts)
+    return got
+
+
+@pytest.mark.parametrize(
+    "texts, want",
+    [
+        # CRLF endings, alone and after the same lines ended by "\n"
+        (["n=3\r\n1,2\r\n-\r\n"], [(0, 3)]),
+        (["n=3\n1,2\n3\n", "n=3\r\n1,2\r\n3\r\n"], [(3, 4)] * 2),
+        # "\x0c" and "\u2028" end a line inside a "\n" line
+        (["n=3\n1,2\n", "n=3\n1\x0c2\n", "n=3\n1\u20282\n"], [(3,), (1, 2), (1, 2)]),
+        # canonical in one family, padded with blanks in a later one
+        (["n=3\n1,3\n", "n=3\n 1,3 \n\t1,3\n1,3\n"], [(5,), (5, 5, 5)]),
+        (["n=3\n 2 \n", "n=3\n2\n"], [(2,), (2,)]),
+        # blank lines, before the header too, and a text with no last newline
+        (["n=3\n\n1\n\n", "\nn=3\n1\n\n\n2\n", "n=3\n1\n2"], [(1,), (1, 2), (1, 2)]),
+        # "-" first seen in the middle of a text, then as a hit
+        (["n=3\n1\n2\n", "n=3\n1\n-\n2\n", "n=3\n-\n"], [(1, 2), (0, 1, 2), (0,)]),
+        # headers that are not canonical
+        (["n=3\n1\n", "n=03\n1\n", " n=3 \n1\n", "n=3"], [(1,), (1,), (1,), ()]),
+        # a repeated line inside one text, first as a miss
+        (["n=3\n2,1\n2,1\n1,2\n1,2\n", "n=3\n1,2\n"], [(3, 3, 3, 3), (3,)]),
+    ],
+)
+def test_read_families_reads_each_text_as_family_from_text(texts, want):
+    fams, err = assert_read_as_text_by_text(texts)
+    assert err is None
+    assert [f.members for f in fams] == want
+
+
+@pytest.mark.parametrize(
+    "texts, want",
+    [
+        # a bad line after memo hits, and after a miss read plainly
+        (["n=3\n1\n2\n", "n=3\n1\n2\n1,x\n2\n"], "bad element 'x' in line '1,x'"),
+        (["n=3\n1\n2\n", "n=3\n1\n3\n2\n4\n1,x\n"], "element 4 outside [1, 3]"),
+        (["n=3\n1,2\n", "n=3\n1,2\n 4\n"], "element 4 outside [1, 3]"),
+        # a line seen for another n is no hit
+        (["n=3\n1,3\n", "n=2\n1,3\n"], "element 3 outside [1, 2]"),
+        (["n=3\n1\n", ""], "family text must start with an n=<int> line"),
+        (["n=3\n1\n", "n=3\r\n1\r\nx\r\n"], "bad element 'x' in line 'x'"),
+        (["n=3\n1\n", "n=65\n1\n"], "ground set size 65 outside [1, 64]"),
+    ],
+)
+def test_read_families_stops_at_the_error_family_from_text_gives(texts, want):
+    fams, err = assert_read_as_text_by_text(texts)
+    assert err == want
+    assert len(fams) == len(texts) - 1
+
+
+# lines and line ends that a strict read meets, plain and not
+_tricky_line = st.sampled_from(
+    ["n=3", "n=2", "n=03", "1", "2", "3", "1,2", "2,3", "1,3", "1,2,3", "-", " 1", "2 ", "01",
+     "1,1", "", " ", "4", "x", "1,", "+2"]
+)
+_tricky_text = st.tuples(
+    st.lists(_tricky_line, max_size=6), st.sampled_from(["\n", "\n", "\r\n", "\x0c", "\u2028"])
+).map(lambda t: t[1].join(t[0]))
+_header_text = st.tuples(st.sampled_from(["n=3", "n=2"]), _tricky_text).map("\n".join)
+
+
+@given(st.lists(st.one_of(_header_text, _tricky_text), min_size=1, max_size=4))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_read_families_fuzz_against_text_by_text(texts):
+    assert_read_as_text_by_text(texts)
 
 
 # non-canonical member lines on n=10: elements are read like int()

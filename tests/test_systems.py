@@ -23,6 +23,7 @@ from adderbound.families import (
 from adderbound.systems import (
     DerivationError,
     UnionFreeSystem,
+    _json_chunks,
     _low_spread,
     _submasks,
     derive_system,
@@ -485,6 +486,75 @@ def test_json_roundtrip():
 def test_log3_json_bytes_pinned(n, digest):
     text = system_to_json(log3_construction(n))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def reference_json(u):
+    # the writer as first built: each family text element by element, then json.dumps
+    def text(f):
+        lines = [",".join(str(i + 1) for i in range(f.n) if m >> i & 1) or "-" for m in f.members]
+        return "\n".join([f"n={f.n}", *lines, ""])
+
+    pairs = [[text(f1), text(f2)] for f1, f2 in u.pairs]
+    payload = {"n": u.n, "m0": u.m0, "m1": u.m1, "m2": u.m2, "pairs": pairs}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _derived_systems():
+    out = []
+    for n in (2, 3, 4):
+        res = exhaustive_pair_search(n)
+        for k in (1, 2):
+            mask, size = max_k_shattered(res.f1, k)
+            if 0 < size < n:
+                out.append(derive_system(res.f1, res.f2, mask, k)[0])
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12])
+def test_system_to_json_matches_json_dumps_on_log3(n):
+    u = log3_construction(n)
+    text = system_to_json(u)
+    assert text == reference_json(u)
+    # streamed a pair at a time: the opening, one chunk per pair, the closing
+    chunks = list(_json_chunks(u))
+    assert len(chunks) == u.m0 + 2 and "".join(chunks) == text
+
+
+def test_system_to_json_matches_json_dumps_on_derived_systems():
+    systems = _derived_systems()
+    assert len(systems) >= 3
+    for u in systems:
+        assert system_to_json(u) == reference_json(u)
+        assert system_from_json(system_to_json(u)) == u
+
+
+@st.composite
+def any_systems(draw):
+    # no validity asked: any sizes, repeated members, the empty and the full set
+    n = draw(st.integers(1, 64))
+    member = st.one_of(st.just(0), st.just((1 << n) - 1), st.integers(0, (1 << n) - 1))
+    m0, m1, m2 = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def family(m):
+        return st.lists(member, min_size=m, max_size=m).map(lambda ms: Family(n, ms))
+
+    pairs = draw(st.lists(st.tuples(family(m1), family(m2)), min_size=m0, max_size=m0))
+    return UnionFreeSystem(n, tuple(pairs))
+
+
+@given(any_systems())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_system_to_json_matches_json_dumps(u):
+    text = system_to_json(u)
+    assert text == reference_json(u)
+    assert system_from_json(text) == u
+
+
+def test_system_to_json_one_member_families_and_the_empty_set():
+    f0, f1 = Family(64, (0,)), Family(64, ((1 << 64) - 1,))
+    u = UnionFreeSystem(64, ((f0, f1), (f1, f0)))
+    assert system_to_json(u) == reference_json(u)
+    assert system_to_json(u).count('"n=64\\n-\\n"') == 2
 
 
 def test_system_from_json_parses_each_distinct_line_once(monkeypatch):
