@@ -45,9 +45,9 @@ from .families import (
     soft_sauer_bound,
 )
 from .systems import (
-    _json_chunks,
     log3_construction,
     system_from_json,
+    system_json_chunks,
     system_rates,
     validate_system,
 )
@@ -210,7 +210,7 @@ def _cmd_system(args):
     reason, fields, lines = _system_summary(u)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.writelines(_json_chunks(u))  # system_to_json's text, never held whole
+            fh.writelines(system_json_chunks(u))  # system_to_json's text, never held whole
         lines.append(f"wrote {args.out}")
     record = {**fields, "valid": reason is None, "out": args.out}
     return 0 if reason is None else 1, record, lines

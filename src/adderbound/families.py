@@ -363,8 +363,14 @@ def hamming_ball(n: int, radius: int) -> Family:
     count = sum(math.comb(n, t) for t in range(radius + 1))
     if count > _BALL_CAP:
         raise ValueError(f"ball has {count} members, over the in-memory cap {_BALL_CAP}")
-    subsets = (c for t in range(radius + 1) for c in itertools.combinations(range(n), t))
-    return Family(n, tuple(sum(1 << i for i in c) for c in subsets))
+    members = []
+    for t in range(radius + 1):
+        for combo in itertools.combinations(range(n), t):
+            m = 0
+            for i in combo:
+                m |= 1 << i
+            members.append(m)
+    return Family(n, tuple(members))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ __all__ = [
     "system_rates",
     "log3_construction",
     "derive_system",
+    "system_json_chunks",
     "system_to_json",
     "system_from_json",
 ]
@@ -177,7 +178,12 @@ def is_valid_system(u: UnionFreeSystem) -> bool:
 
 
 def system_rates(u: UnionFreeSystem) -> SystemRates:
-    return SystemRates(*(math.log2(m) / u.n for m in (u.m0, u.m1, u.m2)))
+    n = u.n
+    return SystemRates(
+        math.log2(u.m0) / n,
+        math.log2(u.m1) / n,
+        math.log2(u.m2) / n,
+    )
 
 
 def _submasks(mask: int) -> List[int]:
@@ -205,13 +211,19 @@ def log3_construction(n: int) -> UnionFreeSystem:
     m = 2 * n // 3
     pairs = []
     for combo in itertools.combinations(range(n), m):
-        f0 = sum(1 << i for i in combo)
+        f0 = 0
+        for i in combo:
+            f0 |= 1 << i
         pairs.append((Family._trusted(n, (f0,)), Family._trusted(n, tuple(_submasks(f0)))))
     return UnionFreeSystem(n, tuple(pairs))
 
 
 def _compact(mask: int, bits: List[int]) -> int:
-    return sum(1 << j for j, b in enumerate(bits) if mask >> b & 1)
+    out = 0
+    for j, b in enumerate(bits):
+        if mask >> b & 1:
+            out |= 1 << j
+    return out
 
 
 def derive_system(
@@ -273,8 +285,9 @@ def derive_system(
     return system, system_rates(system)
 
 
-def _json_chunks(u: UnionFreeSystem) -> Iterator[str]:
-    """system_to_json's text, a pair at a time.
+def system_json_chunks(u: UnionFreeSystem) -> Iterator[str]:
+    """json.dumps(payload, indent=2) + "\n", a pair at a time, where payload is
+    {"n", "m0", "m1", "m2", "pairs": [[family_to_text(f1), family_to_text(f2)], ...]}.
 
     JSON escapes nothing in a family text but its newlines, so each distinct
     member line is escaped once.
@@ -292,9 +305,8 @@ def _json_chunks(u: UnionFreeSystem) -> Iterator[str]:
 
 
 def system_to_json(u: UnionFreeSystem) -> str:
-    """json.dumps(payload, indent=2) + "\n", where payload is {"n", "m0", "m1", "m2",
-    "pairs": [[family_to_text(f1), family_to_text(f2)], ...]}."""
-    return "".join(_json_chunks(u))
+    """The whole text of system_json_chunks."""
+    return "".join(system_json_chunks(u))
 
 
 def system_from_json(text: str) -> UnionFreeSystem:

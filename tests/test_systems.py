@@ -23,13 +23,13 @@ from adderbound.families import (
 from adderbound.systems import (
     DerivationError,
     UnionFreeSystem,
-    _json_chunks,
     _low_spread,
     _submasks,
     derive_system,
     is_valid_system,
     log3_construction,
     system_from_json,
+    system_json_chunks,
     system_rates,
     system_to_json,
     validate_system,
@@ -516,7 +516,7 @@ def test_system_to_json_matches_json_dumps_on_log3(n):
     text = system_to_json(u)
     assert text == reference_json(u)
     # streamed a pair at a time: the opening, one chunk per pair, the closing
-    chunks = list(_json_chunks(u))
+    chunks = list(system_json_chunks(u))
     assert len(chunks) == u.m0 + 2 and "".join(chunks) == text
 
 
