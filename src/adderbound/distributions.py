@@ -7,8 +7,9 @@ module provides that joint as a concrete object, the entropy triplet
 makes X1 uniform without losing conditional entropy, and the closed-form
 envelopes that turn second-moment information into entropy bounds.
 
-Everything is numeric and stateless; see bounds for the optimization layer
-that consumes these envelopes.
+Everything is numeric and stateless, on plain floats: a joint holds a few
+tuples of floats, and its marginals and entropies are math.fsum sums over
+them. See bounds for the optimization layer that consumes these envelopes.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from .entropy import (
     PROB_SLACK,
     _as_prob,
+    _h_half,
     _real,
-    _sum_entropy,
-    binary_convolve,
     binary_entropy,
     binary_entropy_inv,
     entropy,
@@ -84,26 +82,24 @@ class AuxBinaryJoint:
     @property
     def x1_marginal(self) -> float:
         """P(X1 = 1)."""
-        return float(np.dot(self.u_masses, self.t))
+        return math.fsum(map(float.__mul__, self.u_masses, self.t))
 
     @property
     def x2_marginal(self) -> float:
-        return float(np.dot(self.u_masses, self.q))
+        return math.fsum(map(float.__mul__, self.u_masses, self.q))
 
     @property
     def mismatch_probability(self) -> float:
-        """P(X1 != X2), averaging the per-u convolution t * q."""
-        t = np.asarray(self.t)
-        q = np.asarray(self.q)
-        return float(np.dot(self.u_masses, binary_convolve(t, q)))
+        """P(X1 != X2), averaging the per-u convolution t(1-q) + q(1-t)."""
+        return math.fsum(
+            m * (t * (1.0 - q) + q * (1.0 - t)) for m, t, q in zip(self.u_masses, self.t, self.q)
+        )
 
     def sum_pmf(self) -> Tuple[float, float, float]:
         """Marginal pmf of X1 + X2 over {0, 1, 2}."""
-        m = np.asarray(self.u_masses)
-        t = np.asarray(self.t)
-        q = np.asarray(self.q)
-        p0 = float(np.dot(m, (1.0 - t) * (1.0 - q)))
-        p2 = float(np.dot(m, t * q))
+        cells = tuple(zip(self.u_masses, self.t, self.q))
+        p0 = math.fsum(m * ((1.0 - t) * (1.0 - q)) for m, t, q in cells)
+        p2 = math.fsum(m * (t * q) for m, t, q in cells)
         return p0, max(1.0 - p0 - p2, 0.0), p2
 
 
@@ -136,13 +132,14 @@ def entropy_triplet(d: AuxBinaryJoint) -> EntropyTriplet:
     three-point pmf (P(both 0), P(exactly one), P(both 1)); the conditional
     first-bit entropy averages h(t_u).
     """
-    m = np.asarray(d.u_masses)
-    t = np.asarray(d.t)
-    q = np.asarray(d.q)
-    hs = entropy(d.sum_pmf())
-    hs_cond = float(np.dot(m, _sum_entropy(t, q)))
-    h1_cond = float(np.dot(m, binary_entropy(t)))
-    return EntropyTriplet(hs, hs_cond, h1_cond)
+    hs_cond = []
+    h1_cond = []
+    for m, t, q in zip(d.u_masses, d.t, d.q):
+        nt, nq = 1.0 - t, 1.0 - q
+        cells = (nt * nq, t * nq + q * nt, t * q)
+        hs_cond.append(m * sum(-v * math.log2(v) for v in cells if v > 0.0))
+        h1_cond.append(m * _h_half(min(t, nt)))
+    return EntropyTriplet(entropy(d.sum_pmf()), math.fsum(hs_cond), math.fsum(h1_cond))
 
 
 def bernoulli_sum_entropy(y: float, z: float) -> float:
@@ -154,11 +151,13 @@ def bernoulli_sum_entropy(y: float, z: float) -> float:
     """
     yf = _as_prob(y, "y")
     zf = _as_prob(z, "z")
-    conv = binary_convolve(yf, zf)
+    hyz = _h_half(min(yf, 1.0 - yf)) + _h_half(min(zf, 1.0 - zf))
+    only_y = yf * (1.0 - zf)
+    conv = only_y + zf * (1.0 - yf)
     if conv <= 0.0:
-        return binary_entropy(yf) + binary_entropy(zf)
-    ratio = yf * (1.0 - zf) / conv
-    return binary_entropy(yf) + binary_entropy(zf) - conv * binary_entropy(ratio)
+        return hyz
+    ratio = only_y / conv  # in [0, 1]: a rounded sum of nonnegatives is no less than either
+    return hyz - conv * _h_half(min(ratio, 1.0 - ratio))
 
 
 def quad_entropy_envelope(y: float) -> float:

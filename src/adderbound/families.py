@@ -184,7 +184,7 @@ def is_k_shattered(f: Family, s_mask: int, k: int) -> bool:
     cells = 1 << s_mask.bit_count()
     if k * cells > len(f):
         return False
-    counts = project(f, s_mask)
+    counts = Counter(m & s_mask for m in f.members)  # project(f, s_mask), mask checked above
     return len(counts) == cells and min(counts.values()) >= k
 
 
@@ -204,9 +204,11 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
     its projection cells as bitsets of member positions (a repeated member
     counts twice); adding element i splits every cell by i, and a branch
     stops once its smallest cell, the multiplicity, is below min(ks). The
-    answer for k is the first, so numerically smallest, set of the largest
-    size with multiplicity at least k; (0, 0) when only the empty set
-    qualifies, as it does whenever |f| >= k.
+    split itself stops at the first half below min(ks), so a thin child
+    costs only the cells split before it. The answer for k is the first, so
+    numerically smallest, set of the largest size with multiplicity at
+    least k; (0, 0) when only the empty set qualifies, as it does whenever
+    |f| >= k.
 
     A k-shattered set S needs k * 2^|S| members, so no set larger than
     floor(log2(|f| / min(ks))) can be reached. If the subsets of sizes up
@@ -232,15 +234,25 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
         )
     cols = [sum(1 << p for p, m in enumerate(f.members) if m >> i & 1) for i in range(f.n)]
     best = {k: (0, 0) for k in ks}
+    size = len(f)
 
     def grow(mask: int, cells: List[int], below: int, child_size: int) -> None:
         for i in range(below):
             col = cols[i]
             split = []
+            least = size
             for c in cells:
                 on = c & col
-                split += (on, c ^ on)
-            least = min(map(int.bit_count, split))
+                off = c ^ on
+                a = on.bit_count()
+                b = off.bit_count()
+                if a < least:
+                    least = a
+                if b < least:
+                    least = b
+                if least < k_min:
+                    break
+                split += (on, off)
             if least < k_min:
                 continue
             for k in ks:
@@ -249,7 +261,7 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
             if child_size < top:
                 grow(mask | 1 << i, split, i, child_size + 1)
 
-    grow(0, [(1 << len(f)) - 1], f.n, 1)
+    grow(0, [(1 << size) - 1], f.n, 1)
     return best
 
 

@@ -22,7 +22,13 @@ from adderbound.distributions import (
     quad_entropy_envelope,
     symmetrize,
 )
-from adderbound.entropy import binary_entropy, binary_entropy_inv, entropy
+from adderbound.entropy import (
+    _sum_entropy,
+    binary_convolve,
+    binary_entropy,
+    binary_entropy_inv,
+    entropy,
+)
 from adderbound.families import exhaustive_pair_search, max_k_shattered
 from adderbound.systems import derive_system, log3_construction, system_rates
 
@@ -75,14 +81,54 @@ def test_triplet_validation():
 
 def test_triplet_uniform_case():
     t = entropy_triplet(AuxBinaryJoint((1.0,), (0.5,), (0.5,)))
-    assert abs(t.hs - 1.5) < 1e-12
-    assert abs(t.hs_cond - 1.5) < 1e-12
-    assert abs(t.h1_cond - 1.0) < 1e-12
+    assert t.as_tuple() == (1.5, 1.5, 1.0)
 
 
 def test_triplet_deterministic_bits():
     t = entropy_triplet(AuxBinaryJoint((0.3, 0.7), (0.0, 0.0), (0.0, 0.0)))
     assert t.as_tuple() == (0.0, 0.0, 0.0)
+
+
+def _numpy_reference(d):
+    # the array formulas the joint used before it moved to plain floats
+    m, t, q = (np.asarray(v) for v in (d.u_masses, d.t, d.q))
+    p0 = float(np.dot(m, (1.0 - t) * (1.0 - q)))
+    p2 = float(np.dot(m, t * q))
+    pmf = (p0, max(1.0 - p0 - p2, 0.0), p2)
+    hs_cond = float(np.dot(m, _sum_entropy(t, q)))
+    triplet = (entropy(pmf), hs_cond, float(np.dot(m, binary_entropy(t))))
+    mismatch = float(np.dot(m, binary_convolve(t, q)))
+    return pmf, triplet, mismatch, float(np.dot(m, t)), float(np.dot(m, q))
+
+
+def _desk_systems():
+    systems = [log3_construction(3), log3_construction(6)]
+    for n in (1, 2, 3):
+        res = exhaustive_pair_search(n)
+        mask, size = max_k_shattered(res.f1, 1)
+        if 0 < size < n:
+            u, _ = derive_system(res.f1, res.f2, mask, 1)
+            systems.append(u)
+    return systems
+
+
+def test_float_joint_matches_numpy_reference():
+    rng = np.random.default_rng(28)
+    joints = [random_joint(rng, max_support=8) for _ in range(500)]
+    assert {d.support_size for d in joints} == set(range(1, 9))
+    systems = _desk_systems() + [log3_construction(9)]
+    joints += [joint_from_system(u) for u in systems]
+    for d in joints:
+        pmf, triplet, mismatch, x1, x2 = _numpy_reference(d)
+        got = (
+            *d.sum_pmf(),
+            *entropy_triplet(d).as_tuple(),
+            d.mismatch_probability,
+            d.x1_marginal,
+            d.x2_marginal,
+        )
+        for a, b in zip(got, (*pmf, *triplet, mismatch, x1, x2)):
+            assert abs(a - b) <= 1e-15, (d, got)
 
 
 def test_triplet_conditioning_never_gains():
@@ -107,6 +153,23 @@ def test_triplet_matches_closed_form_sum_entropy():
 
 
 # ------------------------------------------------------- closed-form envelopes
+
+
+def _reference_sum_entropy(y, z):
+    # the closed form through the public primitives, each argument read again
+    conv = binary_convolve(y, z)
+    if conv <= 0.0:
+        return binary_entropy(y) + binary_entropy(z)
+    return binary_entropy(y) + binary_entropy(z) - conv * binary_entropy(y * (1.0 - z) / conv)
+
+
+def test_sum_entropy_bits_match_reference():
+    rng = np.random.default_rng(29)
+    ends = (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0)
+    pairs = [(float(y), float(z)) for y, z in rng.uniform(0.0, 1.0, (2000, 2))]
+    pairs += [(y, z) for y in ends for z in ends]
+    for y, z in pairs:
+        assert bernoulli_sum_entropy(y, z).hex() == _reference_sum_entropy(y, z).hex(), (y, z)
 
 
 def test_sum_entropy_values():
@@ -357,13 +420,7 @@ def test_joint_from_system_log3():
 
 
 def test_rate_triples_obey_entropy_constraints():
-    systems = [log3_construction(3), log3_construction(6)]
-    for n in (1, 2, 3):
-        res = exhaustive_pair_search(n)
-        mask, size = max_k_shattered(res.f1, 1)
-        if 0 < size < n:
-            u, _ = derive_system(res.f1, res.f2, mask, 1)
-            systems.append(u)
+    systems = _desk_systems()
     assert len(systems) >= 4
     for u in systems:
         t = entropy_triplet(joint_from_system(u))

@@ -336,33 +336,49 @@ def test_max_k_shattered_budget_guard():
         shattering_profile(f, (1, 2, 4))
 
 
-def brute_max_k_shattered(f, k):
-    # every mask through is_k_shattered, largest size first, then smallest mask
-    for mask in sorted(range(1 << f.n), key=lambda m: (-m.bit_count(), m)):
-        if is_k_shattered(f, mask, k):
-            return mask, mask.bit_count()
+def brute_shattering(f):
+    # every mask up to the size cap, ascending, counted by Counter projections;
+    # only a larger size replaces an answer, so each keeps the least mask
+    best = {k: (0, 0) for k in (1, 2, 4)}
+    for mask in range(1, 1 << f.n):
+        size = mask.bit_count()
+        if size > len(f).bit_length() - 1:
+            continue
+        counts = Counter(m & mask for m in f.members)
+        mult = min(counts.values()) if len(counts) == 1 << size else 0
+        for k, (_, got) in best.items():
+            if mult >= k and size > got:
+                best[k] = (mask, size)
+    return best
 
 
 def test_shattering_matches_brute_force():
     rng = np.random.default_rng(23)
     fams = []
-    for _ in range(60):
-        n = int(rng.integers(2, 9))
-        size = int(rng.integers(4, min(2**n, 40) + 1))
+    for _ in range(180):
+        n = int(rng.integers(1, 9))
+        size = int(rng.integers(1, min(2**n, 40) + 1))
         fams.append(Family(n, tuple(int(m) for m in rng.choice(1 << n, size=size, replace=False))))
     # duplicated members: every copy counts toward a cell's multiplicity
-    for _ in range(40):
-        n = int(rng.integers(2, 9))
+    for _ in range(120):
+        n = int(rng.integers(1, 9))
         pool = rng.choice(1 << n, size=int(rng.integers(1, min(2**n, 16) + 1)), replace=False)
-        size = int(rng.integers(4, 41))
+        size = int(rng.integers(1, 41))
         fams.append(Family(n, tuple(int(m) for m in rng.choice(pool, size=size))))
-    assert sum(f.has_duplicates for f in fams) >= 30
+    assert sum(f.has_duplicates for f in fams) >= 90
+    every_ks = [ks for r in (1, 2, 3) for ks in itertools.combinations((1, 2, 4), r)]
     for f in fams:
-        prof = shattering_profile(f, (1, 2, 4))
-        for k in (1, 2, 4):
-            want = brute_max_k_shattered(f, k)
-            assert prof[k] == want, (f.members, k)
-            assert max_k_shattered(f, k) == want, (f.members, k)
+        want = brute_shattering(f)
+        for ks in every_ks:
+            if len(f) >= ks[-1]:
+                assert shattering_profile(f, ks) == {k: want[k] for k in ks}, (f.members, ks)
+        for k, (mask, size) in want.items():
+            if len(f) >= k:
+                assert max_k_shattered(f, k) == (mask, size), (f.members, k)
+                assert is_k_shattered(f, mask, k)
+                assert size == f.n or not any(
+                    is_k_shattered(f, mask | 1 << i, k) for i in range(f.n) if not mask >> i & 1
+                )
 
 
 def pinned_families():
