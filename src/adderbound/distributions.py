@@ -136,8 +136,7 @@ def entropy_triplet(d: AuxBinaryJoint) -> EntropyTriplet:
     h1_cond = []
     for m, t, q in zip(d.u_masses, d.t, d.q):
         nt, nq = 1.0 - t, 1.0 - q
-        cells = (nt * nq, t * nq + q * nt, t * q)
-        hs_cond.append(m * sum(-v * math.log2(v) for v in cells if v > 0.0))
+        hs_cond.append(m * entropy((nt * nq, t * nq + q * nt, t * q)))
         h1_cond.append(m * _h_half(min(t, nt)))
     return EntropyTriplet(entropy(d.sum_pmf()), math.fsum(hs_cond), math.fsum(h1_cond))
 

@@ -244,22 +244,19 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
             for c in cells:
                 on = c & col
                 off = c ^ on
-                a = on.bit_count()
-                b = off.bit_count()
-                if a < least:
+                if (a := on.bit_count()) < least:
                     least = a
-                if b < least:
+                if (b := off.bit_count()) < least:
                     least = b
                 if least < k_min:
                     break
                 split += (on, off)
-            if least < k_min:
-                continue
-            for k in ks:
-                if least >= k and best[k][1] < child_size:
-                    best[k] = (mask | 1 << i, child_size)
-            if child_size < top:
-                grow(mask | 1 << i, split, i, child_size + 1)
+            else:
+                for k in ks:
+                    if least >= k and best[k][1] < child_size:
+                        best[k] = (mask | 1 << i, child_size)
+                if child_size < top:
+                    grow(mask | 1 << i, split, i, child_size + 1)
 
     grow(0, [(1 << size) - 1], f.n, 1)
     return best

@@ -43,6 +43,7 @@ from adderbound.families import (
     soft_sauer_bound,
 )
 from adderbound.systems import system_from_json
+from adderbound import verify
 from adderbound.verify import run_all, run_suite
 
 
@@ -220,6 +221,30 @@ def test_union_free_rejects_bad_input():
         is_multiset_union_free(Family(2, (1, 1)), Family(2, (0,)))
 
 
+def test_verify_union_free_check_counts_compared_pairs(monkeypatch):
+    # the check reports the pairs drawn on a common ground set, yet still makes
+    # all 600 draws first, so the checks after it see the same families;
+    # run_all(s) runs this suite at seed s + 1
+    draws = []
+    real = verify._random_family
+
+    def spy(rng, max_n, max_size):
+        draws.append(max_n)
+        return real(rng, max_n=max_n, max_size=max_size)
+
+    monkeypatch.setattr(verify, "_random_family", spy)
+    for seed, compared in ((1, 69), (2, 93), (8, 73)):
+        draws.clear()
+        got = [(c.name, c.passed, c.samples, c.max_violation) for c in run_suite("families", seed)]
+        assert got == [
+            ("union-free-matches-naive", True, compared, 0.0),
+            ("soft-sauer-soundness", True, 300, 0.0),
+            ("shift-shattering-transfer", True, 200, 0.0),
+            ("search-desk-ground-truth", True, 3, 0.0),
+        ]
+        assert draws == [4] * 600 + [10] * 300 + [6] * 200
+
+
 # ----------------------------------------------------------------- projection
 
 
@@ -337,16 +362,16 @@ def test_max_k_shattered_budget_guard():
 
 
 def brute_shattering(f):
-    # every mask up to the size cap, ascending, counted by Counter projections;
-    # only a larger size replaces an answer, so each keeps the least mask
+    # every mask, ascending, counted by Counter projections; only a larger
+    # size replaces an answer, so each keeps the least mask. is_k_shattered
+    # must agree with the count on every mask, above the size cap too
     best = {k: (0, 0) for k in (1, 2, 4)}
     for mask in range(1, 1 << f.n):
         size = mask.bit_count()
-        if size > len(f).bit_length() - 1:
-            continue
         counts = Counter(m & mask for m in f.members)
         mult = min(counts.values()) if len(counts) == 1 << size else 0
         for k, (_, got) in best.items():
+            assert is_k_shattered(f, mask, k) == (mult >= k), (f.members, mask, k)
             if mult >= k and size > got:
                 best[k] = (mask, size)
     return best
