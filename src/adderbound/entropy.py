@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,6 +105,25 @@ def binary_entropy(p: ArrayLike) -> ArrayLike:
     return _h_half(1.0 - q if q > 0.5 else q)
 
 
+def _bisection_cell(a: float, b: float) -> Tuple[float, float]:
+    """The cell (lo, hi) of the bisection of [0, 1/2] whose midpoint is the
+    first to fall in [a, b], for floats 0 < a <= b < min(2a, 1/2).
+
+    That midpoint is the dyadic rational of least denominator in [a, b]: the
+    integer with the most trailing zeros in [A, B], where A and B are a and b
+    as integers in units of 2^e (both exact, as b < 2a), and lo and hi lie
+    one power of two, its lowest bit, either side of it.
+    """
+    e = math.frexp(b)[1] - 54
+    lo, hi = int(math.ldexp(a, -e)), int(math.ldexp(b, -e))
+    mid = hi
+    if lo < hi:
+        top = (lo ^ hi).bit_length() - 1  # the highest bit where they differ
+        mid = lo if lo & ((2 << top) - 1) == 0 else hi >> top << top
+    half = mid & -mid
+    return math.ldexp(mid - half, e), math.ldexp(mid + half, e)
+
+
 def binary_entropy_inv(x: float) -> float:
     """Inverse of binary_entropy restricted to [0, 1/2], by bisection.
 
@@ -114,6 +133,21 @@ def binary_entropy_inv(x: float) -> float:
     steps, at x = 5e-324) and returns lo. Every bound that takes
     p = h_inv(r1) only rises as p falls, so this side is the sound one. The
     restriction makes the inverse single-valued; the other preimage is 1 - p.
+
+    The bisection skips the steps whose outcome is already known. Three
+    Newton steps from 0.5 (1 - sqrt(1 - x^(4/3))) place p^, and the bracket
+    a = p^ (1 - 2^-40), b = p^ (1 + 2^-40) is taken when h(a) <= x - m and
+    h(b) >= x + m, with m = 2^-48 (1 + x). With u = 2^-53 and math.log2
+    within one ulp, the loop's float h is within E(y) = 2^-50 h(y) + 2^-51
+    of h(y) on (0, 1/2]: the log2s, products and difference add at most
+    4.1u h(y), and rounding 1 - y moves the second term by at most
+    (0.5 + 1/ln 2) u < 2u. m is more than twice E at h(y) <= x + m, and h rises
+    on [0, 1/2], so every midpoint below a compares <= x and every one above
+    b compares > x. Up to its first midpoint inside [a, b], the loop would
+    walk the cells that hold [a, b]; it starts at that cell instead
+    (_bisection_cell) and returns the same bits. As p h'(p) <= h(p), h(b) -
+    h(a) is at most about 2^-39 x, below 2m for x <= 2^-8; there, and
+    where the check fails, the bisection starts from [0, 1/2].
     """
     if not -PROB_SLACK <= (x := _real(x, "x")) <= 1.0 + PROB_SLACK:  # NaN fails too
         raise ValueError(f"entropy value {x!r} outside [0, 1]")
@@ -123,6 +157,14 @@ def binary_entropy_inv(x: float) -> float:
     if x == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
+    if x > 2.0**-8:
+        p = 0.5 * (1.0 - math.sqrt(1.0 - x ** (4.0 / 3.0)))
+        for _ in range(3):
+            if 0.0 < p < 0.5:
+                p -= (_h_half(p) - x) / math.log2((1.0 - p) / p)
+        a, b, m = p * (1.0 - 2.0**-40), p * (1.0 + 2.0**-40), 2.0**-48 * (1.0 + x)
+        if 0.0 < a and b < 0.5 and _h_half(a) <= x - m and _h_half(b) >= x + m:
+            lo, hi = _bisection_cell(a, b)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if -mid * math.log2(mid) - (1.0 - mid) * math.log2(1.0 - mid) <= x:  # _h_half(mid) inline
             lo = mid

@@ -196,19 +196,53 @@ def max_k_shattered(f: Family, k: int) -> Tuple[int, int]:
     return shattering_profile(f, (k,))[k]
 
 
+def _thick_sets(f: Family, floor: int, top: int) -> List[Tuple[int, int]]:
+    """(mask, multiplicity) of every nonempty set of at most top elements
+    each of whose projection cells holds at least floor members.
+
+    A depth-first search over sets, each grown only by elements below its
+    least one, so the list meets every size in increasing mask order. A set
+    carries its cells as bitsets of member positions (a repeated member
+    counts twice); adding element i splits every cell by i, and the
+    smallest cell is the multiplicity. The split stops at the first half
+    below floor, so a thin child costs only the cells split before it, and
+    no superset of it is visited: their cells split its cells.
+    """
+    cols = [sum(1 << p for p, m in enumerate(f.members) if m >> i & 1) for i in range(f.n)]
+    size = len(f)
+    found = []
+
+    def grow(mask: int, cells: List[int], below: int, child_size: int) -> None:
+        for i in range(below):
+            col = cols[i]
+            split = []
+            least = size
+            for c in cells:
+                on = c & col
+                off = c ^ on
+                if (a := on.bit_count()) < least:
+                    least = a
+                if (b := off.bit_count()) < least:
+                    least = b
+                if least < floor:
+                    break
+                split += (on, off)
+            else:
+                found.append((mask | 1 << i, least))
+                if child_size < top:
+                    grow(mask | 1 << i, split, i, child_size + 1)
+
+    grow(0, [(1 << size) - 1], f.n, 1)
+    return found
+
+
 def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tuple[int, int]]:
     """A largest k-shattered set, as (mask, size), for every k in ks at once.
 
-    A depth-first search over sets, each grown only by elements below its
-    least one, so every size is met in increasing mask order. A set carries
-    its projection cells as bitsets of member positions (a repeated member
-    counts twice); adding element i splits every cell by i, and a branch
-    stops once its smallest cell, the multiplicity, is below min(ks). The
-    split itself stops at the first half below min(ks), so a thin child
-    costs only the cells split before it. The answer for k is the first, so
-    numerically smallest, set of the largest size with multiplicity at
-    least k; (0, 0) when only the empty set qualifies, as it does whenever
-    |f| >= k.
+    The sets with multiplicity at least min(ks) come from one depth-first
+    search (_thick_sets). The answer for k is the first, so numerically
+    smallest, set of the largest size with multiplicity at least k; (0, 0)
+    when only the empty set qualifies, as it does whenever |f| >= k.
 
     A k-shattered set S needs k * 2^|S| members, so no set larger than
     floor(log2(|f| / min(ks))) can be reached. If the subsets of sizes up
@@ -225,41 +259,33 @@ def shattering_profile(f: Family, ks: Sequence[int] = (1, 2, 4)) -> Dict[int, Tu
         raise ValueError(f"k must be >= 1, got {ks[0]}")
     if len(f) < ks[-1]:
         raise ValueError(f"family of size {len(f)} cannot {ks[-1]}-shatter any set")
-    k_min = ks[0]
-    top = min(f.n, (len(f) // k_min).bit_length() - 1)
+    top = min(f.n, (len(f) // ks[0]).bit_length() - 1)
     total = sum(math.comb(f.n, s) for s in range(1, top + 1))
     if total > _SUBSET_BUDGET:
         raise SearchBudgetError(
             f"scanning sizes 1..{top} on n={f.n} needs {total} subsets (budget {_SUBSET_BUDGET})"
         )
-    cols = [sum(1 << p for p, m in enumerate(f.members) if m >> i & 1) for i in range(f.n)]
     best = {k: (0, 0) for k in ks}
-    size = len(f)
-
-    def grow(mask: int, cells: List[int], below: int, child_size: int) -> None:
-        for i in range(below):
-            col = cols[i]
-            split = []
-            least = size
-            for c in cells:
-                on = c & col
-                off = c ^ on
-                if (a := on.bit_count()) < least:
-                    least = a
-                if (b := off.bit_count()) < least:
-                    least = b
-                if least < k_min:
-                    break
-                split += (on, off)
-            else:
-                for k in ks:
-                    if least >= k and best[k][1] < child_size:
-                        best[k] = (mask | 1 << i, child_size)
-                if child_size < top:
-                    grow(mask | 1 << i, split, i, child_size + 1)
-
-    grow(0, [(1 << size) - 1], f.n, 1)
+    for mask, least in _thick_sets(f, ks[0], top):
+        size = mask.bit_count()
+        for k in ks:
+            if least >= k and best[k][1] < size:
+                best[k] = (mask, size)
     return best
+
+
+def _multiplicities(f: Family) -> List[int]:
+    """For every mask s, the least cell count of project(f, s), 0 if a cell is empty.
+
+    So s is k-shattered iff the entry is >= k. The sets whose every cell is
+    nonempty come from one pass of _thick_sets; the list has 2^n entries,
+    so this is for small n.
+    """
+    mult = [0] * (1 << f.n)
+    mult[0] = len(f)
+    for mask, least in _thick_sets(f, 1, f.n):
+        mult[mask] = least
+    return mult
 
 
 def shift_monotonize(f: Family) -> Family:

@@ -108,18 +108,27 @@ class DerivationError(ValueError):
     """The pair/shattered-set reduction cannot produce a system."""
 
 
-# _spread of every byte: bit j weighs 3^j
-_BYTE_SPREAD = np.array([_spread(b) for b in range(256)], dtype=np.uint64)
+# _BYTE_SPREADS[k][v] = _spread(v << 8k) for every byte v, k < 5: bit j weighs 3^j
+_BYTE_SPREADS = [np.array([_spread(v << 8 * k) for v in range(256)], np.uint64) for k in range(5)]
+
+# masks per block of _low_spread, which keeps its temporaries small
+_BLOCK = 1 << 16
 
 
 def _low_spread(masks: np.ndarray, n: int) -> np.ndarray:
-    """_spread of each uint64 mask's first 40 coordinates, as uint64.
+    """_spread of each mask's first 40 coordinates, for a contiguous 1-d uint64 array.
 
     A sum of two such keys is at most 3^40 - 1 < 2^64, so it never overflows.
+    Each mask is read as its little-endian bytes, and the keys are added up
+    in place a block at a time, so the only array as large as masks is the
+    result.
     """
     low = np.zeros(masks.shape, dtype=np.uint64)
-    for b in range((min(n, 40) + 7) // 8):
-        low += _BYTE_SPREAD[(masks >> (8 * b)) & 255] * 3 ** (8 * b)
+    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    for start in range(0, masks.size, _BLOCK):
+        acc = low[start : start + _BLOCK]
+        for k in range((min(n, 40) + 7) // 8):
+            acc += _BYTE_SPREADS[k][octets[start : start + _BLOCK, k]]
     return low
 
 
@@ -137,19 +146,27 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     order, a-major. If the low keys, sorted, are all distinct, so are the
     sums. Otherwise only sums whose low key repeats can collide (a repeated
     member repeats its sums too), and those alone are replayed in pair order
-    through one dict of exact sums _spread(a) + _spread(c).
+    through one dict of exact sums _spread(a) + _spread(c). The keys are
+    sorted in place and formed again, in pair order, only when one repeats.
     """
     m0, m1, m2 = u.m0, u.m1, u.m2
     chain = itertools.chain.from_iterable
     firsts = np.fromiter(chain(f.members for f, _ in u.pairs), np.uint64, m0 * m1)
     seconds = np.fromiter(chain(f.members for _, f in u.pairs), np.uint64, m0 * m2)
-    low = (
-        _low_spread(firsts, u.n).reshape(m0, m1, 1) + _low_spread(seconds, u.n).reshape(m0, 1, m2)
-    ).ravel()
-    ordered = np.sort(low)
+
+    def low_keys() -> np.ndarray:
+        low1 = _low_spread(firsts, u.n).reshape(m0, m1, 1)
+        low2 = _low_spread(seconds, u.n).reshape(m0, 1, m2)
+        # in place when a side has one member per pair, as log3_construction's first does
+        return np.add(low1, low2, out=low2 if m1 == 1 else low1 if m2 == 1 else None).ravel()
+
+    ordered = low_keys()
+    ordered.sort()
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if not repeated.size:
         return None
+    del ordered
+    low = low_keys()
     # sum h of pair i = h // (m1*m2) adds firsts[h // m2] and seconds[i*m2 + h % m2]
     hits = np.flatnonzero(np.isin(low, repeated))
     owners = hits // (m1 * m2)

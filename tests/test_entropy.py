@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -99,6 +100,65 @@ def test_inverse_ends_at_adjacent_floats_below():
     for bad in (float("nan"), -1e-9, 1.0 + 1e-9, math.inf):
         with pytest.raises(ValueError, match=rf"^entropy value {bad!r} outside \[0, 1\]$"):
             binary_entropy_inv(bad)
+
+
+def plain_bisection_inv(x):
+    # the oracle: binary_entropy_inv as plain bisection of [0, 1/2] with the same float h
+    x = min(max(x, 0.0), 1.0)
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if -mid * math.log2(mid) - (1.0 - mid) * math.log2(1.0 - mid) <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_inverse_bits_match_plain_bisection(monkeypatch):
+    # binary_entropy_inv starts its bisection deeper where Newton steps place a
+    # safe bracket; every returned bit must be the plain bisection's
+    entropy_module = importlib.import_module("adderbound.entropy")
+    started = []
+    real_cell = entropy_module._bisection_cell
+    monkeypatch.setattr(
+        entropy_module, "_bisection_cell", lambda a, b: started.append(a) or real_cell(a, b)
+    )
+    rng = np.random.default_rng(20141229)
+    uniform = rng.uniform(0.0, 1.0, 100_000)
+    for x in map(float, uniform):
+        assert binary_entropy_inv(x).hex() == plain_bisection_inv(x).hex(), x
+    # the deeper start is what ran: on most uniform x
+    assert len(started) > 0.95 * len(uniform)
+    xs = [
+        *rng.uniform(0.0, 1.0, 40_000) ** 8,  # near 0
+        *1.0 - rng.uniform(0.0, 1.0, 40_000) ** 8,  # near 1
+        *1e-9 * rng.uniform(0.5, 2.0, 10_000),  # around the 1e-9 floor
+        *2.0**-8 * rng.uniform(0.99, 1.01, 8_000),  # around where the bracket is first tried
+        *5e-324 * rng.integers(1, 2**52, 2_000).astype(float),  # subnormals
+        0.0, 1.0, 5e-324, 2.0**-1022, 1e-300, 1e-9, 2.0**-8, math.nextafter(2.0**-8, 1.0),
+        math.nextafter(1.0, 0.0), 1.0 - 2.0**-40, 0.5, 1e-12, -1e-13, 1.0 + 1e-13,
+    ]
+    assert len(uniform) + len(xs) >= 200_000
+    for x in map(float, xs):
+        assert binary_entropy_inv(x).hex() == plain_bisection_inv(x).hex(), x
+
+
+def test_bisection_cell_is_where_plain_bisection_first_lands_inside():
+    entropy_module = importlib.import_module("adderbound.entropy")
+    rng = np.random.default_rng(7)
+    ps = [*rng.uniform(1e-6, 0.499, 3_000), 0.25, 0.125, 0.375, 2.0**-20, 0.3 + 2.0**-40]
+    brackets = [(p * (1.0 - rel), p * (1.0 + rel)) for p in ps for rel in (2.0**-40, 2.0**-12, 0.0)]
+    # a itself the dyadic of least denominator
+    brackets += [(p, p * (1.0 + 2.0**-40)) for p in (0.25, 0.375, 0.3125, 3 * 2.0**-30)]
+    for a, b in brackets:
+        lo, hi = 0.0, 0.5
+        while not a <= (mid := 0.5 * (lo + hi)) <= b:
+            lo, hi = (mid, hi) if mid < a else (lo, mid)
+        assert entropy_module._bisection_cell(a, b) == (lo, hi), (a, b)
 
 
 def test_vectorized_matches_scalar():

@@ -24,6 +24,7 @@ from adderbound.families import (
     PairSearchResult,
     SearchBudgetError,
     _cliques,
+    _multiplicities,
     _NodeBudgetSpent,
     _pair_conflicts,
     _permutation_keys,
@@ -377,7 +378,7 @@ def brute_shattering(f):
     return best
 
 
-def test_shattering_matches_brute_force():
+def brute_force_families():
     rng = np.random.default_rng(23)
     fams = []
     for _ in range(180):
@@ -391,8 +392,12 @@ def test_shattering_matches_brute_force():
         size = int(rng.integers(1, 41))
         fams.append(Family(n, tuple(int(m) for m in rng.choice(pool, size=size))))
     assert sum(f.has_duplicates for f in fams) >= 90
+    return fams
+
+
+def test_shattering_matches_brute_force():
     every_ks = [ks for r in (1, 2, 3) for ks in itertools.combinations((1, 2, 4), r)]
-    for f in fams:
+    for f in brute_force_families():
         want = brute_shattering(f)
         for ks in every_ks:
             if len(f) >= ks[-1]:
@@ -522,6 +527,76 @@ def test_shift_shattering_transfer_small():
             for k in (1, 2, 3, 4):
                 if is_k_shattered(g, s_mask, k):
                     assert is_k_shattered(f, s_mask, k), (f.members, s_mask, k)
+
+
+def test_multiplicities_match_is_k_shattered_on_every_mask():
+    # the table verify's shift-shattering-transfer reads instead of is_k_shattered
+    fams = brute_force_families() + [Family(3, ()), Family(4, (5,) * 7), hamming_ball(6, 6)]
+    for f in fams:
+        mult = _multiplicities(f)
+        assert len(mult) == 1 << f.n
+        for s_mask, got in enumerate(mult):
+            counts = Counter(m & s_mask for m in f.members)
+            assert got == (min(counts.values()) if len(counts) == 1 << s_mask.bit_count() else 0)
+            for k in (1, 2, 3, 4, 7):
+                assert (got >= k) == is_k_shattered(f, s_mask, k), (f.members, s_mask, k)
+
+
+def transfer_violations(f, g):
+    # the shift-shattering-transfer count by its definition, one is_k_shattered call per (s, k)
+    return sum(
+        1
+        for s_mask in range(1 << f.n)
+        for k in (1, 2, 3)
+        if k <= len(f) and is_k_shattered(g, s_mask, k) and not is_k_shattered(f, s_mask, k)
+    )
+
+
+def test_verify_shift_transfer_counts_a_planted_fault(monkeypatch):
+    # a "shift" that returns the first |f| masks, 0 .. |f| - 1: down-closed,
+    # of the right size, and often shattering sets that f does not
+    seen = []
+
+    def planted(f):
+        g = Family(f.n, tuple(range(len(f))))
+        seen.append((f, g))
+        return g
+
+    monkeypatch.setattr(verify, "shift_monotonize", planted)
+    for seed in (1, 4):
+        seen.clear()
+        got = {c.name: c for c in run_suite("families", seed)}["shift-shattering-transfer"]
+        want = sum(transfer_violations(f, g) for f, g in seen)
+        assert len(seen) == 200 and want > 0
+        assert (got.passed, got.samples, got.max_violation) == (False, 200, float(want))
+
+
+def test_verify_soft_sauer_counts_every_family_under_a_lowered_bound(monkeypatch):
+    # lower the bound for the most frequent (n, d, k) below every family size:
+    # each family that meets it must count, although the bound is made once
+    profiles, calls = [], []
+    real_profile = verify.shattering_profile
+
+    def spy(f, ks):
+        prof = real_profile(f, ks)
+        profiles.append([(f.n, size + 1, k) for k, (_, size) in prof.items() if size < f.n])
+        return prof
+
+    monkeypatch.setattr(verify, "shattering_profile", spy)
+    run_suite("families", 5)
+    hits = Counter(key for keys in profiles for key in keys)
+    planted_key, want = hits.most_common(1)[0]
+    assert len(profiles) == 300 and want > 1
+
+    def lowered(n, d, k):
+        calls.append((n, d, k))
+        bound = soft_sauer_bound(n, d, k)
+        return dataclasses.replace(bound, exact=Fraction(1, 2)) if (n, d, k) == planted_key else bound
+
+    monkeypatch.setattr(verify, "soft_sauer_bound", lowered)
+    got = {c.name: c for c in run_suite("families", 5)}["soft-sauer-soundness"]
+    assert (got.passed, got.samples, got.max_violation) == (False, 300, float(want))
+    assert sorted(calls) == sorted(hits)  # each (n, d, k) bound once
 
 
 # ------------------------------------------------------------------ soft Sauer

@@ -23,6 +23,7 @@ from adderbound.families import (
 from adderbound.systems import (
     DerivationError,
     UnionFreeSystem,
+    _BLOCK,
     _low_spread,
     _submasks,
     derive_system,
@@ -284,6 +285,14 @@ def test_low_spread_is_the_spread_of_the_first_40_coordinates(n):
     got = _low_spread(np.array(masks, dtype=np.uint64), n)
     assert got.dtype == np.uint64
     assert got.tolist() == [_spread(m & (2**40 - 1)) for m in masks]
+
+
+def test_low_spread_fills_every_block():
+    # the keys are added up a block at a time: a partial last block included
+    rng = random.Random(5)
+    masks = [rng.getrandbits(40) for _ in range(2 * _BLOCK + 3)]
+    got = _low_spread(np.array(masks, dtype=np.uint64), 40)
+    assert got.tolist() == [_spread(m) for m in masks]
 
 
 def test_distinct_sum_count_iff_valid():
