@@ -615,6 +615,19 @@ def _member_lines(masks: Sequence[int]) -> List[str]:
     return lines
 
 
+# the largest n with a line table: log3_construction's largest. Its table takes
+# about 18 ms to build and 4.4 MB to keep; each n past it doubles both
+_LINE_TABLE_N = 15
+
+
+@functools.cache
+def _line_table(n: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """(lines, masks) for n <= _LINE_TABLE_N: lines[m] is the text line of mask m,
+    masks the mask of each such line. Shared by every caller: masks is only copied."""
+    lines = tuple(_member_lines(range(1 << n)))
+    return lines, dict(zip(lines, range(1 << n)))
+
+
 def family_to_text(f: Family) -> str:
     """Serialize a family: `n=<int>` then one line per member.
 
@@ -665,15 +678,21 @@ def _read_families(texts: Iterable[str]) -> Iterator[Family]:
 
     A text is first split at "\n" and read strictly (a canonical header, every line
     a memo hit or plain elements); else it is read as family_from_text describes.
+    For n <= _LINE_TABLE_N the strict memo starts as a copy of _line_table(n)'s
+    masks, so only lines that are not canonical are parsed. The loose read keeps
+    its own memo, unseeded: each distinct line it meets is parsed once.
     """
     # the bit of each canonical element, 0 for any other part; per n a line memo
     bit = defaultdict(int, {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}).__getitem__
     heads = {f"n={n}": n for n in range(1, MAX_GROUND + 1)}
     memos: Dict[int, Dict[str, int]] = {}
+    loose: Dict[int, Dict[str, int]] = {}
     for text in texts:
         lines = text.removesuffix("\n").split("\n")
         n = heads.get(lines[0])
-        masks = n and _memo_masks(lines, n, memos.setdefault(n, {}), bit, strict=True)
+        if n and n not in memos:
+            memos[n] = dict(_line_table(n)[1]) if n <= _LINE_TABLE_N else {}
+        masks = n and _memo_masks(lines, n, memos[n], bit, strict=True)
         if masks is None:
             lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
             if not lines or not lines[0].startswith("n="):
@@ -685,7 +704,7 @@ def _read_families(texts: Iterable[str]) -> Iterator[Family]:
             if not 1 <= n <= MAX_GROUND:
                 # before any 1 << (elem - 1): a huge n would admit a huge element
                 raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
-            masks = _memo_masks(lines, n, memos.setdefault(n, {}), bit, strict=False)
+            masks = _memo_masks(lines, n, loose.setdefault(n, {}), bit, strict=False)
         masks.sort()  # in range but maybe unsorted
         yield Family._trusted(n, tuple(masks))
 

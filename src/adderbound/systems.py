@@ -27,9 +27,11 @@ import numpy as np
 
 from .entropy import _integer
 from .families import (
+    _LINE_TABLE_N,
     Family,
     _check_mask,
     _check_same_ground,
+    _line_table,
     _member_lines,
     _read_families,
     _spread,
@@ -306,17 +308,22 @@ def system_json_chunks(u: UnionFreeSystem) -> Iterator[str]:
     """json.dumps(payload, indent=2) + "\n", a pair at a time, where payload is
     {"n", "m0", "m1", "m2", "pairs": [[family_to_text(f1), family_to_text(f2)], ...]}.
 
-    JSON escapes nothing in a family text but its newlines, so each distinct
-    member line is escaped once.
+    JSON escapes nothing in a family text but its newlines, so member lines are
+    joined by escaped newlines. For n <= families._LINE_TABLE_N each line is
+    read from _line_table(n) by mask; else each distinct line is written once per call.
     """
-    masks = sorted(set().union(*(f.members for pair in u.pairs for f in pair)))
-    line = dict(zip(masks, (ln + "\\n" for ln in _member_lines(masks)))).__getitem__
+    if u.n <= _LINE_TABLE_N:
+        line = _line_table(u.n)[0].__getitem__
+    else:
+        masks = sorted(set().union(*(f.members for pair in u.pairs for f in pair)))
+        line = dict(zip(masks, _member_lines(masks))).__getitem__
     head = f'      "n={u.n}\\n'
     yield f'{{\n  "n": {u.n},\n  "m0": {u.m0},\n  "m1": {u.m1},\n  "m2": {u.m2},\n  "pairs": ['
     sep = "\n"
     for f1, f2 in u.pairs:
-        body1, body2 = "".join(map(line, f1.members)), "".join(map(line, f2.members))
-        yield f'{sep}    [\n{head}{body1}",\n{head}{body2}"\n    ]'
+        # a family is never empty, so each text ends in its last line's newline
+        body1, body2 = "\\n".join(map(line, f1.members)), "\\n".join(map(line, f2.members))
+        yield f'{sep}    [\n{head}{body1}\\n",\n{head}{body2}\\n"\n    ]'
         sep = ",\n"
     yield "\n  ]\n}\n"
 
@@ -327,7 +334,8 @@ def system_to_json(u: UnionFreeSystem) -> str:
 
 
 def system_from_json(text: str) -> UnionFreeSystem:
-    """Each distinct member line parsed once per n; results and messages are family_from_text's."""
+    """Each distinct member line parsed once per n, and for n <= families._LINE_TABLE_N
+    no canonical line at all; results and messages are family_from_text's."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

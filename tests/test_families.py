@@ -23,7 +23,10 @@ from adderbound.families import (
     Family,
     PairSearchResult,
     SearchBudgetError,
+    _LINE_TABLE_N,
     _cliques,
+    _line_table,
+    _member_lines,
     _multiplicities,
     _NodeBudgetSpent,
     _pair_conflicts,
@@ -1164,6 +1167,49 @@ def test_family_text_bytes_across_byte_boundaries(n):
     text = family_to_text(f)
     assert text == reference_text(f)
     assert family_from_text(text) == f
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_line_table_is_every_mask_text_and_its_inverse(n):
+    lines, masks = _line_table(n)
+    assert lines == tuple(_member_lines(range(1 << n)))
+    for m, ln in enumerate(lines):
+        assert family_to_text(Family(n, (m,))) == reference_text(Family(n, (m,))) == f"n={n}\n{ln}\n"
+        assert masks[ln] == m
+    assert len(masks) == len(lines) == 1 << n
+
+
+def _table_texts(n):
+    # plain lines unsorted or repeated and "-", read strictly; a leading zero,
+    # a blank line and a repeated element, read loosely
+    return [
+        f"n={n}\n3,1\n1,3\n3,1\n-\n{n}\n",
+        f"n={n}\n-\n2,1\n",
+        f"n={n}\n01,2\n\n{n},1\n-\n",
+        f"n={n}\n2,2\n3,1\n",
+        f"n={n}\n2\n1,3\n",
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 12, _LINE_TABLE_N])
+@pytest.mark.parametrize(
+    "last, want",
+    [
+        ("", None),
+        ("n={n}\n3,1\n{top}\n", "element {top} outside [1, {n}]"),
+        ("n={n}\n-\n1,x\n", "bad element 'x' in line '1,x'"),
+        ("n={n}\n1\n03,{top}\n", "element {top} outside [1, {n}]"),
+    ],
+)
+def test_read_families_up_to_the_table_cap_keeps_the_table(n, last, want):
+    texts = _table_texts(n) + ([last.format(n=n, top=n + 1)] if last else [])
+    fams, err = assert_read_as_text_by_text(texts)
+    assert err == (want and want.format(n=n, top=n + 1))
+    assert [f.members for f in fams[:2]] == [tuple(sorted((0, 1 << (n - 1), 5, 5, 5))), (0, 3)]
+    # the strict reads memoized "3,1" and "2,1", each in a copy of the table
+    lines, masks = _line_table(n)
+    assert len(masks) == 1 << n and "3,1" not in masks and "2,1" not in masks
+    assert masks == dict(zip(lines, range(1 << n)))
 
 
 def test_family_text_fixture_above_one_byte():

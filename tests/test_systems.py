@@ -566,6 +566,20 @@ def test_system_to_json_one_member_families_and_the_empty_set():
     assert system_to_json(u).count('"n=64\\n-\\n"') == 2
 
 
+@pytest.mark.parametrize("n", [families._LINE_TABLE_N, families._LINE_TABLE_N + 1])
+def test_system_to_json_matches_json_dumps_on_both_sides_of_the_table_cap(n):
+    # the table's path at n = 15 and the per-call lines past it: every byte of
+    # a mask, the empty and the full set
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    members = [0, full, 1, 1 << (n - 1), 255, full ^ 255, *(rng.getrandbits(n) for _ in range(40))]
+    pairs = tuple((Family(n, members[i : i + 3]), Family(n, members[-i - 4 : -i - 1])) for i in range(12))
+    u = UnionFreeSystem(n, pairs)
+    text = system_to_json(u)
+    assert text == reference_json(u)
+    assert system_from_json(text) == u
+
+
 def test_system_from_json_parses_each_distinct_line_once(monkeypatch):
     payload = json.loads(system_to_json(log3_construction(12)))
     # a leading zero on every element: no line is canonical, so each distinct
