@@ -486,6 +486,25 @@ def _cliques(conf: List[int], lo: int, hi: int, spend: Callable) -> Iterator[Tup
             return
 
 
+def _least_in_orbit(small: List[int], imgs: List[int], a: int, keys, ones, num) -> List[int]:
+    """The images of S + a ^ x, x in S + a, if S + a is least in its B_n orbit, else [].
+
+    S = small ascends from 0 to below a, so only images of S + a ^ x for x in S + a hold 0
+    and can be less. imgs[i] ORs keys[s ^ small[i] ^ (num - 1)] over s in S, with (keys,
+    ones) = _permutation_keys(n), num = 2^n: S ^ small[i] under each permutation, mask v at
+    bit num - 1 - v, as complements commute with permutations. A less set has a larger
+    field: one that, added to the complement of S + a's field, carries into the guard.
+    """
+    field, a = (1 << num) - 1, a ^ num - 1
+    child = imgs[0] | keys[a]
+    comp, guard = (field ^ child & field) * ones, ones << num
+    if child + comp & guard:
+        return []  # the identity's images reject most children, and cost least
+    kids = [img | keys[a ^ x] for img, x in zip(imgs[1:], small[1:])]
+    kids.append(functools.reduce(operator.or_, [keys[a ^ x] for x in small], keys[num - 1]))
+    return [] if any(img + comp & guard for img in kids) else [child, *kids]
+
+
 def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResult:
     """Best multiset-union-free pair over [n] by branch-and-bound.
 
@@ -509,11 +528,11 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     for the next mask a. A child keeps its parent's w with no clique search
     when the parent's largest clique is still a clique and cannot beat best.
 
-    Only S that contain 0 and are least among their n! coordinate-permuted
-    images are visited. XOR of both families by a common mask and a common
-    permutation keep a pair union-free, so every optimum has an image whose
-    smaller family passes both tests, and a prefix with a smaller image has
-    extensions with smaller images. S grows in ascending order and only a
+    Only S that hold 0 and are least in their B_n orbit are visited. B_n's 2^n * n!
+    maps XOR by a common mask and permute coordinates, keeping a pair union-free.
+    A set is less if it holds the least mask of the symmetric difference, so being
+    least is hereditary: if g(S) < S, that mask is in g(S) below max S, so
+    g(S + a) < S + a for all a > max S. S grows in ascending order and only a
     strictly larger product replaces the best, so the result is the first S
     in that order to reach the best product, with L its least largest
     clique: (f1, f2) is the lesser of (S, L) and (L, S).
@@ -538,8 +557,8 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         if nodes >= node_budget:
             raise _NodeBudgetSpent
 
-    def grow(packed: int, img: int, ub: int, witness: Tuple[int, ...]) -> None:
-        # packed: S's conflicts; img: its images, itself first; witness: a clique of size ub
+    def grow(packed: int, imgs: List[int], ub: int, witness: Tuple[int, ...]) -> None:
+        # packed: S's conflicts; imgs: of S ^ x for x in S; witness: a clique of size ub
         nonlocal best, best_pair
         spend()
         k = len(small)
@@ -557,20 +576,16 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
             if k >= ub or min(k + num - a, ub) * ub <= best:
                 break
             spend()
-            # S + a is least among its images iff, in each field, the least mask
-            # where S + a and the image differ (the guard if none) is not the image's
-            child = img | keys[a]
-            diff = child ^ (child & everyone) * ones | ones << num  # guard: top bit of each field
-            if diff & ~(diff - ones) & child:
+            if not (kids := _least_in_orbit(small, imgs, a, keys, ones, num)):
                 continue
             small.append(a)
             packed_child = functools.reduce(operator.or_, [rows[a][b] for b in small], packed)
-            grow(packed_child, child, ub, witness)
+            grow(packed_child, kids, ub, witness)
             small.pop()
 
     exact = True
     try:
-        grow(rows[0][0], keys[0], num, ())
+        grow(rows[0][0], [keys[num - 1]], num, ())
     except _NodeBudgetSpent:
         exact = False
     if best == 0:

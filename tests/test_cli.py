@@ -469,7 +469,7 @@ PINNED_JSON = [
   "n": 3,
   "product": 14,
   "exact": true,
-  "nodes": 219,
+  "nodes": 159,
   "f1": "n=3\\n-\\n1\\n2\\n1,2\\n3\\n1,3\\n2,3\\n",
   "f2": "n=3\\n-\\n1,2,3\\n"
 }

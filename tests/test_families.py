@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import pickle
 import random
 from collections import Counter
@@ -25,6 +27,7 @@ from adderbound.families import (
     SearchBudgetError,
     _LINE_TABLE_N,
     _cliques,
+    _least_in_orbit,
     _line_table,
     _member_lines,
     _multiplicities,
@@ -992,12 +995,82 @@ def test_union_freeness_is_invariant_under_the_search_symmetries():
     assert verdicts[True] > 20 and verdicts[False] > 20
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@functools.cache
+def _bn_maps(n):
+    # each element of B_n as a table of masks: XOR by x, then a coordinate permutation
+    perms = [[sum(1 << p[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
+             for p in itertools.permutations(range(n))]
+    return [[p[m ^ x] for m in range(1 << n)] for x in range(1 << n) for p in perms]
+
+
+def _least_image(n, masks):
+    # the least of masks' 2^n * n! images under B_n as sorted tuples: for sets
+    # of one size, the tuple order is the search's, least mask of the
+    # symmetric difference first
+    return min(tuple(sorted(map(g.__getitem__, masks))) for g in _bn_maps(n))
+
+
+def _xor_images(n, masks):
+    # per x in masks, masks ^ x under every permutation, packed as the search
+    # packs them: each mask keyed by its complement
+    keys, _ = _permutation_keys(n)
+    flip = (1 << n) - 1
+    return [functools.reduce(operator.or_, [keys[m ^ x ^ flip] for m in masks]) for x in masks]
+
+
+def _orbit_test(n, masks):
+    # the search's canonicity test of masks (ascending, 0 first, two or more),
+    # given its prefix's images built here from scratch
+    *small, a = masks
+    return _least_in_orbit(small, _xor_images(n, small), a, *_permutation_keys(n), 1 << n)
+
+
+def _sets_with_zero(n, sizes):
+    for k in sizes:
+        for rest in itertools.combinations(range(1, 1 << n), k - 1):
+            yield (0, *rest)
+
+
+def test_orbit_test_matches_brute_force():
+    # S passes iff it is least among its 2^n * n! images, and a passing S
+    # comes back with its own images, as they are built from scratch
+    checked = Counter()
+    for n, sizes in ((3, range(2, 9)), (4, range(2, 6))):
+        for masks in _sets_with_zero(n, sizes):
+            kids = _orbit_test(n, masks)
+            assert bool(kids) == (_least_image(n, masks) == masks), masks
+            assert not kids or kids == _xor_images(n, masks)
+            checked[n, bool(kids)] += 1
+    # every S with 0 and |S| >= 2 (<= 5 at n = 4), of which one per B_n orbit
+    # passes: 20 orbits at n = 3, and 4 + 6 + 19 + 27 at n = 4
+    assert sum(checked.values()) == 127 + 1_940
+    assert checked[3, True] == 20 and checked[4, True] == 56
+
+
+@pytest.mark.parametrize("n, size, orbits", [(4, 8, 74), (5, 5, 131)])
+def test_orbit_test_passes_one_set_per_orbit(n, size, orbits):
+    # the B_n orbits of size-subsets of [n]'s masks, one least member each
+    passed = sum(1 for masks in _sets_with_zero(n, [size]) if _orbit_test(n, masks))
+    assert passed == orbits
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_test_is_hereditary(n):
+    # a passing S still passes without its largest mask, so the walk, which
+    # grows S in ascending order from passing prefixes, reaches every orbit
+    passed = {(0,)} | {m for m in _sets_with_zero(n, range(2, (1 << n) + 1)) if _orbit_test(n, m)}
+    assert all(masks[:-1] in passed for masks in passed if len(masks) >= 2)
+    assert len(passed) == {3: 21, 4: 401}[n]  # the B_n orbits of nonempty sets
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_search_optimum_is_canonical(n):
-    # the returned f1 contains 0 and no coordinate permutation makes it smaller
-    f1 = exhaustive_pair_search(n).f1.members
-    assert f1[0] == 0
-    assert all(_permuted(f1, perm) >= f1 for perm in itertools.permutations(range(n)))
+    # the smaller family holding 0, the one the search enumerates, is least
+    # among its images under every common XOR and coordinate permutation
+    res = exhaustive_pair_search(n)
+    small = min((f.members for f in (res.f1, res.f2) if f.members[0] == 0), key=len)
+    assert len(small) == min(len(res.f1), len(res.f2))
+    assert _least_image(n, small) == small
 
 
 def test_search_n1():
