@@ -596,42 +596,31 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     return PairSearchResult(Family(n, f1), Family(n, f2), best, exact, nodes)
 
 
-def _byte_text(first: int) -> Tuple[str, ...]:
-    """The element text of every byte value, its elements offset by `first`.
+def _element_texts(first: int, count: int) -> List[str]:
+    """The element text of every mask of `count` bits, its elements offset by `first`.
 
-    Entry b lists the set bits of b as `first` + 1 .. `first` + 8, ascending
-    and comma-separated: _byte_text(8)[0b101] == "9,11".
+    Entry b lists the set bits of b as `first` + 1 .. `first` + count, ascending
+    and comma-separated, "" for b = 0: _element_texts(8, 8)[0b101] == "9,11".
     """
     texts = [""]
-    for e in range(first + 1, first + 9):
+    for e in range(first + 1, first + count + 1):
         # the entries with bit e - first - 1 set: the ones before, plus e
         texts += [f"{t},{e}" if t else str(e) for t in texts]
-    return tuple(texts)
+    return texts
 
 
 # one table per byte offset of a mask, shared by every n
-_BYTE_TEXT = tuple(_byte_text(8 * k) for k in range(MAX_GROUND // 8))
+_BYTE_TEXT = tuple(tuple(_element_texts(8 * k, 8)) for k in range(MAX_GROUND // 8))
 
 
-def _member_lines(masks: Sequence[int]) -> List[str]:
-    """The text line of each mask, `-` for the empty set; it does not depend on n."""
-    low_text, high_text = _BYTE_TEXT[0], _BYTE_TEXT[1:]
-    # masks come sorted, so for small n neighbours mostly share their elements
-    # past 8: that text is rebuilt, one lookup per byte, only when it changes
-    lines = []
-    high = -1
-    for m in masks:
-        if m >> 8 != high:
-            high = m >> 8
-            high_bytes = high.to_bytes(len(high_text), "little")
-            tail = ",".join(filter(None, map(tuple.__getitem__, high_text, high_bytes)))
-        low = low_text[m & 255]
-        lines.append(f"{low},{tail}" if low and tail else low or tail or "-")
-    return lines
+def _mask_line(m: int) -> str:
+    """The text line of mask m, `-` for the empty set, one lookup per byte of m."""
+    octets = m.to_bytes((m.bit_length() + 7) // 8, "little")
+    return ",".join(filter(None, map(tuple.__getitem__, _BYTE_TEXT, octets))) or "-"
 
 
 # the largest n with a line table: log3_construction's largest. Its table takes
-# about 18 ms to build and 4.4 MB to keep; each n past it doubles both
+# 11-18 ms to build on a shared 2-core box and 4.4 MB to keep; each n past it doubles both
 _LINE_TABLE_N = 15
 
 
@@ -639,8 +628,20 @@ _LINE_TABLE_N = 15
 def _line_table(n: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
     """(lines, masks) for n <= _LINE_TABLE_N: lines[m] is the text line of mask m,
     masks the mask of each such line. Shared by every caller: masks is only copied."""
-    lines = tuple(_member_lines(range(1 << n)))
+    lines = ("-", *_element_texts(0, n)[1:])
     return lines, dict(zip(lines, range(1 << n)))
+
+
+def _family_texts(fams: Iterable[Family], n: int, nl: str) -> Iterator[str]:
+    """family_to_text of each family in fams, all on [n], its newlines spelled nl.
+
+    For n <= _LINE_TABLE_N each member line is read from _line_table(n), else
+    _mask_line writes it.
+    """
+    line = _line_table(n)[0].__getitem__ if n <= _LINE_TABLE_N else _mask_line
+    head = f"n={n}"
+    for f in fams:
+        yield nl.join([head, *map(line, f.members), ""])
 
 
 def family_to_text(f: Family) -> str:
@@ -649,15 +650,27 @@ def family_to_text(f: Family) -> str:
     Members are written as sorted comma-separated 1-indexed elements, with
     `-` standing for the empty set.
     """
-    return "\n".join([f"n={f.n}", *_member_lines(f.members), ""])
+    return next(_family_texts([f], f.n, "\n"))
+
+
+# the bit of each element as the writer spells it
+_ELEMENT_BIT = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}
 
 
 def _parse_member(ln: str, n: int) -> int:
-    """One member line: `-`, else element by element through int()."""
+    """One member line: plain elements at once, else `-`, else element by element through int()."""
+    parts = ln.split(",")
+    try:
+        m = sum(map(_ELEMENT_BIT.__getitem__, parts))
+    except KeyError:  # a part the writer does not spell so
+        m = 0
+    # plain when each part adds its own bit within n: a repeat carries
+    if m.bit_count() == len(parts) and not m >> n:
+        return m
     if ln == "-":
         return 0
     m = 0
-    for part in ln.split(","):
+    for part in parts:
         try:
             elem = int(part)
         except ValueError:
@@ -668,47 +681,28 @@ def _parse_member(ln: str, n: int) -> int:
     return m
 
 
-def _memo_masks(lines: List[str], n: int, memo: Dict[str, int], bit, strict: bool):
-    """The masks of lines[1:]: memo hits, then each miss in order, added to memo.
-
-    A miss not of plain elements makes a strict read return None, else goes to _parse_member.
-    """
-    masks = [*map(memo.get, lines), None]  # the None past the last line ends the search
-    i = masks.index(None, 1)
-    while i < len(lines):
-        parts = lines[i].split(",")
-        m = sum(map(bit, parts))
-        # too few bits (a repeat carries, a miss or "-" adds none) or bits past n
-        if m.bit_count() != len(parts) or m >> n:
-            if strict:
-                return None
-            m = _parse_member(lines[i], n)
-        masks[i] = memo[lines[i]] = m
-        i = masks.index(None, i + 1)
-    return masks[1:-1]
-
-
 def _read_families(texts: Iterable[str]) -> Iterator[Family]:
     """family_from_text of each text; no line is parsed again in a later text of its n.
 
-    A text is first split at "\n" and read strictly (a canonical header, every line
-    a memo hit or plain elements); else it is read as family_from_text describes.
-    For n <= _LINE_TABLE_N the strict memo starts as a copy of _line_table(n)'s
-    masks, so only lines that are not canonical are parsed. The loose read keeps
-    its own memo, unseeded: each distinct line it meets is parsed once.
+    One memo per n maps each line read to its mask; for n <= _LINE_TABLE_N it
+    starts as a copy of _line_table(n)'s masks. A text whose header is canonical
+    and whose lines, split at "\n", all hit is read from the memo alone. Any other
+    is read as family_from_text describes, against the same memo: each line it
+    misses goes to _parse_member, in order, and into the memo.
     """
-    # the bit of each canonical element, 0 for any other part; per n a line memo
-    bit = defaultdict(int, {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}).__getitem__
     heads = {f"n={n}": n for n in range(1, MAX_GROUND + 1)}
     memos: Dict[int, Dict[str, int]] = {}
-    loose: Dict[int, Dict[str, int]] = {}
+
+    def memo(n: int) -> Dict[str, int]:
+        if n not in memos:
+            memos[n] = dict(_line_table(n)[1]) if n <= _LINE_TABLE_N else {}
+        return memos[n]
+
     for text in texts:
         lines = text.removesuffix("\n").split("\n")
         n = heads.get(lines[0])
-        if n and n not in memos:
-            memos[n] = dict(_line_table(n)[1]) if n <= _LINE_TABLE_N else {}
-        masks = n and _memo_masks(lines, n, memos[n], bit, strict=True)
-        if masks is None:
+        masks = [*map(memo(n).get, lines[1:])] if n else [None]
+        if None in masks:
             lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
             if not lines or not lines[0].startswith("n="):
                 raise ValueError("family text must start with an n=<int> line")
@@ -719,7 +713,10 @@ def _read_families(texts: Iterable[str]) -> Iterator[Family]:
             if not 1 <= n <= MAX_GROUND:
                 # before any 1 << (elem - 1): a huge n would admit a huge element
                 raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
-            masks = _memo_masks(lines, n, loose.setdefault(n, {}), bit, strict=False)
+            seen, members = memo(n), lines[1:]
+            misses = [*itertools.filterfalse(seen.__contains__, dict.fromkeys(members))]
+            seen.update(zip(misses, map(_parse_member, misses, itertools.repeat(n))))
+            masks = [*map(seen.__getitem__, members)]
         masks.sort()  # in range but maybe unsorted
         yield Family._trusted(n, tuple(masks))
 

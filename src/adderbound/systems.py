@@ -27,12 +27,10 @@ import numpy as np
 
 from .entropy import _integer
 from .families import (
-    _LINE_TABLE_N,
     Family,
     _check_mask,
     _check_same_ground,
-    _line_table,
-    _member_lines,
+    _family_texts,
     _read_families,
     _spread,
     is_k_shattered,
@@ -308,22 +306,15 @@ def system_json_chunks(u: UnionFreeSystem) -> Iterator[str]:
     """json.dumps(payload, indent=2) + "\n", a pair at a time, where payload is
     {"n", "m0", "m1", "m2", "pairs": [[family_to_text(f1), family_to_text(f2)], ...]}.
 
-    JSON escapes nothing in a family text but its newlines, so member lines are
-    joined by escaped newlines. For n <= families._LINE_TABLE_N each line is
-    read from _line_table(n) by mask; else each distinct line is written once per call.
+    JSON escapes nothing in a family text but its newlines, so families._family_texts
+    writes each text with its newlines escaped, and only the JSON around the texts is
+    written here.
     """
-    if u.n <= _LINE_TABLE_N:
-        line = _line_table(u.n)[0].__getitem__
-    else:
-        masks = sorted(set().union(*(f.members for pair in u.pairs for f in pair)))
-        line = dict(zip(masks, _member_lines(masks))).__getitem__
-    head = f'      "n={u.n}\\n'
     yield f'{{\n  "n": {u.n},\n  "m0": {u.m0},\n  "m1": {u.m1},\n  "m2": {u.m2},\n  "pairs": ['
+    texts = _family_texts(itertools.chain.from_iterable(u.pairs), u.n, "\\n")
     sep = "\n"
-    for f1, f2 in u.pairs:
-        # a family is never empty, so each text ends in its last line's newline
-        body1, body2 = "\\n".join(map(line, f1.members)), "\\n".join(map(line, f2.members))
-        yield f'{sep}    [\n{head}{body1}\\n",\n{head}{body2}\\n"\n    ]'
+    for text1, text2 in zip(texts, texts):
+        yield f'{sep}    [\n      "{text1}",\n      "{text2}"\n    ]'
         sep = ",\n"
     yield "\n  ]\n}\n"
 
@@ -334,8 +325,8 @@ def system_to_json(u: UnionFreeSystem) -> str:
 
 
 def system_from_json(text: str) -> UnionFreeSystem:
-    """Each distinct member line parsed once per n, and for n <= families._LINE_TABLE_N
-    no canonical line at all; results and messages are family_from_text's."""
+    """The system of system_json_chunks' text. Its family texts are read by
+    families._read_families, so results and messages are family_from_text's."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -33,3 +33,15 @@ def test_package_exports_the_module_lists():
     assert adderbound.entropy is importlib.import_module("adderbound.entropy").entropy
     assert adderbound.SearchBudgetError.__module__ == "adderbound.families"
     assert adderbound.EvaluationError.__module__ == "adderbound.bounds"
+
+
+def test_systems_leaves_the_family_text_format_to_families():
+    # systems writes and reads family texts only through families' writer and
+    # reader; the line table, the per-mask writer and the member parser stay private
+    systems = importlib.import_module("adderbound.systems")
+    families = importlib.import_module("adderbound.families")
+    assert systems._family_texts is families._family_texts
+    assert systems._read_families is families._read_families
+    internals = ["_LINE_TABLE_N", "_line_table", "_element_texts", "_BYTE_TEXT", "_mask_line",
+                 "_ELEMENT_BIT", "_parse_member"]
+    assert [name for name in internals if hasattr(systems, name)] == []

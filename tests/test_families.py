@@ -29,8 +29,9 @@ from adderbound.families import (
     _cliques,
     _least_in_orbit,
     _line_table,
-    _member_lines,
+    _mask_line,
     _multiplicities,
+    _parse_member,
     _NodeBudgetSpent,
     _pair_conflicts,
     _permutation_keys,
@@ -1207,6 +1208,14 @@ def test_family_text_fixture():
     assert family_from_text(family_to_text(f)) == f
 
 
+@pytest.mark.parametrize("n", [3, 20])
+def test_empty_family_text_is_its_header_line(n):
+    # below and past the line table's cap
+    f = Family(n, ())
+    assert family_to_text(f) == f"n={n}\n"
+    assert family_from_text(family_to_text(f)) == f
+
+
 def test_family_text_roundtrip_random():
     rng = np.random.default_rng(61)
     for _ in range(50):
@@ -1245,16 +1254,20 @@ def test_family_text_bytes_across_byte_boundaries(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_line_table_is_every_mask_text_and_its_inverse(n):
     lines, masks = _line_table(n)
-    assert lines == tuple(_member_lines(range(1 << n)))
+    assert lines == tuple(map(_mask_line, range(1 << n)))
     for m, ln in enumerate(lines):
         assert family_to_text(Family(n, (m,))) == reference_text(Family(n, (m,))) == f"n={n}\n{ln}\n"
         assert masks[ln] == m
     assert len(masks) == len(lines) == 1 << n
 
 
+def test_line_table_at_its_cap_is_the_per_mask_writer():
+    assert _line_table(_LINE_TABLE_N)[0] == tuple(map(_mask_line, range(1 << _LINE_TABLE_N)))
+
+
 def _table_texts(n):
-    # plain lines unsorted or repeated and "-", read strictly; a leading zero,
-    # a blank line and a repeated element, read loosely
+    # plain lines unsorted or repeated and "-"; a leading zero, a blank line
+    # and a repeated element, which only family_from_text's full grammar reads
     return [
         f"n={n}\n3,1\n1,3\n3,1\n-\n{n}\n",
         f"n={n}\n-\n2,1\n",
@@ -1264,25 +1277,56 @@ def _table_texts(n):
     ]
 
 
+# a last text that reads, or fails as family_from_text does, after _table_texts
+_TABLE_ENDS = [
+    ("", None),
+    ("n={n}\n3,1\n{top}\n", "element {top} outside [1, {n}]"),
+    ("n={n}\n-\n1,x\n", "bad element 'x' in line '1,x'"),
+    ("n={n}\n1\n03,{top}\n", "element {top} outside [1, {n}]"),
+]
+
+
 @pytest.mark.parametrize("n", [3, 12, _LINE_TABLE_N])
-@pytest.mark.parametrize(
-    "last, want",
-    [
-        ("", None),
-        ("n={n}\n3,1\n{top}\n", "element {top} outside [1, {n}]"),
-        ("n={n}\n-\n1,x\n", "bad element 'x' in line '1,x'"),
-        ("n={n}\n1\n03,{top}\n", "element {top} outside [1, {n}]"),
-    ],
-)
+@pytest.mark.parametrize("last, want", _TABLE_ENDS)
 def test_read_families_up_to_the_table_cap_keeps_the_table(n, last, want):
     texts = _table_texts(n) + ([last.format(n=n, top=n + 1)] if last else [])
     fams, err = assert_read_as_text_by_text(texts)
     assert err == (want and want.format(n=n, top=n + 1))
     assert [f.members for f in fams[:2]] == [tuple(sorted((0, 1 << (n - 1), 5, 5, 5))), (0, 3)]
-    # the strict reads memoized "3,1" and "2,1", each in a copy of the table
+    # the reads memoized "3,1" and "2,1", each in a copy of the table
     lines, masks = _line_table(n)
     assert len(masks) == 1 << n and "3,1" not in masks and "2,1" not in masks
     assert masks == dict(zip(lines, range(1 << n)))
+
+
+@pytest.mark.parametrize("n", [_LINE_TABLE_N + 1, 64])
+@pytest.mark.parametrize("last, want", _TABLE_ENDS)
+def test_read_families_past_the_table_cap(n, last, want):
+    # the same texts and ends as up to the cap, with no table behind the memo
+    texts = _table_texts(n) + ([last.format(n=n, top=n + 1)] if last else [])
+    fams, err = assert_read_as_text_by_text(texts)
+    assert err == (want and want.format(n=n, top=n + 1))
+    assert [f.members for f in fams[:2]] == [tuple(sorted((0, 1 << (n - 1), 5, 5, 5))), (0, 3)]
+
+
+@pytest.mark.parametrize("n", [_LINE_TABLE_N + 1, 64])
+def test_read_families_past_the_table_cap_parses_each_line_once(n, monkeypatch):
+    texts = _table_texts(n)
+    want = [family_from_text(t) for t in texts]
+    parsed = []
+    parse = _parse_member
+
+    def counting(ln, n):
+        parsed.append(ln)
+        return parse(ln, n)
+
+    monkeypatch.setattr("adderbound.families._parse_member", counting)
+    assert list(_read_families(texts + texts)) == want * 2
+    # the memo starts empty: each distinct member line is parsed once, in the
+    # first copy, and the second copy parses nothing
+    lines = [ln.strip() for t in texts for ln in t.splitlines()[1:] if ln.strip()]
+    assert parsed == list(dict.fromkeys(lines))
+    assert "-" in parsed and f"{n}" in parsed and "01,2" in parsed
 
 
 def test_family_text_fixture_above_one_byte():

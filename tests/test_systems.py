@@ -583,7 +583,7 @@ def test_system_to_json_matches_json_dumps_on_both_sides_of_the_table_cap(n):
 def test_system_from_json_parses_each_distinct_line_once(monkeypatch):
     payload = json.loads(system_to_json(log3_construction(12)))
     # a leading zero on every element: no line is canonical, so each distinct
-    # line, "-" too, takes families._parse_member
+    # line but "-", which the table-seeded memo answers, takes families._parse_member
     payload["pairs"] = [[re.sub(r"\b(\d)", r"0\1", t) for t in pair] for pair in payload["pairs"]]
     distinct = {ln for pair in payload["pairs"] for t in pair for ln in t.splitlines()[1:]}
     parsed = []
@@ -595,9 +595,10 @@ def test_system_from_json_parses_each_distinct_line_once(monkeypatch):
 
     monkeypatch.setattr(families, "_parse_member", counting)
     assert system_from_json(json.dumps(payload)) == log3_construction(12)
-    assert set(parsed) == distinct
-    # the subsets of [12] with at most 8 elements
-    assert len(parsed) == len(distinct) == sum(math.comb(12, k) for k in range(9)) == 3797
+    assert "-" in distinct and "-" not in parsed
+    assert set(parsed) == distinct - {"-"}
+    # the nonempty subsets of [12] with at most 8 elements
+    assert len(parsed) == len(distinct) - 1 == sum(math.comb(12, k) for k in range(1, 9)) == 3796
 
 
 def test_system_from_json_families_equal_checked_families():
