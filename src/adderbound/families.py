@@ -632,13 +632,13 @@ def _line_table(n: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
     return lines, dict(zip(lines, range(1 << n)))
 
 
-def _family_texts(fams: Iterable[Family], n: int, nl: str) -> Iterator[str]:
+def _family_texts(fams: Iterable[Family], n: int, nl: str, table: bool = True) -> Iterator[str]:
     """family_to_text of each family in fams, all on [n], its newlines spelled nl.
 
-    For n <= _LINE_TABLE_N each member line is read from _line_table(n), else
-    _mask_line writes it.
+    With table and n <= _LINE_TABLE_N each member line is read from _line_table(n),
+    else _mask_line writes it: one family is not worth building a 2^n-line table.
     """
-    line = _line_table(n)[0].__getitem__ if n <= _LINE_TABLE_N else _mask_line
+    line = _line_table(n)[0].__getitem__ if table and n <= _LINE_TABLE_N else _mask_line
     head = f"n={n}"
     for f in fams:
         yield nl.join([head, *map(line, f.members), ""])
@@ -650,27 +650,15 @@ def family_to_text(f: Family) -> str:
     Members are written as sorted comma-separated 1-indexed elements, with
     `-` standing for the empty set.
     """
-    return next(_family_texts([f], f.n, "\n"))
-
-
-# the bit of each element as the writer spells it
-_ELEMENT_BIT = {str(e): 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}
+    return next(_family_texts([f], f.n, "\n", table=False))
 
 
 def _parse_member(ln: str, n: int) -> int:
-    """One member line: plain elements at once, else `-`, else element by element through int()."""
-    parts = ln.split(",")
-    try:
-        m = sum(map(_ELEMENT_BIT.__getitem__, parts))
-    except KeyError:  # a part the writer does not spell so
-        m = 0
-    # plain when each part adds its own bit within n: a repeat carries
-    if m.bit_count() == len(parts) and not m >> n:
-        return m
+    """One member line: `-`, else element by element through int()."""
     if ln == "-":
         return 0
     m = 0
-    for part in parts:
+    for part in ln.split(","):
         try:
             elem = int(part)
         except ValueError:

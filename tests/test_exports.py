@@ -43,5 +43,5 @@ def test_systems_leaves_the_family_text_format_to_families():
     assert systems._family_texts is families._family_texts
     assert systems._read_families is families._read_families
     internals = ["_LINE_TABLE_N", "_line_table", "_element_texts", "_BYTE_TEXT", "_mask_line",
-                 "_ELEMENT_BIT", "_parse_member"]
+                 "_parse_member"]
     assert [name for name in internals if hasattr(systems, name)] == []

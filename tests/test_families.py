@@ -1265,6 +1265,13 @@ def test_line_table_at_its_cap_is_the_per_mask_writer():
     assert _line_table(_LINE_TABLE_N)[0] == tuple(map(_mask_line, range(1 << _LINE_TABLE_N)))
 
 
+def test_family_to_text_builds_no_line_table():
+    # one family is written mask by mask: only a system's writer reads the table
+    before = _line_table.cache_info()
+    assert family_to_text(Family(_LINE_TABLE_N, (0, 5, 1 << 14 | 3))) == "n=15\n-\n1,3\n1,2,15\n"
+    assert _line_table.cache_info() == before
+
+
 def _table_texts(n):
     # plain lines unsorted or repeated and "-"; a leading zero, a blank line
     # and a repeated element, which only family_from_text's full grammar reads
@@ -1432,7 +1439,7 @@ def test_read_families_stops_at_the_error_family_from_text_gives(texts, want):
     assert len(fams) == len(texts) - 1
 
 
-# lines and line ends that a strict read meets, plain and not
+# lines and line ends that the memo read, then family_from_text's grammar, meet
 _tricky_line = st.sampled_from(
     ["n=3", "n=2", "n=03", "1", "2", "3", "1,2", "2,3", "1,3", "1,2,3", "-", " 1", "2 ", "01",
      "1,1", "", " ", "4", "x", "1,", "+2"]

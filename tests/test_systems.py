@@ -568,8 +568,8 @@ def test_system_to_json_one_member_families_and_the_empty_set():
 
 @pytest.mark.parametrize("n", [families._LINE_TABLE_N, families._LINE_TABLE_N + 1])
 def test_system_to_json_matches_json_dumps_on_both_sides_of_the_table_cap(n):
-    # the table's path at n = 15 and the per-call lines past it: every byte of
-    # a mask, the empty and the full set
+    # the table's path at n = 15 and the per-mask writer _mask_line past it:
+    # every byte of a mask, the empty and the full set
     rng = random.Random(n)
     full = (1 << n) - 1
     members = [0, full, 1, 1 << (n - 1), 255, full ^ 255, *(rng.getrandbits(n) for _ in range(40))]
