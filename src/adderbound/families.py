@@ -611,6 +611,8 @@ def _element_texts(first: int, count: int) -> List[str]:
 
 # one table per byte offset of a mask, shared by every n
 _BYTE_TEXT = tuple(tuple(_element_texts(8 * k, 8)) for k in range(MAX_GROUND // 8))
+# the canonical header of each n: _read_families' fast path reads no other
+_HEADS = {f"n={n}": n for n in range(1, MAX_GROUND + 1)}
 
 
 def _mask_line(m: int) -> str:
@@ -627,18 +629,16 @@ _LINE_TABLE_N = 15
 @functools.cache
 def _line_table(n: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
     """(lines, masks) for n <= _LINE_TABLE_N: lines[m] is the text line of mask m,
-    masks the mask of each such line. Shared by every caller: masks is only copied."""
+    masks the mask of each such line. Only a system's writer and reader use it: masks is copied."""
     lines = ("-", *_element_texts(0, n)[1:])
     return lines, dict(zip(lines, range(1 << n)))
 
 
-def _family_texts(fams: Iterable[Family], n: int, nl: str, table: bool = True) -> Iterator[str]:
-    """family_to_text of each family in fams, all on [n], its newlines spelled nl.
-
-    With table and n <= _LINE_TABLE_N each member line is read from _line_table(n),
-    else _mask_line writes it: one family is not worth building a 2^n-line table.
-    """
-    line = _line_table(n)[0].__getitem__ if table and n <= _LINE_TABLE_N else _mask_line
+def _family_texts(fams: Iterable[Family], n: int, nl: str) -> Iterator[str]:
+    """A system's writer: family_to_text of each family in fams, all on [n], its
+    newlines spelled nl. Each member line is read from _line_table(n) for
+    n <= _LINE_TABLE_N, else _mask_line writes it."""
+    line = _line_table(n)[0].__getitem__ if n <= _LINE_TABLE_N else _mask_line
     head = f"n={n}"
     for f in fams:
         yield nl.join([head, *map(line, f.members), ""])
@@ -648,9 +648,9 @@ def family_to_text(f: Family) -> str:
     """Serialize a family: `n=<int>` then one line per member.
 
     Members are written as sorted comma-separated 1-indexed elements, with
-    `-` standing for the empty set.
+    `-` standing for the empty set; _mask_line writes each line from its mask.
     """
-    return next(_family_texts([f], f.n, "\n", table=False))
+    return "\n".join([f"n={f.n}", *map(_mask_line, f.members), ""])
 
 
 def _parse_member(ln: str, n: int) -> int:
@@ -669,16 +669,33 @@ def _parse_member(ln: str, n: int) -> int:
     return m
 
 
+def _read_family(text: str, memo: Callable[[int], Dict[str, int]]) -> Family:
+    """family_from_text of text, each member line looked up in memo(n), n its
+    header's: each line it misses goes to _parse_member, in order, and into memo(n)."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines or not lines[0].startswith("n="):
+        raise ValueError("family text must start with an n=<int> line")
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        raise ValueError(f"bad ground set line {lines[0]!r}") from None
+    if not 1 <= n <= MAX_GROUND:
+        # before any 1 << (elem - 1): a huge n would admit a huge element
+        raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
+    seen, members = memo(n), lines[1:]
+    misses = [*itertools.filterfalse(seen.__contains__, dict.fromkeys(members))]
+    seen.update(zip(misses, map(_parse_member, misses, itertools.repeat(n))))
+    return Family._trusted(n, tuple(sorted(map(seen.__getitem__, members))))
+
+
 def _read_families(texts: Iterable[str]) -> Iterator[Family]:
-    """family_from_text of each text; no line is parsed again in a later text of its n.
+    """A system's reader: family_from_text of each text, no line parsed twice for one n.
 
     One memo per n maps each line read to its mask; for n <= _LINE_TABLE_N it
     starts as a copy of _line_table(n)'s masks. A text whose header is canonical
-    and whose lines, split at "\n", all hit is read from the memo alone. Any other
-    is read as family_from_text describes, against the same memo: each line it
-    misses goes to _parse_member, in order, and into the memo.
+    and whose lines, split at "\n", all hit is read from the memo alone. Any
+    other goes to _read_family against the same memos.
     """
-    heads = {f"n={n}": n for n in range(1, MAX_GROUND + 1)}
     memos: Dict[int, Dict[str, int]] = {}
 
     def memo(n: int) -> Dict[str, int]:
@@ -688,23 +705,11 @@ def _read_families(texts: Iterable[str]) -> Iterator[Family]:
 
     for text in texts:
         lines = text.removesuffix("\n").split("\n")
-        n = heads.get(lines[0])
+        n = _HEADS.get(lines[0])
         masks = [*map(memo(n).get, lines[1:])] if n else [None]
         if None in masks:
-            lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-            if not lines or not lines[0].startswith("n="):
-                raise ValueError("family text must start with an n=<int> line")
-            try:
-                n = int(lines[0][2:])
-            except ValueError:
-                raise ValueError(f"bad ground set line {lines[0]!r}") from None
-            if not 1 <= n <= MAX_GROUND:
-                # before any 1 << (elem - 1): a huge n would admit a huge element
-                raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
-            seen, members = memo(n), lines[1:]
-            misses = [*itertools.filterfalse(seen.__contains__, dict.fromkeys(members))]
-            seen.update(zip(misses, map(_parse_member, misses, itertools.repeat(n))))
-            masks = [*map(seen.__getitem__, members)]
+            yield _read_family(text, memo)
+            continue
         masks.sort()  # in range but maybe unsorted
         yield Family._trusted(n, tuple(masks))
 
@@ -718,4 +723,4 @@ def family_from_text(text: str) -> Family:
     like int(), so signs, leading zeros, underscores and blanks around it
     are accepted ("+1, 03" is {1, 3}), and a repeated element counts once.
     """
-    return next(_read_families([text]))
+    return _read_family(text, lambda n: {})

@@ -325,8 +325,8 @@ def system_to_json(u: UnionFreeSystem) -> str:
 
 
 def system_from_json(text: str) -> UnionFreeSystem:
-    """The system of system_json_chunks' text. Its family texts are read by
-    families._read_families, so results and messages are family_from_text's."""
+    """The system of system_json_chunks' text. Its family texts are read by the system
+    reader families._read_families, so results and messages are family_from_text's."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -1272,6 +1272,18 @@ def test_family_to_text_builds_no_line_table():
     assert _line_table.cache_info() == before
 
 
+def test_family_from_text_builds_no_line_table():
+    # one family is read line by line against a memo of its own, canonical
+    # header or not: only a system's reader seeds its memos from the table
+    text = "n=15\n-\n1,3\n1,2,15\n"
+    before = _line_table.cache_info()
+    got = [family_from_text(text), family_from_text(text.replace("n=15", "n=015"))]
+    assert _line_table.cache_info() == before
+    pair = json.dumps([text, text])
+    u = system_from_json(f'{{"n": 15, "m0": 1, "m1": 3, "m2": 3, "pairs": [{pair}]}}')
+    assert got == [u.pairs[0][0]] * 2 == [Family(_LINE_TABLE_N, (0, 5, 1 << 14 | 3))] * 2
+
+
 def _table_texts(n):
     # plain lines unsorted or repeated and "-"; a leading zero, a blank line
     # and a repeated element, which only family_from_text's full grammar reads
