@@ -447,43 +447,49 @@ def _permutation_keys(n: int) -> Tuple[Tuple[int, ...], int]:
     return keys, int(field[0] * len(perms), 2)
 
 
-def _cliques(conf: List[int], lo: int, hi: int, spend: Callable) -> Iterator[Tuple[int, ...]]:
+def _cliques(conf: List[int], lo: int, hi: int, tally: List[int]) -> Iterator[Tuple[int, ...]]:
     """Ever larger cliques above size lo, up to size hi; the last is the least largest one.
 
     conf[c] has bit c and each c' that cannot share a clique with c. Cliques
     grow depth-first from their lowest candidate, on an explicit stack. A node
     colours its candidates from the top into classes of pairwise conflicting
     vertices and branches only on those up to the top of what lo - size
-    classes leave, if any. spend() is called per node and per colour class.
+    classes leave, if any. Nodes and colour classes count in tally[0]; reaching tally[1] raises.
     """
     # stack[d]: the untried candidates at depth d, and a bit past the last worth trying
     clique, stack, cand = [], [], (1 << len(conf)) - 1
-    while lo < hi:
-        spend()
-        if (size := len(clique)) > lo:
-            lo = size
-            yield tuple(clique)
-        rest, classes = cand if cand.bit_count() > lo - size else 0, lo - size
-        while rest and classes:
-            classes -= 1
-            spend()
-            q = rest
-            while q:
-                rest ^= 1 << (top := q.bit_length() - 1)
-                q = q & conf[top] ^ 1 << top
-        if rest:
-            stack.append((cand, 2 << (rest.bit_length() - 1)))
-        while stack:
-            (rem, stop), depth = stack[-1], len(stack) - 1
-            low = rem & -rem
-            if 0 < low < stop and depth + rem.bit_count() > lo:
-                stack[-1] = rem ^ low, stop
-                clique[depth:] = [low.bit_length() - 1]
-                cand = rem & ~conf[clique[-1]]
-                break
-            stack.pop()
-        else:
-            return
+    nodes, budget = tally
+    try:
+        while lo < hi:
+            if (nodes := nodes + 1) >= budget:
+                raise _NodeBudgetSpent
+            if (size := len(clique)) > lo:
+                lo = size
+                yield tuple(clique)
+            rest, classes = cand if cand.bit_count() > lo - size else 0, lo - size
+            while rest and classes:
+                classes -= 1
+                if (nodes := nodes + 1) >= budget:
+                    raise _NodeBudgetSpent
+                q = rest
+                while q:
+                    rest ^= 1 << (top := q.bit_length() - 1)
+                    q = q & conf[top] ^ 1 << top
+            if rest:
+                stack.append((cand, 2 << (rest.bit_length() - 1)))
+            while stack:
+                (rem, stop), depth = stack[-1], len(stack) - 1
+                low = rem & -rem
+                if 0 < low < stop and depth + rem.bit_count() > lo:
+                    stack[-1] = rem ^ low, stop
+                    clique[depth:] = [low.bit_length() - 1]
+                    cand = rem & ~conf[clique[-1]]
+                    break
+                stack.pop()
+            else:
+                return
+    finally:
+        tally[0] = nodes
 
 
 def _least_in_orbit(small: List[int], imgs: List[int], a: int, keys, ones, num) -> List[int]:
@@ -505,17 +511,31 @@ def _least_in_orbit(small: List[int], imgs: List[int], a: int, keys, ones, num) 
     return [] if any(img + comp & guard for img in kids) else [child, *kids]
 
 
+@functools.cache
+def _product_seed(n: int) -> Tuple[int, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(P, (A1 x B1, A2 x B2)), union-free as sums split by coordinates, for exact optima
+    (A1, A2) on a coordinates and (B1, B2) on n - a: the largest P over 1 <= a <= n / 2."""
+    seed = 0, ((), ())
+    for a in range(1, n // 2 + 1):
+        low, high = exhaustive_pair_search(a), exhaustive_pair_search(n - a)
+        if (product := low.product * high.product) > seed[0]:
+            pairs = zip((low.f1.members, low.f2.members), (high.f1.members, high.f2.members))
+            seed = product, tuple(tuple(sorted(x | y << a for x in u for y in v)) for u, v in pairs)
+    return seed
+
+
 def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResult:
     """Best multiset-union-free pair over [n] by branch-and-bound.
 
-    Maximizes |f1|*|f2| over ordered pairs of nonempty duplicate-free
-    families. The budget is converted to a deterministic node count
-    (SEARCH_NODES_PER_SEC per second), so identical arguments give identical
-    results on any machine; `exact` reports whether the space was exhausted.
-    For n <= 5 the search completes exactly within the default budget. A
-    budget spent before the first pair is found raises ValueError. Nodes
-    count nodes of the smaller family S, its canonicity tests, clique nodes
-    and colour classes.
+    Maximizes |f1|*|f2| over ordered pairs of nonempty duplicate-free families. The budget
+    is converted to a deterministic node count (SEARCH_NODES_PER_SEC per second), so
+    identical arguments give identical results on any machine; `exact` reports whether the
+    space was exhausted. For n <= 5 the search completes exactly within the default budget.
+    Nodes count nodes of the smaller family S, its canonicity tests, clique nodes and colour
+    classes. For n >= 2 the best starts at P - 1, witnessed by the pair of size P from
+    _product_seed, whose searches nodes do not count: an exact run beats it, and a budget
+    spent before any pair does returns it, with product P. At n = 1 a budget spent before
+    the first pair raises ValueError.
 
     a + c = b + d iff a - b = d - c, so a pair is union-free iff f1 - f1 and
     f2 - f2 (vectors in {-1, 0, 1}^n) share only 0. That is symmetric, so
@@ -549,12 +569,12 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     rows = _pair_conflicts(n)
     keys, ones = _permutation_keys(n)
 
-    best, best_pair, nodes, small = 0, ((), ()), 0, [0]
+    seed, best_pair = _product_seed(n)
+    best, tally, small = max(seed - 1, 0), [0, node_budget], [0]
 
     def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes >= node_budget:
+        tally[0] += 1
+        if tally[0] >= node_budget:
             raise _NodeBudgetSpent
 
     def grow(packed: int, imgs: List[int], ub: int, witness: Tuple[int, ...]) -> None:
@@ -566,7 +586,7 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         wmask = sum(1 << c for c in witness)
         if k * ub > best or any(conf[c] & wmask ^ 1 << c for c in witness):
             witness = ()
-            for witness in _cliques(conf, max(k - 1, math.isqrt(best)), ub, spend):
+            for witness in _cliques(conf, max(k - 1, math.isqrt(best)), ub, tally):
                 if k * len(witness) > best:
                     best, best_pair = k * len(witness), (tuple(small), witness)
             if not witness:
@@ -593,7 +613,7 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
             f"budget {budget_secs!r} s ({node_budget} nodes) ran out before the first pair"
         )
     f1, f2 = min(best_pair, best_pair[::-1])
-    return PairSearchResult(Family(n, f1), Family(n, f2), best, exact, nodes)
+    return PairSearchResult(Family(n, f1), Family(n, f2), len(f1) * len(f2), exact, tally[0])
 
 
 def _element_texts(first: int, count: int) -> List[str]:

@@ -339,27 +339,28 @@ def test_exact_search_at_n4():
     dt = time.perf_counter() - t0
     assert (res.product, res.exact) == (36, True)
     assert (res.f1.members, res.f2.members) == ((0, 1, 2, 7, 13, 14), (3, 4, 7, 8, 11, 12))
-    assert res.nodes == 1_770
+    assert res.nodes == 1_614
     assert is_multiset_union_free(res.f1, res.f2)
     _ok("exact n=4 search", f"product 36 = 6 x 6, exact in {res.nodes:,} nodes, {dt:.3f}s")
 
 
 def test_exact_search_at_n5_and_past_138_at_n6():
-    # n = 5 ends exact at the default budget; n = 6, cut at one second of
-    # budget, already passes 138, the product the default search reached
-    # before it enumerated the smaller family alone
+    # n = 5 ends exact at the default budget; n = 6 at the default budget
+    # returns at least its product seed 216 = 18 x 12 (the n = 2 and n = 4
+    # optima on disjoint coordinates), past the 196 of the unseeded search
     t0 = time.perf_counter()
     res = exhaustive_pair_search(5)
     dt = time.perf_counter() - t0
-    assert (res.product, res.exact, res.nodes) == (90, True, 363_216)
+    assert (res.product, res.exact, res.nodes) == (90, True, 250_368)
     assert res.f1.members == (0, 3, 12, 21, 26, 31)
     assert res.f2.members == (0, 6, 7, 9, 11, 13, 14, 15, 16, 17, 18, 20, 22, 24, 25)
     assert is_multiset_union_free(res.f1, res.f2)
-    six = exhaustive_pair_search(6, budget_secs=1.0)
-    assert (six.product, six.exact, six.nodes) == (196, False, 150_000)
-    assert len(six.f1) == len(six.f2) == 14
+    six = exhaustive_pair_search(6)
+    assert six.product >= 216 and six.product == len(six.f1) * len(six.f2)
+    assert (six.product, six.exact, six.nodes) == (216, False, 1_500_000)
+    assert (len(six.f1), len(six.f2)) == (18, 12)
     assert is_multiset_union_free(six.f1, six.f2)
     _ok(
         "exact n=5 search",
-        f"product 90 = 6 x 15, exact in {res.nodes:,} nodes, {dt:.2f}s; n=6 reaches 196 = 14 x 14",
+        f"product 90 = 6 x 15, exact in {res.nodes:,} nodes, {dt:.2f}s; n=6 reaches 216 = 18 x 12",
     )

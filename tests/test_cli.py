@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -295,7 +296,8 @@ def test_search_deterministic(capsys):
 
 
 def test_search_rejects_budget_spent_before_first_pair(capsys):
-    code, out, err = run_cli(capsys, "search", "--n", "3", "--budget", "1e-9")
+    # only n = 1 has no product seed to return
+    code, out, err = run_cli(capsys, "search", "--n", "1", "--budget", "1e-9")
     assert code == 2 and out == ""
     assert err == "error: budget 1e-09 s (0 nodes) ran out before the first pair\n"
 
@@ -360,11 +362,17 @@ def test_system_requires_construction_flag(capsys):
     assert code == 2 and "--log3" in err
 
 
+# a child python does not see pytest's pythonpath setting, so src goes first on its own
+_PATH = [str(pathlib.Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+_SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _PATH))}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "adderbound", "sauer", "--n", "4", "--d", "2", "--k", "1"],
         capture_output=True,
         text=True,
+        env=_SRC_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "t_star = 2\nexact  = 14\nvalue  = 14.000000\n"
@@ -379,6 +387,7 @@ def test_closed_stdout_pipe_exits_2_without_traceback():
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=_SRC_ENV,
         )
     finally:
         os.close(write_end)
@@ -469,7 +478,7 @@ PINNED_JSON = [
   "n": 3,
   "product": 14,
   "exact": true,
-  "nodes": 159,
+  "nodes": 149,
   "f1": "n=3\\n-\\n1\\n2\\n1,2\\n3\\n1,3\\n2,3\\n",
   "f2": "n=3\\n-\\n1,2,3\\n"
 }

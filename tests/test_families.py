@@ -35,6 +35,7 @@ from adderbound.families import (
     _NodeBudgetSpent,
     _pair_conflicts,
     _permutation_keys,
+    _product_seed,
     _read_families,
     _spread,
     exhaustive_pair_search,
@@ -927,15 +928,39 @@ def test_clique_kernel_matches_a_plain_maximum_clique():
         for b, a in itertools.combinations_with_replacement(s.members, 2):
             packed |= rows[a][b]
         conf = [packed >> (c * num) & (1 << num) - 1 for c in range(num)]
-        cliques = list(_cliques(conf, 0, num, lambda: None))
+        cliques = list(_cliques(conf, 0, num, [0, math.inf]))
         want = _reference_max_clique(n, s.members)
         assert cliques[-1] == want, (s, cliques)
         assert [len(c) for c in cliques] == sorted({len(c) for c in cliques})
         assert is_multiset_union_free(s, Family(n, cliques[-1]))
         # nothing above the largest size; a cap stops at the first clique of its size
-        assert list(_cliques(conf, len(want), num, lambda: None)) == []
-        capped = list(_cliques(conf, 0, 1, lambda: None))
+        assert list(_cliques(conf, len(want), num, [0, math.inf])) == []
+        capped = list(_cliques(conf, 0, 1, [0, math.inf]))
         assert [len(c) for c in capped] == [1]
+
+
+def test_clique_kernel_budget_stops_at_its_node():
+    # the count starts from tally[0]; a budget of b stops at node b, after the
+    # cliques that the unbudgeted run yields before it, and leaves b in the tally
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        num = 1 << n
+        s = _random_family(rng, n, rng.randint(1, min(5, num)))
+        packed = 0
+        for b, a in itertools.combinations_with_replacement(s.members, 2):
+            packed |= _pair_conflicts(n)[a][b]
+        conf = [packed >> (c * num) & (1 << num) - 1 for c in range(num)]
+        tally = [7, math.inf]
+        full = list(_cliques(conf, 0, num, tally))
+        total = tally[0]
+        for budget in range(8, total + 1):
+            tally, got = [7, budget], []
+            with pytest.raises(_NodeBudgetSpent):
+                got.extend(_cliques(conf, 0, num, tally))
+            assert tally[0] == budget and got == full[: len(got)]
+        tally = [7, total + 1]  # one node more runs to the end
+        assert list(_cliques(conf, 0, num, tally)) == full and tally[0] == total
 
 
 def test_search_dataclasses_have_slots():
@@ -1119,12 +1144,31 @@ def test_search_budget_exhaustion_is_flagged():
 
 
 def test_search_budget_spent_before_first_pair_raises():
-    # 2e-5 s is 3 nodes, spent before the first clique of S = (0,) gets a member
+    # n = 1 has no product seed: 2e-5 s is 3 nodes, spent before the first
+    # clique of S = (0,) gets a member
     message = r"budget 2e-05 s \(3 nodes\) ran out before the first pair"
     with pytest.raises(ValueError, match=message):
-        exhaustive_pair_search(3, budget_secs=2e-5)
-    assert exhaustive_pair_search(3, budget_secs=2.7e-5).product == 1  # 4 nodes: clique (0,)
-    assert exhaustive_pair_search(3, budget_secs=3.4e-5).product == 2  # 5 nodes: clique (0, 1)
+        exhaustive_pair_search(1, budget_secs=2e-5)
+    assert exhaustive_pair_search(1, budget_secs=2.7e-5).product == 1  # 4 nodes: clique (0,)
+    assert exhaustive_pair_search(1, budget_secs=3.4e-5).product == 2  # 5 nodes: clique (0, 1)
+    assert _product_seed(1) == (0, ((), ()))
+    # from n = 2 on, the same budget returns the product seed
+    for n in (2, 3, 4, 5):
+        res = exhaustive_pair_search(n, budget_secs=2e-5)
+        seed, pair = _product_seed(n)
+        assert (res.product, res.exact, res.nodes) == (seed, False, 3)
+        assert (res.f1.members, res.f2.members) == min(pair, pair[::-1])
+
+
+@pytest.mark.parametrize("n, product", [(2, 4), (3, 12), (4, 36), (5, 84), (6, 216)])
+def test_product_seed(n, product):
+    # P(n) = max opt(a) * opt(n - a) over 1 <= a <= n / 2, with opt = 2, 6, 14, 36, 90
+    seed, (f1, f2) = _product_seed(n)
+    assert seed == product == len(f1) * len(f2)
+    assert f1 == tuple(sorted(set(f1))) and f2 == tuple(sorted(set(f2)))
+    assert is_multiset_union_free(Family(n, f1), Family(n, f2))
+    sums = {tuple((a >> i & 1) + (c >> i & 1) for i in range(n)) for a in f1 for c in f2}
+    assert len(sums) == product
 
 
 def test_search_deterministic():
@@ -1154,15 +1198,18 @@ def test_search_validation():
 @pytest.mark.parametrize(
     "n, budget, product, nodes, f1, f2",
     [
-        (3, 0.001, 12, 150, (0, 1, 2), (0, 3, 4, 7)),
+        (3, 0.0009, 12, 135, (0, 1, 2), (0, 3, 4, 7)),
         (4, 0.01, 36, 1_500, (0, 1, 2, 7, 13, 14), (3, 4, 7, 8, 11, 12)),
-        (5, 0.1, 64, 15_000, (0, 1, 2, 3, 4, 5, 8, 10), (0, 6, 9, 15, 16, 22, 25, 31)),
+        (5, 0.1, 84, 15_000, tuple(a | b << 2 for b in range(7) for a in range(3)), (0, 3, 28, 31)),
+        (5, 0.5, 84, 75_000, (0, 1, 2, 15, 29, 30), (3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28)),
     ],
-    ids=["n3", "n4", "n5"],
+    ids=["n3", "n4", "n5", "n5-found"],
 )
 def test_search_results_pinned(n, budget, product, nodes, f1, f2):
     # budget-limited runs: the node count and incumbent pin the enumeration
-    # order, the prune rules and the symmetry cut, not only the optimum
+    # order, the prune rules and the symmetry cut, not only the optimum; at
+    # n = 5 one run ends on the product seed (21 x 4) and one on a found pair
+    # of the same size P = 84 (6 x 14), and product is |f1| * |f2| in both
     res = exhaustive_pair_search(n, budget_secs=budget)
     assert (res.product, res.exact, res.nodes) == (product, False, nodes)
     assert (res.f1.members, res.f2.members) == (f1, f2)
