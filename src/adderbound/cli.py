@@ -295,7 +295,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(exc, BrokenPipeError):
             # the reader is gone: the flush at exit then writes to devnull, not raising again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except BrokenPipeError:  # stderr is that pipe too, as after 2>&1
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return 1 if isinstance(exc, EvaluationError) else 2
     return code
 

@@ -450,14 +450,14 @@ def _permutation_keys(n: int) -> Tuple[Tuple[int, ...], int]:
 def _cliques(conf: List[int], lo: int, hi: int, tally: List[int]) -> Iterator[Tuple[int, ...]]:
     """Ever larger cliques above size lo, up to size hi; the last is the least largest one.
 
-    conf[c] has bit c and each c' that cannot share a clique with c. Cliques
-    grow depth-first from their lowest candidate, on an explicit stack. A node
-    colours its candidates from the top into classes of pairwise conflicting
-    vertices and branches only on those up to the top of what lo - size
-    classes leave, if any. Nodes and colour classes count in tally[0]; reaching tally[1] raises.
+    conf[c] holds the c' that conflict with c, not c. Cliques grow depth-first
+    from their lowest candidate, on an explicit stack. A node colours its
+    candidates from the top into classes of pairwise conflicting vertices and
+    branches only on those up to the top of what lo - size classes leave, if
+    any. Nodes and colour classes count in tally[0]; reaching tally[1] raises.
     """
-    # stack[d]: the untried candidates at depth d, and a bit past the last worth trying
-    clique, stack, cand = [], [], (1 << len(conf)) - 1
+    # cands[d]: the untried candidates at depth d; stops[d]: a bit past the last worth trying
+    clique, cands, stops, cand = [], [], [], (1 << len(conf)) - 1
     nodes, budget = tally
     try:
         while lo < hi:
@@ -474,18 +474,21 @@ def _cliques(conf: List[int], lo: int, hi: int, tally: List[int]) -> Iterator[Tu
                 q = rest
                 while q:
                     rest ^= 1 << (top := q.bit_length() - 1)
-                    q = q & conf[top] ^ 1 << top
+                    q &= conf[top]
             if rest:
-                stack.append((cand, 2 << (rest.bit_length() - 1)))
-            while stack:
-                (rem, stop), depth = stack[-1], len(stack) - 1
+                cands.append(cand)
+                stops.append(2 << (rest.bit_length() - 1))
+            while cands:
+                rem, depth = cands[-1], len(cands) - 1
                 low = rem & -rem
-                if 0 < low < stop and depth + rem.bit_count() > lo:
-                    stack[-1] = rem ^ low, stop
-                    clique[depth:] = [low.bit_length() - 1]
-                    cand = rem & ~conf[clique[-1]]
+                if 0 < low < stops[-1] and depth + rem.bit_count() > lo:
+                    cands[-1] = rem = rem ^ low
+                    del clique[depth:]
+                    clique.append(v := low.bit_length() - 1)
+                    cand = rem & ~conf[v]
                     break
-                stack.pop()
+                cands.pop()
+                stops.pop()
             else:
                 return
     finally:
@@ -506,9 +509,13 @@ def _least_in_orbit(small: List[int], imgs: List[int], a: int, keys, ones, num) 
     comp, guard = (field ^ child & field) * ones, ones << num
     if child + comp & guard:
         return []  # the identity's images reject most children, and cost least
-    kids = [img | keys[a ^ x] for img, x in zip(imgs[1:], small[1:])]
-    kids.append(functools.reduce(operator.or_, [keys[a ^ x] for x in small], keys[num - 1]))
-    return [] if any(img + comp & guard for img in kids) else [child, *kids]
+    kids = [child]
+    for img, x in zip(imgs[1:], small[1:]):
+        if (img := img | keys[a ^ x]) + comp & guard:
+            return []
+        kids.append(img)
+    own = functools.reduce(operator.or_, [keys[a ^ x] for x in small], keys[num - 1])  # x = a
+    return [] if own + comp & guard else [*kids, own]
 
 
 @functools.cache
@@ -577,43 +584,43 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         if tally[0] >= node_budget:
             raise _NodeBudgetSpent
 
-    def grow(packed: int, imgs: List[int], ub: int, witness: Tuple[int, ...]) -> None:
-        # packed: S's conflicts; imgs: of S ^ x for x in S; witness: a clique of size ub
+    def grow(packed: int, imgs: List[int], ub: int, witness: Tuple[int, ...], wmask: int) -> None:
+        # packed: S's conflicts, none of a mask with itself; imgs: of S ^ x for x in S;
+        # witness: a clique of size ub, with wmask its masks
         nonlocal best, best_pair
         spend()
         k = len(small)
-        conf = [packed >> (c * num) & everyone for c in range(num)]
-        wmask = sum(1 << c for c in witness)
-        if k * ub > best or any(conf[c] & wmask ^ 1 << c for c in witness):
+        if k * ub > best or any(packed >> c * num & wmask for c in witness):
+            conf = [packed >> (c * num) & everyone for c in range(num)]
             witness = ()
             for witness in _cliques(conf, max(k - 1, math.isqrt(best)), ub, tally):
                 if k * len(witness) > best:
                     best, best_pair = k * len(witness), (tuple(small), witness)
             if not witness:
                 return  # w(S) < |S| or w(S)^2 <= best: no S' >= S can do better
-            ub = len(witness)
+            ub, wmask = len(witness), sum(1 << c for c in witness)
         for a in range(small[-1] + 1, num):
             if k >= ub or min(k + num - a, ub) * ub <= best:
                 break
             spend()
             if not (kids := _least_in_orbit(small, imgs, a, keys, ones, num)):
                 continue
-            small.append(a)
             packed_child = functools.reduce(operator.or_, [rows[a][b] for b in small], packed)
-            grow(packed_child, kids, ub, witness)
+            small.append(a)
+            grow(packed_child, kids, ub, witness, wmask)
             small.pop()
 
     exact = True
     try:
-        grow(rows[0][0], [keys[num - 1]], num, ())
+        grow(0, [keys[num - 1]], num, (), 0)
     except _NodeBudgetSpent:
         exact = False
     if best == 0:
         raise ValueError(
             f"budget {budget_secs!r} s ({node_budget} nodes) ran out before the first pair"
         )
-    f1, f2 = min(best_pair, best_pair[::-1])
-    return PairSearchResult(Family(n, f1), Family(n, f2), len(f1) * len(f2), exact, tally[0])
+    f1, f2 = (Family._trusted(n, f) for f in min(best_pair, best_pair[::-1]))
+    return PairSearchResult(f1, f2, len(f1) * len(f2), exact, tally[0])
 
 
 def _element_texts(first: int, count: int) -> List[str]:

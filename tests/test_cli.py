@@ -396,6 +396,23 @@ def test_closed_stdout_pipe_exits_2_without_traceback():
     assert proc.stderr.count("error:") <= 1
 
 
+def test_closed_pipe_as_stdout_and_stderr_exits_2():
+    # as in `adderbound search --n 3 2>&1 | ...` once the reader is gone: the
+    # error line cannot be written either, and the exit code stays 2
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "adderbound", "search", "--n", "3"],
+            stdout=write_end,
+            stderr=write_end,
+            env=_SRC_ENV,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -887,13 +887,23 @@ def test_pair_conflicts_are_difference_collisions():
         num = 1 << n
         f1 = _random_family(rng, n, rng.randint(1, num))
         rows = _pair_conflicts(n)
-        packed = 0  # as the search builds it: each member with itself and each smaller one
-        for b, a in itertools.combinations_with_replacement(f1.members, 2):
+        packed = 0  # as the search builds it: each member with each smaller one
+        for b, a in itertools.combinations(f1.members, 2):
             packed |= rows[a][b]
         for c, c2 in itertools.combinations(range(num), 2):
             collides = not is_multiset_union_free(f1, Family(n, (c, c2)))
             assert bool(packed >> (c * num + c2) & 1) == collides, (f1, c, c2)
 
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pair_conflicts_hold_no_self_bit(n):
+    # two distinct members have a nonzero difference, so no c conflicts with
+    # itself: the clique kernel relies on conf[c] never holding c
+    num = 1 << n
+    selves = sum(1 << (c * num + c) for c in range(num))
+    rows = _pair_conflicts(n)
+    assert not any(rows[a][b] & selves for a in range(num) for b in range(num) if a != b)
 
 def _reference_max_clique(n, s_members):
     # the least largest set of masks with no pairwise difference in S - S, by
@@ -925,7 +935,7 @@ def test_clique_kernel_matches_a_plain_maximum_clique():
         s = _random_family(rng, n, rng.randint(1, min(6, num)))
         rows = _pair_conflicts(n)
         packed = 0  # as the search builds it
-        for b, a in itertools.combinations_with_replacement(s.members, 2):
+        for b, a in itertools.combinations(s.members, 2):
             packed |= rows[a][b]
         conf = [packed >> (c * num) & (1 << num) - 1 for c in range(num)]
         cliques = list(_cliques(conf, 0, num, [0, math.inf]))
@@ -948,7 +958,7 @@ def test_clique_kernel_budget_stops_at_its_node():
         num = 1 << n
         s = _random_family(rng, n, rng.randint(1, min(5, num)))
         packed = 0
-        for b, a in itertools.combinations_with_replacement(s.members, 2):
+        for b, a in itertools.combinations(s.members, 2):
             packed |= _pair_conflicts(n)[a][b]
         conf = [packed >> (c * num) & (1 << num) - 1 for c in range(num)]
         tally = [7, math.inf]
@@ -1195,27 +1205,44 @@ def test_search_validation():
     assert exhaustive_pair_search(3, budget_secs=10**400).exact
 
 
+_N5_FOUND_84 = (0, 1, 2, 15, 29, 30), (3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28)
+_N5_OPTIMUM = (0, 3, 12, 21, 26, 31), (0, 6, 7, 9, 11, 13, 14, 15, 16, 17, 18, 20, 22, 24, 25)
+
+
 @pytest.mark.parametrize(
     "n, budget, product, nodes, f1, f2",
     [
         (3, 0.0009, 12, 135, (0, 1, 2), (0, 3, 4, 7)),
         (4, 0.01, 36, 1_500, (0, 1, 2, 7, 13, 14), (3, 4, 7, 8, 11, 12)),
         (5, 0.1, 84, 15_000, tuple(a | b << 2 for b in range(7) for a in range(3)), (0, 3, 28, 31)),
-        (5, 0.5, 84, 75_000, (0, 1, 2, 15, 29, 30), (3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28)),
+        (5, 0.5, 84, 75_000, *_N5_FOUND_84),
+        (5, 233_162 / 150_000, 84, 233_162, *_N5_FOUND_84),
+        (5, 233_163 / 150_000, 90, 233_163, *_N5_OPTIMUM),
     ],
-    ids=["n3", "n4", "n5", "n5-found"],
+    ids=["n3", "n4", "n5", "n5-found", "n5-last-84", "n5-first-90"],
 )
 def test_search_results_pinned(n, budget, product, nodes, f1, f2):
     # budget-limited runs: the node count and incumbent pin the enumeration
     # order, the prune rules and the symmetry cut, not only the optimum; at
     # n = 5 one run ends on the product seed (21 x 4) and one on a found pair
-    # of the same size P = 84 (6 x 14), and product is |f1| * |f2| in both
+    # of the same size P = 84 (6 x 14), and product is |f1| * |f2| in both;
+    # the last two rows pin the node at which the n = 5 optimum 90 is first
+    # met: one node less of budget still returns the found 84
     res = exhaustive_pair_search(n, budget_secs=budget)
     assert (res.product, res.exact, res.nodes) == (product, False, nodes)
     assert (res.f1.members, res.f2.members) == (f1, f2)
+    assert (res.f1, res.f2) == (Family(n, res.f1.members), Family(n, res.f2.members))
     assert is_multiset_union_free(res.f1, res.f2)
     sums = {tuple((a >> i & 1) + (c >> i & 1) for i in range(n)) for a in f1 for c in f2}
     assert len(sums) == len(f1) * len(f2) == product
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exact_search_returns_valid_families(n):
+    # the result families skip Family's checks: they must equal checked ones
+    res = exhaustive_pair_search(n)
+    assert res.exact
+    assert (res.f1, res.f2) == (Family(n, res.f1.members), Family(n, res.f2.members))
 
 
 def test_complement_pair_count_capped():
