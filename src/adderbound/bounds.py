@@ -25,10 +25,16 @@ tests pin the monotonicity the sign relies on. Each outer minimum samples
 _GRID_POINTS points and then zooms in around the best sample, each pass
 starting its inner solves at the previous pass's roots, interpolated;
 every sample is itself an upper bound, so sampling stays sound without
-any assumption on the outer objective. Range checks run where values
-enter: in the public functions, and once per inner solve on its
-parameters and bracket; the objectives then run on unchecked kernels, as
-no solve point leaves its bracket.
+any assumption on the outer objective. main's passes finish only the
+samples that can still be the minimum, and their neighbours: those within
+_CUT_MARGIN (2e-14) of the least outer value at the Newton iterates, if
+every other lies more than _ROUNDING (1e-14) above the least finished
+value, and else all; the cut is made once 7 in 8 samples are out of
+Newton (see _resolved_max). An unfinished sample is never a value, so
+this cannot lower a bound. Range checks run where values enter:
+in the public functions, and once per inner solve on its parameters and
+bracket; the objectives then run on unchecked kernels, as no solve point
+leaves its bracket.
 Everything here is deterministic: same inputs give bit-identical results.
 
 Each bound is an upper bound only if J is not too low and p = h_inv(r1) is
@@ -120,6 +126,17 @@ _MAIN_DEPARTURE = 0.9926454154151924
 # _resolved_max's Newton stopping width and probe distance, in floats
 _ULPS = 16
 
+# _resolved_max's cut of an outer minimum's samples: the margin above the
+# least value at the Newton iterates within which a sample is finished; a
+# bound on how far f at any point of a bracket can exceed the bracket's
+# finished max through rounding (a few 1e-16 on these objectives, near 3/2);
+# and the share of samples still in Newton (1 in _CUT_LIVE) at which the cut
+# is made: at r1 = 1 it skips main's last 4 first-pass rounds, which
+# serve 103 of its 1,024 samples, none near the minimum
+_CUT_MARGIN = 2e-14
+_ROUNDING = 1e-14
+_CUT_LIVE = 8
+
 
 def _checked(v, x) -> np.ndarray:
     v = np.asarray(v, dtype=float)  # an objective's values at the points x
@@ -135,11 +152,12 @@ def _inside(step, a, b):
     return np.where(np.isfinite(step), inner, 0.5 * (a.view(float) + b.view(float)))
 
 
-def _resolved_max(f, g, gdg, lo, hi, x0=math.nan):
+def _resolved_max(f, g, gdg, lo, hi, x0=math.nan, args=(), outer=None):
     """The max of f on every bracket [lo, hi] of an array, at once, where f
     rises while g > 0 and never rises after: f at the better of two adjacent
-    floats across g's sign change, and the lower of the two. lo, hi and x0
-    broadcast together; a degenerate bracket stays as it is.
+    floats across g's sign change, and the lower of the two. f, g and gdg
+    take (x, *args); lo, hi, x0 and each of args broadcast together, one
+    element per bracket; a degenerate bracket stays as it is.
 
     Every round asks g at one point per bracket and moves lo there where
     g > 0, else hi, so the sign change never leaves [lo, hi]; the rounds
@@ -152,49 +170,102 @@ def _resolved_max(f, g, gdg, lo, hi, x0=math.nan):
     bracket is wider, g is probed _ULPS floats either side of the last
     iterate, and the int64 bit patterns of the ends, which order nonnegative
     floats like their values, are halved until the ends are adjacent floats:
-    at most 64 halvings.
+    at most 64 halvings. Each bracket's path depends on it alone.
+
+    With outer, the brackets are the samples of an outer minimum, in order,
+    and outer(v) maps a whole array of inner values to outer values. Only
+    the samples that can still be the minimum are finished. Once at most
+    1 in _CUT_LIVE brackets is still in Newton, each sample's outer value
+    is read at its current iterate. The samples within _CUT_MARGIN of the
+    least of these among the brackets out of Newton, and their neighbours,
+    finish their Newton rounds, probes and halvings; the others are left
+    at +inf, with their iterate as root. f at any point of a bracket
+    exceeds its finished max by at most _ROUNDING, so a left sample whose
+    value at the iterate lies more than _ROUNDING above the least finished
+    one is not the minimum. Where that fails for some left sample, or
+    where the least finished sample has a neighbour left, every bracket is
+    finished. A left sample is never a value, so the cut cannot lower a
+    minimum; where it holds, the minimum and its neighbours' values and
+    roots are the full solve's.
 
     Raises:
         ValueError: on a negative, non-finite or reversed bracket.
-        EvaluationError: where f is not finite at an end.
+        EvaluationError: where f is not finite at an end, or with outer at
+            an iterate.
     """
-    a, b = (np.array(v + 0.0) for v in np.broadcast_arrays(lo, hi))  # + 0.0 turns -0.0 into 0.0
+    a, b, *args = np.broadcast_arrays(lo, hi, *args)
+    a, b = np.array(a + 0.0), np.array(b + 0.0)  # + 0.0 turns -0.0 into 0.0
     if not ((0.0 <= a) & (a <= b) & (b < math.inf)).all():
         raise ValueError(f"bad bracket [{lo!r}, {hi!r}]")
     a, b = a.view(np.int64), b.view(np.int64)
 
-    def moved(p, gp, live):
+    def moved(p, gp, live, a, b):
         # the live brackets' ends, lo moved to p where g(p) > 0 and hi where not
         up = gp > 0.0
         return np.where(live & up, p, a), np.where(live & ~up, p, b)
 
     done = b - a <= _ULPS
     x = np.where(done, 0.5 * (a.view(float) + b.view(float)), _inside(x0, a, b))
-    with np.errstate(all="ignore"):
-        for _ in range(64):
-            if done.all():
-                break
-            (gx, dgx), xi = gdg(x), x.view(np.int64)
-            a, b = moved(xi, gx, ~done)
-            x = np.where(done, x, _inside(x - gx / dgx, a, b))
-            done |= np.abs(x.view(np.int64) - xi) <= _ULPS
-    probes = [x.view(np.int64) + d for d in (-_ULPS, _ULPS)]
-    while (live := b - a > 1).any():
-        p = np.where(live, np.clip(probes.pop(0), a + 1, b - 1), a) if probes else a + (b - a) // 2
-        a, b = moved(p, g(p.view(float)), live)
-    lo, hi = a.view(float), b.view(float)
-    return np.maximum(_checked(f(lo), lo), _checked(f(hi), hi)), lo
+
+    def newton(rounds, stop=0):
+        # Newton rounds on the brackets not done, at most rounds of them,
+        # while more than stop are live; returns how many ran
+        nonlocal a, b, x, done
+        ran = 0
+        with np.errstate(all="ignore"):
+            while ran < rounds and (~done).sum() > stop:
+                (gx, dgx), xi = gdg(x, *args), x.view(np.int64)
+                a, b = moved(xi, gx, ~done, a, b)
+                x = np.where(done, x, _inside(x - gx / dgx, a, b))
+                done = done | (np.abs(x.view(np.int64) - xi) <= _ULPS)
+                ran += 1
+        return ran
+
+    def finished(i):
+        # the brackets i, from their last iterates: probes, halvings, then f at both ends
+        ai, bi, sub = a[i], b[i], [v[i] for v in args]
+        probes = [x[i].view(np.int64) + d for d in (-_ULPS, _ULPS)]
+        while (live := bi - ai > 1).any():
+            p = np.where(live, np.clip(probes.pop(0), ai + 1, bi - 1), ai) if probes else ai + (bi - ai) // 2
+            ai, bi = moved(p, g(p.view(float), *sub), live, ai, bi)
+        lo, hi = ai.view(float), bi.view(float)
+        return np.maximum(_checked(f(lo, *sub), lo), _checked(f(hi, *sub), hi)), lo
+
+    if outer is None:
+        newton(64)
+        return finished(...)
+    ran = newton(64, x.size // _CUT_LIVE)
+    rough = outer(_checked(f(x, *args), x))
+    near = rough <= (rough[done] if done.any() else rough).min() + _CUT_MARGIN
+    keep = np.convolve(near, (1, 1, 1))[1:-1] > 0
+    left = ~done & ~keep  # still in Newton, and left
+    done = done | ~keep
+    newton(64 - ran)
+    v, root = np.full(x.shape, math.inf), x.copy()
+    v[keep], root[keep] = finished(keep)
+    least = outer(v)
+    i = int(np.argmin(least))
+    if not (keep[max(i - 1, 0) : i + 2].all() and (rough[~keep] > least[i] + _ROUNDING).all()):
+        done = ~left
+        newton(64 - ran)
+        return finished(...)
+    return v, root
 
 
-def _sampled_minimize(f, lo: float, hi: float) -> float:
+def _sampled_minimize(f, lo: float, hi: float):
     # min of f on [lo, hi] from _GRID_POINTS samples, resampled across the best
-    # sample's two neighbouring cells. f(xs, *starts) returns its values at xs and
-    # the roots of its inner solves, which start at the previous pass's roots
-    best, xs, starts = math.inf, np.linspace(lo, hi, _GRID_POINTS), ()
+    # sample's two neighbouring cells, with its argmin and the inner roots
+    # there. f(xs, *starts) returns its values at xs, +inf where a sample
+    # cannot be the minimum, and the roots of its inner solves, which start
+    # at the previous pass's roots
+    best, xs, starts = (math.inf,), np.linspace(lo, hi, _GRID_POINTS), ()
     for _ in range(_ZOOM_PASSES + 1):
         vals, roots = f(xs, *starts)
-        i = int(np.argmin(_checked(vals, xs)))
-        best = min(best, float(vals[i]))
+        solved = vals != math.inf
+        _checked(vals[solved], xs[solved])
+        i = int(np.argmin(vals))
+        if vals[i] < best[0]:
+            best = float(vals[i]), float(xs[i]), tuple(float(r[i]) for r in roots)
         zoom = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], _GRID_POINTS)
         xs, starts = zoom, [np.interp(zoom, xs, r) for r in roots]
     return best
@@ -284,20 +355,20 @@ def _sum_rate_gdg(eta, r0, u):
     return _l_kernel(eta) - _j_of_w(w) - r0, dg
 
 
-def _sum_rate_max(r0, p, eta0=math.nan):
+def _sum_rate_sign(eta, r0, u):
+    # g = L - J(p, .) - r0, u = 1 - 2p
+    return _l_kernel(eta) - _j_kernel(eta, u) - r0
+
+
+def _sum_rate_max(r0, p, eta0=math.nan, outer=None):
     # R_sigma with p = h_inv(r1) given, and its eta; r0, p and Newton's start
-    # eta0 broadcast together. L rises up to 1/3 and falls after, and J(p, .)
-    # never falls on [p, 1/2], so the max lies on [max(p, 1/3), 1/2], where
-    # L - J - r0 falls: at its sign change, or at an end
+    # eta0 broadcast together, and outer is _resolved_max's. L rises up to 1/3
+    # and falls after, and J(p, .) never falls on [p, 1/2], so the max lies on
+    # [max(p, 1/3), 1/2], where L - J - r0 falls: at its sign change, or at an end
     p = _as_prob_array(p, "p", 0.5)  # the solve's checks: [p, 1/2] in [0, 1/2], and w
     u, lo = 1.0 - 2.0 * p, np.maximum(p, 1.0 / 3.0)
     _check_w(_j_w(lo, u))
-    return _resolved_max(
-        lambda eta: _sum_rate_objective(eta, r0, u),
-        lambda eta: _l_kernel(eta) - _j_kernel(eta, u) - r0,
-        lambda eta: _sum_rate_gdg(eta, r0, u),
-        lo, 0.5, eta0,
-    )
+    return _resolved_max(_sum_rate_objective, _sum_rate_sign, _sum_rate_gdg, lo, 0.5, eta0, (r0, u), outer)
 
 
 def sum_rate_bound(r0: float, r1: float) -> float:
@@ -405,7 +476,7 @@ def ul_sum_bound(r1: float) -> float:
     if r1c <= _UL_DEPARTURE:
         return 1.5
     p1 = binary_entropy_inv(r1c)
-    return _sampled_minimize(lambda rho, *starts: _ul_inner_max(rho, p1, *starts), 0.0, 0.5)
+    return _sampled_minimize(lambda rho, *starts: _ul_inner_max(rho, p1, *starts), 0.0, 0.5)[0]
 
 
 def ul_bound(r1: float) -> float:
@@ -420,11 +491,14 @@ def ul_bound(r1: float) -> float:
 
 
 def _main_objective(alpha, p1: float, eta0=math.nan):
-    # and r_sigma's eta, from eta0. ratio = h_inv(Gamma) lies in [0, p1] for
+    # +inf at the alpha that cannot be the minimum (see _resolved_max), and
+    # r_sigma's eta, from eta0. ratio = h_inv(Gamma) lies in [0, p1] for
     # alpha in [0, p1], so no singularity (alpha <= 1/2 < 1); r_sigma takes it
     ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
-    r_sigma, eta = _sum_rate_max(alpha / (1.0 - alpha), ratio, eta0)
-    return (1.0 - alpha) * (r_sigma - _h_half(ratio)), (eta,)
+    gamma = _h_half(ratio)
+    outer = lambda r_sigma: (1.0 - alpha) * (r_sigma - gamma)
+    r_sigma, eta = _sum_rate_max(alpha / (1.0 - alpha), ratio, eta0, outer)
+    return outer(r_sigma), (eta,)
 
 
 def main_bound(r1: float) -> float:
@@ -450,7 +524,7 @@ def main_bound(r1: float) -> float:
     if r1c <= _MAIN_DEPARTURE:
         return min(1.5 - r1c, 1.0)
     p1 = binary_entropy_inv(r1c)
-    v = _sampled_minimize(lambda alpha, *starts: _main_objective(alpha, p1, *starts), 0.0, p1)
+    v = _sampled_minimize(lambda alpha, *starts: _main_objective(alpha, p1, *starts), 0.0, p1)[0]
     return min(max(v, 0.0), 1.0, 1.5 - r1c)
 
 

@@ -81,10 +81,11 @@ def _bisect(pos, lo, hi):
     return a.view(float), b.view(float)
 
 
-def _plain_max(f, g, gdg, lo, hi, x0=math.nan):
-    # _resolved_max by plain bisection on g > 0, neither g' nor x0 used
-    a, b = _bisect(lambda x: g(x) > 0.0, lo, hi)
-    return np.maximum(f(a), f(b)), a
+def _plain_max(f, g, gdg, lo, hi, x0=math.nan, args=(), outer=None):
+    # _resolved_max by plain bisection on g > 0, neither g' nor x0 used, and
+    # every bracket finished
+    a, b = _bisect(lambda x: g(x, *args) > 0.0, lo, hi)
+    return np.maximum(f(a, *args), f(b, *args)), a
 
 
 def _ends(g, gdg, lo, hi, x0=math.nan):
@@ -309,8 +310,8 @@ def test_wrong_newton_slopes_change_no_result(monkeypatch, fault):
     # kink) is faulted where _resolved_max receives it, in the (g, g')
     # pair that gdg returns
     def faulted(gdg):
-        def gdg_fault(x):
-            gx, dgx = gdg(x)
+        def gdg_fault(x, *args):
+            gx, dgx = gdg(x, *args)
             return gx, fault(dgx)
 
         return gdg_fault
@@ -318,7 +319,7 @@ def test_wrong_newton_slopes_change_no_result(monkeypatch, fault):
     resolved = bounds._resolved_max
     monkeypatch.setattr(bounds, "_resolved_max", _plain_max)
     plain = _newton_results()
-    solve = lambda f, g, gdg, lo, hi, x0: resolved(f, g, faulted(gdg), lo, hi, x0)
+    solve = lambda f, g, gdg, lo, hi, x0, *rest: resolved(f, g, faulted(gdg), lo, hi, x0, *rest)
     monkeypatch.setattr(bounds, "_resolved_max", solve)
     assert np.abs(_newton_results() - plain).max() <= 1e-15
 
@@ -334,12 +335,15 @@ def _newton_results():
 
 
 def _recorded_solves(monkeypatch, bound, r1):
-    # every inner solve bound(r1) makes, in order, as (f, g, gdg, lo, hi, x0)
+    # every inner solve bound(r1) makes, in order, as (f, g, gdg, lo, hi, x0,
+    # outer, result), with f, g and gdg bound to the solve's args
     calls, resolved = [], bounds._resolved_max
 
-    def recording(f, g, gdg, lo, hi, x0=math.nan):
-        calls.append((f, g, gdg, lo, hi, x0))
-        return resolved(f, g, gdg, lo, hi, x0)
+    def recording(f, g, gdg, lo, hi, x0=math.nan, args=(), outer=None):
+        out = resolved(f, g, gdg, lo, hi, x0, args, outer)
+        bind = lambda k: lambda x: k(x, *args)
+        calls.append((bind(f), bind(g), bind(gdg), lo, hi, x0, outer, out))
+        return out
 
     monkeypatch.setattr(bounds, "_resolved_max", recording)
     bound(r1)
@@ -359,7 +363,7 @@ def test_warm_started_solves_match_cold_ones(monkeypatch):
     cases += [(ul_bound, r1) for r1 in rng.uniform(bounds._UL_DEPARTURE, 1.0, 2).tolist() + [1.0]]
     warm = 0
     for bound, r1 in cases:
-        for f, g, gdg, lo, hi, x0 in _recorded_solves(monkeypatch, bound, r1):
+        for f, g, gdg, lo, hi, x0, _, _ in _recorded_solves(monkeypatch, bound, r1):
             values = []
             for start in (x0, math.nan):
                 a, b = _ends(g, gdg, lo, hi, start)
@@ -369,6 +373,79 @@ def test_warm_started_solves_match_cold_ones(monkeypatch):
             assert np.abs(values[0] - values[1]).max() <= 1e-15, (bound.__name__, r1)
             warm += bool(np.isfinite(x0).all())
     assert warm == 7 * 2 + 3 * 4  # passes 2 and 3: one solve each for main, two for ul
+
+
+def test_outer_minimum_comes_from_a_finished_bracket(monkeypatch):
+    # in every pass of main's outer minimum, the least sample and its two
+    # neighbours are finished, and the least ended on adjacent floats across
+    # g's sign change (an end that never moved excepted), its value the
+    # better of f at the two; at 5 seeded r1, r1 = 1 and the float above the
+    # departure, where the cut leaves most samples unfinished
+    rng = np.random.default_rng(20261024)
+    r1s = rng.uniform(bounds._MAIN_DEPARTURE, 1.0, 5).tolist() + [1.0, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
+    left = []
+    for r1 in r1s:
+        solves = _recorded_solves(monkeypatch, main_bound, r1)
+        assert len(solves) == 3, r1
+        for f, g, gdg, lo, hi, x0, outer, (v, root) in solves:
+            i = int(np.argmin(outer(v)))
+            assert np.isfinite(v[max(i - 1, 0) : i + 2]).all(), r1
+            lo_i, hi_i = np.broadcast_to(lo, v.shape)[i], np.broadcast_to(hi, v.shape)[i]
+            a, b = root, root.copy()
+            b[i] = a[i] if lo_i == hi_i else np.nextafter(a[i], 2.0)
+            assert (g(a)[i] > 0.0 or a[i] == lo_i) and (g(b)[i] <= 0.0 or b[i] == hi_i), r1
+            assert v[i] == max(f(a)[i], f(b)[i]), r1
+            left.append(int(np.isinf(v).sum()))
+    assert min(left) > 500, left
+
+
+RESOLVED_MAX = bounds._resolved_max
+
+
+def _iterate_fault(f, g, gdg, lo, hi, x0=math.nan, args=(), outer=None):
+    # _resolved_max with f 1 too low at the first 100 samples in its first
+    # call, which with outer is the one at the Newton iterates
+    calls = itertools.count()
+
+    def f_fault(x, *a):
+        v = f(x, *a)
+        return v - (np.arange(v.size) < 100) if outer is not None and next(calls) == 0 else v
+
+    return RESOLVED_MAX(f_fault, g, gdg, lo, hi, x0, args, outer)
+
+
+CUT_FAULTS = {
+    "iterate_values": lambda monkeypatch: monkeypatch.setattr(bounds, "_resolved_max", _iterate_fault),
+    "no_rounding_room": lambda monkeypatch: monkeypatch.setattr(bounds, "_ROUNDING", math.inf),
+}
+
+
+@pytest.mark.parametrize("fault", CUT_FAULTS.values(), ids=CUT_FAULTS.keys())
+def test_failed_cut_check_finishes_every_bracket(monkeypatch, fault):
+    # a planted fault makes the cut's check fail in every pass: values at the
+    # Newton iterates 1 too low at samples far from the minimum, so the cut
+    # finishes those and leaves the minimum; or no room at all for f's
+    # rounding. Every bracket is then finished, as the count of g's elements
+    # after Newton at r1 = 1 shows (the full solve's probes and halvings
+    # ask 6,144 and 15,360), and main_bound keeps its bits
+    r1s = [1.0, 0.999, 0.9995, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
+    want = [repr(main_bound(r1)) for r1 in r1s]
+    fault(monkeypatch)
+    assert [repr(main_bound(r1)) for r1 in r1s] == want
+    seen, _ = _count_evaluations(monkeypatch, main_bound, 1.0)
+    assert seen[5] + seen[7] > 6_144 + 15_360, seen
+
+
+@pytest.mark.parametrize("live", [1, 2, 2048])
+def test_cut_at_any_newton_round_keeps_the_bits(monkeypatch, live):
+    # the cut is made once at most 1 in _CUT_LIVE brackets is still in
+    # Newton: with 1 before the first round, so the kept samples finish
+    # their Newton rounds after it and the check fails in most passes; with
+    # 2 in the middle of the first pass; with 2048 after the last round
+    r1s = [1.0, 0.999, 0.9995, 0.995, math.nextafter(bounds._MAIN_DEPARTURE, 2.0)]
+    want = [repr(main_bound(r1)) for r1 in r1s]
+    monkeypatch.setattr(bounds, "_CUT_LIVE", live)
+    assert [repr(main_bound(r1)) for r1 in r1s] == want
 
 
 ADVERSARIAL_STARTS = {
@@ -390,7 +467,7 @@ def test_adversarial_newton_starts_change_no_result(monkeypatch, start):
     # reverse order, moves no bound, g* or UL inner maximum by more than 1e-15
     want = _newton_results()
     resolved = bounds._resolved_max
-    adversarial = lambda f, g, gdg, lo, hi, x0: resolved(f, g, gdg, lo, hi, start(lo, hi, x0))
+    adversarial = lambda f, g, gdg, lo, hi, x0, *rest: resolved(f, g, gdg, lo, hi, start(lo, hi, x0), *rest)
     monkeypatch.setattr(bounds, "_resolved_max", adversarial)
     assert np.abs(_newton_results() - want).max() <= 1e-15
 
@@ -841,10 +918,29 @@ SUM_RATE_PINS = {
 
 MIXTURE_101_SHA256 = "c6d5785268f6f8821a47a25728464689e91f6340b4e76b34c4f7f1731584b5b8"
 
+# sha256 of the lines repr((ul_bound(r1), main_bound(r1))) over _sweep_r1s()
+SWEEP_SHA256 = "94c085c727bfafb2180a7fb80fe6c30ffd937a3fef87b73b1119118b913b4db3"
+
+
+def _sweep_r1s():
+    # 64 seeded r1 where main solves, 4 where ul solves too, and the float
+    # above each departure point
+    rng = np.random.default_rng(20261023)
+    r1s = rng.uniform(bounds._MAIN_DEPARTURE, 1.0, 64).tolist()
+    r1s += rng.uniform(bounds._UL_DEPARTURE, 1.0, 4).tolist()
+    return r1s + [math.nextafter(bounds._MAIN_DEPARTURE, 2.0), math.nextafter(bounds._UL_DEPARTURE, 2.0)]
+
 
 @pytest.mark.parametrize("r1", sorted(BOUND_PINS))
 def test_bound_bit_pins(r1):
     assert (repr(ul_bound(r1)), repr(main_bound(r1))) == BOUND_PINS[r1]
+
+
+def test_bound_bit_sweep():
+    # BOUND_PINS holds two r1 where main solves and one where ul does, and
+    # the curve CSVs keep 6 decimals: this pins both bounds to the bit at 70 r1
+    text = "\n".join(repr((ul_bound(r1), main_bound(r1))) for r1 in _sweep_r1s())
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256
 
 
 def test_sum_rate_and_mixture_bit_pins():
@@ -868,20 +964,20 @@ def _count_evaluations(monkeypatch, bound, r1):
         seen[i + 1] += np.size(x)
 
     def counting(f, i):
-        def counted(x):
+        def counted(x, *args):
             tally(i, x)
-            return f(x)
+            return f(x, *args)
 
         return counted
 
-    def resolved_counted(f, g, gdg, lo, hi, x0):
+    def resolved_counted(f, g, gdg, lo, hi, x0, args=(), outer=None):
         before, asked = seen[2], itertools.count()
 
-        def g_counted(x):
+        def g_counted(x, *args):
             tally(4 if next(asked) < 2 else 6, x)
-            return g(x)
+            return g(x, *args)
 
-        out = resolved(f, g_counted, counting(gdg, 2), lo, hi, x0)
+        out = resolved(f, g_counted, counting(gdg, 2), lo, hi, x0, args, outer)
         steps.append(seen[2] - before)
         return out
 
@@ -895,7 +991,7 @@ def _count_evaluations(monkeypatch, bound, r1):
     "bound, work, solves",
     [
         (ul_bound, [15, 15_360, 19, 19_456, 12, 12_288, 30, 30_720], 2),
-        (main_bound, [9, 9_216, 14, 14_336, 6, 6_144, 15, 15_360], 1),
+        (main_bound, [12, 3_561, 10, 10_240, 5, 323, 5, 785], 1),
     ],
     ids=["ul_bound", "main_bound"],
 )
@@ -906,7 +1002,12 @@ def test_solver_work_counts(monkeypatch, bound, work, solves):
     # b = rho + kappa) in a few evaluations of (g, g') and two probes of g,
     # and the bisection finishes in about 5 sign evaluations. Passes 2 and 3
     # start Newton at the previous pass's roots, so each of their solves
-    # takes fewer steps than the same solve in pass 1
+    # takes fewer steps than the same solve in pass 1. main's eta solve
+    # takes the cut: its first pass stops Newton after 5 rounds, as 103
+    # brackets, none near the minimum, are still in it; one more objective
+    # evaluation per pass, at the iterates; and of the 1,024 samples only
+    # 3, 3 and 157 are finished (their ends and the outer check:
+    # 3 * 1024 + 3 * 163 elements)
     seen, steps = _count_evaluations(monkeypatch, bound, 1.0)
     assert seen == work
     first, *zooms = np.reshape(steps, (3, solves))
@@ -975,15 +1076,31 @@ def _golden_ul_inner_max(rho, p1, iters):
 def _sampled_ul(r1, inner=_ul_inner_max):
     # ul_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
-    v = _sampled_minimize(lambda rho, *starts: inner(rho, p1, *starts), 0.0, 0.5)
+    v = _sampled_minimize(lambda rho, *starts: inner(rho, p1, *starts), 0.0, 0.5)[0]
     return min(max(v - r1, 0.0), 1.0)
 
 
 def _sampled_main(r1, objective=_main_objective):
     # main_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
-    v = _sampled_minimize(lambda alpha, *starts: objective(alpha, p1, *starts), 0.0, p1)
+    v = _sampled_minimize(lambda alpha, *starts: objective(alpha, p1, *starts), 0.0, p1)[0]
     return min(max(v, 0.0), 1.0, 1.5 - r1)
+
+
+def test_outer_argmin_and_inner_roots_at_one():
+    # each outer minimum returns its value, its argmin and the inner roots
+    # there: at r1 = 1, main's alpha* and eta*, and ul's rho* and the beta*
+    # and b* = rho* + kappa* of its g* and kink solves. The argmin is a
+    # finished sample: solved alone from a cold start, it gives the minimum
+    p1 = binary_entropy_inv(1.0)
+    v, alpha, (eta,) = _sampled_minimize(lambda a, *starts: _main_objective(a, p1, *starts), 0.0, p1)
+    assert v == main_bound(1.0)
+    assert abs(alpha - 0.125337) <= 5e-7 and abs(eta - 0.462133) <= 5e-7
+    assert abs(_main_objective(np.array([alpha]), p1)[0][0] - v) <= 1e-15
+    v, rho, (beta, b) = _sampled_minimize(lambda r, *starts: _ul_inner_max(r, p1, *starts), 0.0, 0.5)
+    assert v == ul_sum_bound(1.0)
+    assert abs(rho - 0.357121) <= 5e-7 and abs(beta - 0.538263) <= 5e-7 and abs(b - 0.474352) <= 5e-7
+    assert abs(_ul_inner_max(np.array([rho]), p1)[0][0] - v) <= 1e-15
 
 
 def test_bounds_match_golden_section_reference():
