@@ -116,15 +116,17 @@ _BLOCK = 1 << 16
 
 
 def _low_spread(masks: np.ndarray, n: int) -> np.ndarray:
-    """_spread of each mask's first 40 coordinates, for a contiguous 1-d uint64 array.
+    """_spread of each mask's first 40 coordinates, for a contiguous 1-d unsigned array
+    of any width.
 
     A sum of two such keys is at most 3^40 - 1 < 2^64, so it never overflows.
-    Each mask is read as its little-endian bytes, and the keys are added up
-    in place a block at a time, so the only array as large as masks is the
-    result.
+    Each mask is read as its little-endian bytes, of which the width must hold
+    the first min(n, 40) coordinates, and the uint64 keys are added up in place
+    a block at a time, so the only array as large as masks is the result.
     """
     low = np.zeros(masks.shape, dtype=np.uint64)
-    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    octets = masks.astype(masks.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+    octets = octets.reshape(-1, masks.itemsize)
     for start in range(0, masks.size, _BLOCK):
         acc = low[start : start + _BLOCK]
         for k in range((min(n, 40) + 7) // 8):
@@ -142,7 +144,8 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     ValueError, as is_multiset_union_free does, at the first pair whose
     families repeat a member.
 
-    All m0*m1*m2 sums are formed at once as low keys (_low_spread), in pair
+    The members are held in the narrowest unsigned width that holds 2^n - 1.
+    All m0*m1*m2 sums are formed at once as uint64 low keys (_low_spread), in pair
     order, a-major. If the low keys, sorted, are all distinct, so are the
     sums. Otherwise only sums whose low key repeats can collide (a repeated
     member repeats its sums too), and those alone are replayed in pair order
@@ -151,8 +154,9 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     """
     m0, m1, m2 = u.m0, u.m1, u.m2
     chain = itertools.chain.from_iterable
-    firsts = np.fromiter(chain(f.members for f, _ in u.pairs), np.uint64, m0 * m1)
-    seconds = np.fromiter(chain(f.members for _, f in u.pairs), np.uint64, m0 * m2)
+    dtype = np.min_scalar_type((1 << u.n) - 1).newbyteorder("<")
+    firsts = np.fromiter(chain(f.members for f, _ in u.pairs), dtype, m0 * m1)
+    seconds = np.fromiter(chain(f.members for _, f in u.pairs), dtype, m0 * m2)
 
     def low_keys() -> np.ndarray:
         low1 = _low_spread(firsts, u.n).reshape(m0, m1, 1)
@@ -219,19 +223,19 @@ def log3_construction(n: int) -> UnionFreeSystem:
     Index the pairs by the subsets F0 of [n] with |F0| = 2n/3; pair i is
     ({F0_i}, all subsets of F0_i). Sums of pair i take value >= 1 exactly on
     F0_i, which keeps the supports disjoint across pairs. M0 = C(n, 2n/3),
-    M1 = 1, M2 = 2^{2n/3}.
+    M1 = 1, M2 = 2^{2n/3}. Every f0 and member is taken from one list of the
+    2^n ints, so the system holds one int object per mask value.
     """
     if (n := _integer(n, "n")) % 3 != 0:
         raise ValueError(f"n must be divisible by 3, got {n}")
     if not 3 <= n <= 15:
         raise ValueError(f"n {n} outside [3, 15]")
     m = 2 * n // 3
+    ints = list(range(1 << n))
     pairs = []
     for combo in itertools.combinations(range(n), m):
-        f0 = 0
-        for i in combo:
-            f0 |= 1 << i
-        pairs.append((Family._trusted(n, (f0,)), Family._trusted(n, tuple(_submasks(f0)))))
+        members = tuple(map(ints.__getitem__, _submasks(sum(1 << i for i in combo))))
+        pairs.append((Family._trusted(n, members[-1:]), Family._trusted(n, members)))
     return UnionFreeSystem(n, tuple(pairs))
 
 
@@ -332,6 +336,7 @@ def system_from_json(text: str) -> UnionFreeSystem:
     except (json.JSONDecodeError, RecursionError) as exc:
         # deep nesting exhausts the decoder's recursion before any shape check
         raise ValueError(f"bad system JSON: {exc}") from None
+    del text  # the families are built without the whole string alive
     if not isinstance(payload, dict):
         raise ValueError("bad system JSON: the top level is not an object")
     for key in ("n", "m0", "m1", "m2", "pairs"):

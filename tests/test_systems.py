@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ def _random_system(rng, n, shared_low):
     return UnionFreeSystem(n, tuple(pairs))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 39, 40, 41, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12, 16, 17, 32, 33, 39, 40, 41, 64])
 def test_validate_system_matches_dict_algorithm(n):
     rng = random.Random(1000 + n)
     kinds = set()
@@ -285,6 +286,16 @@ def test_low_spread_is_the_spread_of_the_first_40_coordinates(n):
     got = _low_spread(np.array(masks, dtype=np.uint64), n)
     assert got.dtype == np.uint64
     assert got.tolist() == [_spread(m & (2**40 - 1)) for m in masks]
+
+
+@pytest.mark.parametrize("dtype, n", [("u1", 8), ("u2", 16), ("u4", 32), (">u2", 16), ("u2", 9)])
+def test_low_spread_reads_narrow_arrays_as_uint64(dtype, n):
+    # the bytes of each mask's width, read little-endian whatever the array's order
+    rng = random.Random(n)
+    masks = [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(500))]
+    got = _low_spread(np.array(masks, dtype=dtype), n)
+    assert got.dtype == np.uint64
+    assert got.tolist() == _low_spread(np.array(masks, dtype=np.uint64), n).tolist()
 
 
 def test_low_spread_fills_every_block():
@@ -358,6 +369,36 @@ def test_log3_validation():
         log3_construction(18)
     with pytest.raises(ValueError):
         log3_construction(0)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_log3_members_share_one_int_per_mask_value(n):
+    u = log3_construction(n)
+    members = [m for pair in u.pairs for f in pair for m in f.members]
+    assert len({id(m) for m in members}) <= 1 << n
+    for f1, f2 in u.pairs:
+        (f0,) = f1.members
+        assert f0 is f2.members[f2.members.index(f0)]
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak memory traced while it ran, in MiB."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_log3_construction_and_validation_memory_pins():
+    # 4.22 and 2.51 MiB when each member was its own int and masks were copied to uint64
+    validate_system(log3_construction(3))  # first calls allocate lasting state
+    u, built = _traced_peak(log3_construction, 12)
+    assert built <= 1.5
+    reason, checked = _traced_peak(validate_system, u)
+    assert reason is None
+    assert checked <= 2.0
 
 
 def _submasks_by_walk(mask):
