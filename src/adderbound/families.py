@@ -719,9 +719,9 @@ def _read_families(texts: Iterable[str]) -> Iterator[Family]:
     """A system's reader: family_from_text of each text, no line parsed twice for one n.
 
     One memo per n maps each line read to its mask; for n <= _LINE_TABLE_N it
-    starts as a copy of _line_table(n)'s masks. A text whose header is canonical
-    and whose lines, split at "\n", all hit is read from the memo alone. Any
-    other goes to _read_family against the same memos.
+    starts as a copy of _line_table(n)'s masks. A text whose header is canonical and
+    whose lines, split at "\n", all hit is read in one pass, as the sorted masks of its
+    lines; at the first KeyError, a header or a line missed, it goes to _read_family.
     """
     memos: Dict[int, Dict[str, int]] = {}
 
@@ -732,13 +732,12 @@ def _read_families(texts: Iterable[str]) -> Iterator[Family]:
 
     for text in texts:
         lines = text.removesuffix("\n").split("\n")
-        n = _HEADS.get(lines[0])
-        masks = [*map(memo(n).get, lines[1:])] if n else [None]
-        if None in masks:
-            yield _read_family(text, memo)
-            continue
-        masks.sort()  # in range but maybe unsorted
-        yield Family._trusted(n, tuple(masks))
+        try:
+            n = _HEADS[lines[0]]
+            members = tuple(sorted(map(memo(n).__getitem__, lines[1:])))
+        except KeyError:
+            members = None  # read outside the handler, so no error chains to the KeyError
+        yield Family._trusted(n, members) if members is not None else _read_family(text, memo)
 
 
 def family_from_text(text: str) -> Family:

@@ -54,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UnionFreeSystem:
-    """Pairs of families over [n]; every f1 has m1 >= 1 members, every f2 has m2 >= 1."""
+    """Pairs (f1, f2) of families over [n], held as tuples; all |f1| = m1 >= 1, all |f2| = m2 >= 1."""
 
     n: int
     pairs: Tuple[Tuple[Family, Family], ...]
@@ -63,9 +63,13 @@ class UnionFreeSystem:
         n = _integer(self.n, "ground set size")
         if not self.pairs:
             raise ValueError("a system needs at least one pair")
-        m1 = len(self.pairs[0][0])
-        m2 = len(self.pairs[0][1])
-        for i, (f1, f2) in enumerate(self.pairs):
+        pairs = []  # tuples, as Family keeps its members
+        for i, pair in enumerate(self.pairs):
+            f1, f2 = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
+            if not (isinstance(f1, Family) and isinstance(f2, Family)):
+                raise ValueError(f"pair {i} is not two families")
+            if not pairs:
+                m1, m2 = len(f1), len(f2)
             if f1.n != n or f2.n != n:
                 raise ValueError(f"pair {i} lives on a different ground set")
             for side, f, m in (("first", f1, m1), ("second", f2, m2)):
@@ -73,7 +77,9 @@ class UnionFreeSystem:
                     raise ValueError(f"pair {i}: {side} family is empty")
                 if len(f) != m:
                     raise ValueError(f"pair {i}: {side} family has {len(f)} members, expected {m}")
+            pairs.append(tuple(pair))  # a tuple is kept, not copied
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     @property
     def m0(self) -> int:
@@ -113,6 +119,8 @@ _BYTE_SPREADS = [np.array([_spread(v << 8 * k) for v in range(256)], np.uint64) 
 
 # masks per block of _low_spread, which keeps its temporaries small
 _BLOCK = 1 << 16
+# pairs per gather of log3_construction, whose temporaries then take 128 KiB each at n = 15
+_GATHER_BLOCK = 16
 
 
 def _low_spread(masks: np.ndarray, n: int) -> np.ndarray:
@@ -223,19 +231,22 @@ def log3_construction(n: int) -> UnionFreeSystem:
     Index the pairs by the subsets F0 of [n] with |F0| = 2n/3; pair i is
     ({F0_i}, all subsets of F0_i). Sums of pair i take value >= 1 exactly on
     F0_i, which keeps the supports disjoint across pairs. M0 = C(n, 2n/3),
-    M1 = 1, M2 = 2^{2n/3}. Every f0 and member is taken from one list of the
-    2^n ints, so the system holds one int object per mask value.
+    M1 = 1, M2 = 2^{2n/3}. Row t of bits holds the digits of t, so (1 << combo) @ bits.T
+    lists F0's submasks, ascending with F0 last. One gather per block of pairs takes
+    them from an object array of the 2^n ints: one int object per mask value.
     """
     if (n := _integer(n, "n")) % 3 != 0:
         raise ValueError(f"n must be divisible by 3, got {n}")
     if not 3 <= n <= 15:
         raise ValueError(f"n {n} outside [3, 15]")
     m = 2 * n // 3
-    ints = list(range(1 << n))
+    ints = np.fromiter(range(1 << n), object, 1 << n)
+    bits = np.arange(1 << m)[:, None] >> np.arange(m) & 1
+    combos = itertools.combinations(range(n), m)
     pairs = []
-    for combo in itertools.combinations(range(n), m):
-        members = tuple(map(ints.__getitem__, _submasks(sum(1 << i for i in combo))))
-        pairs.append((Family._trusted(n, members[-1:]), Family._trusted(n, members)))
+    while block := list(itertools.islice(combos, _GATHER_BLOCK)):
+        for members in map(tuple, ints[(1 << np.array(block)) @ bits.T].tolist()):
+            pairs.append((Family._trusted(n, members[-1:]), Family._trusted(n, members)))
     return UnionFreeSystem(n, tuple(pairs))
 
 

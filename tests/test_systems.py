@@ -1,6 +1,7 @@
 """Tests for union-free systems: validity, the log2(3) family, the reduction."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -100,6 +101,40 @@ def test_system_stores_an_int_ground_set_size():
 def test_system_rejects_empty_families(pairs, message):
     with pytest.raises(ValueError) as exc:
         UnionFreeSystem(3, tuple((Family(3, a), Family(3, c)) for a, c in pairs))
+    assert str(exc.value) == message
+
+
+def test_system_keeps_pairs_as_tuples():
+    # lists of pairs, or of lists, make the same hashable system as tuples do
+    u = log3_construction(3)
+    for pairs in (list(u.pairs), [list(pair) for pair in u.pairs]):
+        v = UnionFreeSystem(3, pairs)
+        assert v == u and hash(v) == hash(u)
+        assert type(v.pairs) is tuple and all(type(pair) is tuple for pair in v.pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (((1, 2),), "pair 0 is not two families"),
+        (((Family(3, (1,)),),), "pair 0 is not two families"),
+        (((Family(3, (1,)),) * 3,), "pair 0 is not two families"),
+        ((Family(3, (1,)),), "pair 0 is not two families"),
+        ((None,), "pair 0 is not two families"),
+        (((Family(3, (1,)), (2,)),), "pair 0 is not two families"),
+        (((Family(3, (1,)), Family(3, (2,))), (Family(3, (4,)), 5)), "pair 1 is not two families"),
+        # pairs are checked in order: a bad pair 1 comes before a malformed pair 2
+        (
+            ((Family(3, (1,)), Family(3, (2,))), (Family(2, (1,)), Family(2, (2,))), (0, 0)),
+            "pair 1 lives on a different ground set",
+        ),
+    ],
+    ids=["ints", "one family", "three families", "a bare family", "None", "a family and a tuple",
+         "second pair", "in order"],
+)
+def test_system_rejects_malformed_pairs(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        UnionFreeSystem(3, pairs)
     assert str(exc.value) == message
 
 
@@ -371,7 +406,19 @@ def test_log3_validation():
         log3_construction(0)
 
 
-@pytest.mark.parametrize("n", [3, 12])
+@pytest.mark.parametrize("n", [3, 6, 9, 12])
+def test_log3_matches_combinations_and_the_submask_walk(n):
+    # pair i is ({F0}, all subsets of F0 ascending) for the i-th 2n/3-subset F0
+    want = []
+    for combo in itertools.combinations(range(n), 2 * n // 3):
+        f0 = sum(1 << i for i in combo)
+        want.append(((f0,), tuple(_submasks_by_walk(f0))))
+    u = log3_construction(n)
+    assert u.n == n
+    assert [(f1.members, f2.members) for f1, f2 in u.pairs] == want
+
+
+@pytest.mark.parametrize("n", [3, 12, 15])
 def test_log3_members_share_one_int_per_mask_value(n):
     u = log3_construction(n)
     members = [m for pair in u.pairs for f in pair for m in f.members]
@@ -538,6 +585,14 @@ def test_log3_json_bytes_pinned(n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_log3_json_bytes_pinned_at_n15():
+    # hashed a chunk at a time, never as the whole 40 MB text
+    digest = hashlib.sha256()
+    for chunk in system_json_chunks(log3_construction(15)):
+        digest.update(chunk.encode())
+    assert digest.hexdigest() == "a76a578800c17448f4ce9d7069dde06d221d3853f0331c10f605424b706dbe61"
+
+
 def reference_json(u):
     # the writer as first built: each family text element by element, then json.dumps
     def text(f):
@@ -689,6 +744,14 @@ def test_system_from_json_shared_lines_pinned(texts, expected):
     else:
         u = system_from_json(_two_pairs(*texts))
         assert [f.members for pair in u.pairs for f in pair] == expected
+
+
+def test_system_reader_errors_chain_to_nothing():
+    # a text that misses the one-pass read is parsed outside the KeyError's handler
+    with pytest.raises(ValueError) as exc:
+        system_from_json(_two_pairs("n=3\n1\n", "3\n1\n", "n=3\n1\n", "n=3\n2\n"))
+    assert str(exc.value) == "family text must start with an n=<int> line"
+    assert exc.value.__context__ is None
 
 
 json_values = st.recursive(
