@@ -35,6 +35,9 @@ this cannot lower a bound. Range checks run where values enter:
 in the public functions, and once per inner solve on its parameters and
 bracket; the objectives then run on unchecked kernels, as no solve point
 leaves its bracket.
+Every solve passes _resolved_max and _sampled_minimize module-level functions
+and its parameters in args, never in a closure, so any objective can be called
+alone with explicit parameters (the outer map of _main_objective is data).
 Everything here is deterministic: same inputs give bit-identical results.
 
 Each bound is an upper bound only if J is not too low and p = h_inv(r1) is
@@ -155,9 +158,10 @@ def _inside(step, a, b):
 def _resolved_max(f, g, gdg, lo, hi, x0=math.nan, args=(), outer=None):
     """The max of f on every bracket [lo, hi] of an array, at once, where f
     rises while g > 0 and never rises after: f at the better of two adjacent
-    floats across g's sign change, and the lower of the two. f, g and gdg
-    take (x, *args); lo, hi, x0 and each of args broadcast together, one
-    element per bracket; a degenerate bracket stays as it is.
+    floats across g's sign change, and the lower of the two. f, g and gdg are
+    module-level functions of (x, *args), every parameter in args; lo, hi, x0
+    and each of args broadcast together, one element per bracket; a
+    degenerate bracket stays as it is.
 
     Every round asks g at one point per bracket and moves lo there where
     g > 0, else hi, so the sign change never leaves [lo, hi]; the rounds
@@ -231,36 +235,35 @@ def _resolved_max(f, g, gdg, lo, hi, x0=math.nan, args=(), outer=None):
         lo, hi = ai.view(float), bi.view(float)
         return np.maximum(_checked(f(lo, *sub), lo), _checked(f(hi, *sub), hi)), lo
 
-    if outer is None:
-        newton(64)
-        return finished(...)
-    ran = newton(64, x.size // _CUT_LIVE)
-    rough = outer(_checked(f(x, *args), x))
-    near = rough <= (rough[done] if done.any() else rough).min() + _CUT_MARGIN
-    keep = np.convolve(near, (1, 1, 1))[1:-1] > 0
-    left = ~done & ~keep  # still in Newton, and left
-    done = done | ~keep
-    newton(64 - ran)
-    v, root = np.full(x.shape, math.inf), x.copy()
-    v[keep], root[keep] = finished(keep)
-    least = outer(v)
-    i = int(np.argmin(least))
-    if not (keep[max(i - 1, 0) : i + 2].all() and (rough[~keep] > least[i] + _ROUNDING).all()):
-        done = ~left
+    ran = 0
+    if outer is not None:
+        ran = newton(64, x.size // _CUT_LIVE)
+        rough = outer(_checked(f(x, *args), x))
+        near = rough <= (rough[done] if done.any() else rough).min() + _CUT_MARGIN
+        keep = np.convolve(near, (1, 1, 1))[1:-1] > 0
+        left = ~done & ~keep  # still in Newton, and left
+        done = done | ~keep
         newton(64 - ran)
-        return finished(...)
-    return v, root
+        v, root = np.full(x.shape, math.inf), x.copy()
+        v[keep], root[keep] = finished(keep)
+        least = outer(v)
+        i = int(np.argmin(least))
+        if keep[max(i - 1, 0) : i + 2].all() and (rough[~keep] > least[i] + _ROUNDING).all():
+            return v, root
+        done = ~left  # the cut failed: finish every bracket
+    newton(64 - ran)
+    return finished(...)
 
 
-def _sampled_minimize(f, lo: float, hi: float):
+def _sampled_minimize(f, lo: float, hi: float, args=()):
     # min of f on [lo, hi] from _GRID_POINTS samples, resampled across the best
     # sample's two neighbouring cells, with its argmin and the inner roots
-    # there. f(xs, *starts) returns its values at xs, +inf where a sample
-    # cannot be the minimum, and the roots of its inner solves, which start
-    # at the previous pass's roots
+    # there. f is a module-level function: f(xs, *args, *starts) returns its
+    # values at xs, +inf where a sample cannot be the minimum, and the roots
+    # of its inner solves, which start at the previous pass's roots
     best, xs, starts = (math.inf,), np.linspace(lo, hi, _GRID_POINTS), ()
     for _ in range(_ZOOM_PASSES + 1):
-        vals, roots = f(xs, *starts)
+        vals, roots = f(xs, *args, *starts)
         solved = vals != math.inf
         _checked(vals[solved], xs[solved])
         i = int(np.argmin(vals))
@@ -419,12 +422,7 @@ def _mixture_gdg(beta, r):
 def _mixture_max(rho, beta0=math.nan):
     # g*(rho) and its beta, from beta0; the pmf is linear in beta, so its entropy is concave
     r = _as_prob_array(rho, "rho", 0.5)
-    return _resolved_max(
-        lambda beta: _sum_entropy(beta, r),
-        lambda beta: _mixture_slope(beta, r),
-        lambda beta: _mixture_gdg(beta, r),
-        np.zeros_like(r), 1.0, beta0,
-    )
+    return _resolved_max(_sum_entropy, _mixture_slope, _mixture_gdg, np.zeros_like(r), 1.0, beta0, (r,))
 
 
 def ul_mixture_entropy(rho):
@@ -442,6 +440,21 @@ def _ul_objective(kappa, rho, g, p1, h_rho):
     return first - h_rho + np.minimum(g, b + _h_half(b))
 
 
+def _kink_objective(b, g, rho, p1, h_rho):
+    # _ul_objective in b = rho + kappa
+    return _ul_objective(b - rho, rho, g, p1, h_rho)
+
+
+def _kink(b, g, *_):
+    # the kink residual g* - (b + h(b)), falling in b
+    return g - (b + _h_half(b))
+
+
+def _kink_gdg(b, g, *_):
+    # _kink and its derivative -1 - h'(b)
+    return _kink(b, g), -1.0 - _dh(b)
+
+
 def _ul_inner_max(rho, p1: float, beta0=math.nan, b0=math.nan):
     # max over kappa of _ul_objective in b = rho + kappa on [rho, 1/2], past
     # which it never rises, and the roots (beta, b) of its solves, from
@@ -449,12 +462,7 @@ def _ul_inner_max(rho, p1: float, beta0=math.nan, b0=math.nan):
     # smaller root of b^2 - (c + 3) b + 2c, c = 1 - p1 + rho, which lies above
     # the kink (tests/test_bounds.py); past it it never rises: the max is there
     (g, beta), h_rho = _mixture_max(rho, beta0), binary_entropy(rho)
-    v, b = _resolved_max(
-        lambda b: _ul_objective(b - rho, rho, g, p1, h_rho),
-        lambda b: g - (b + _h_half(b)),
-        lambda b: (g - (b + _h_half(b)), -1.0 - _dh(b)),
-        rho, 0.5, b0,
-    )
+    v, b = _resolved_max(_kink_objective, _kink, _kink_gdg, rho, 0.5, b0, (g, rho, p1, h_rho))
     return v, (beta, b)
 
 
@@ -476,7 +484,7 @@ def ul_sum_bound(r1: float) -> float:
     if r1c <= _UL_DEPARTURE:
         return 1.5
     p1 = binary_entropy_inv(r1c)
-    return _sampled_minimize(lambda rho, *starts: _ul_inner_max(rho, p1, *starts), 0.0, 0.5)[0]
+    return _sampled_minimize(_ul_inner_max, 0.0, 0.5, (p1,))[0]
 
 
 def ul_bound(r1: float) -> float:
@@ -524,7 +532,7 @@ def main_bound(r1: float) -> float:
     if r1c <= _MAIN_DEPARTURE:
         return min(1.5 - r1c, 1.0)
     p1 = binary_entropy_inv(r1c)
-    v = _sampled_minimize(lambda alpha, *starts: _main_objective(alpha, p1, *starts), 0.0, p1)[0]
+    v = _sampled_minimize(_main_objective, 0.0, p1, (p1,))[0]
     return min(max(v, 0.0), 1.0, 1.5 - r1c)
 
 

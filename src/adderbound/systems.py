@@ -215,16 +215,6 @@ def system_rates(u: UnionFreeSystem) -> SystemRates:
     )
 
 
-def _submasks(mask: int) -> List[int]:
-    # ascending: each set bit, lowest first, doubles the list
-    out = [0]
-    while mask:
-        b = mask & -mask
-        out += [x | b for x in out]
-        mask ^= b
-    return out
-
-
 def log3_construction(n: int) -> UnionFreeSystem:
     """A valid system whose sum rate tends to log2(3) as n grows.
 

@@ -24,6 +24,9 @@ from adderbound.bounds import (
     weldon_nonsystematic_bound,
     _dh,
     _j_kernel,
+    _kink,
+    _kink_gdg,
+    _kink_objective,
     _l_kernel,
     _main_objective,
     _mixture_gdg,
@@ -32,6 +35,7 @@ from adderbound.bounds import (
     _sampled_minimize,
     _sum_rate_gdg,
     _sum_rate_objective,
+    _sum_rate_sign,
     _ul_inner_max,
     _ul_objective,
 )
@@ -88,10 +92,10 @@ def _plain_max(f, g, gdg, lo, hi, x0=math.nan, args=(), outer=None):
     return np.maximum(f(a, *args), f(b, *args)), a
 
 
-def _ends(g, gdg, lo, hi, x0=math.nan):
+def _ends(g, gdg, lo, hi, x0=math.nan, args=()):
     # the two adjacent floats _resolved_max ends every bracket on: with
     # f(x) = x its value is the upper one
-    hi, lo = _resolved_max(lambda x: x, g, gdg, lo, hi, x0)
+    hi, lo = _resolved_max(lambda x, *_: x, g, gdg, lo, hi, x0, args)
     return lo, hi
 
 
@@ -177,41 +181,24 @@ def test_nonfinite_envelope_raises_from_bound(monkeypatch):
 
 
 def _eta_solves(r1):
-    # (f, g, gdg, lo, hi) of _sum_rate_max on main_bound's first outer grid
+    # (f, g, gdg, lo, hi, args) of _sum_rate_max on main_bound's first outer grid
     p1 = binary_entropy_inv(r1)
     alpha = np.linspace(0.0, p1, bounds._GRID_POINTS)
     ratio = np.clip((p1 - alpha) / (1.0 - alpha), 0.0, 0.5)
     r0, u = alpha / (1.0 - alpha), 1.0 - 2.0 * ratio
-    return (
-        lambda e: _sum_rate_objective(e, r0, u),
-        lambda e: _l_kernel(e) - _j_kernel(e, u) - r0,
-        lambda e: _sum_rate_gdg(e, r0, u),
-        np.maximum(ratio, 1.0 / 3.0),
-        np.full(alpha.shape, 0.5),
-    )
+    lo = np.maximum(ratio, 1.0 / 3.0)
+    return _sum_rate_objective, _sum_rate_sign, _sum_rate_gdg, lo, np.full(alpha.shape, 0.5), (r0, u)
 
 
 def _beta_solves(rho):
-    # (f, g, gdg, lo, hi) of ul_mixture_entropy
-    return (
-        lambda b: _sum_entropy(b, rho),
-        lambda b: _mixture_slope(b, rho),
-        lambda b: _mixture_gdg(b, rho),
-        np.zeros_like(rho),
-        np.ones_like(rho),
-    )
+    # (f, g, gdg, lo, hi, args) of ul_mixture_entropy
+    return _sum_entropy, _mixture_slope, _mixture_gdg, np.zeros_like(rho), np.ones_like(rho), (rho,)
 
 
 def _kink_solves(rho, p1):
-    # (f, g, gdg, lo, hi) of _ul_inner_max: the kink root in b = rho + kappa
-    g, h_rho = ul_mixture_entropy(rho), binary_entropy(rho)
-    return (
-        lambda b: _ul_objective(b - rho, rho, g, p1, h_rho),
-        lambda b: g - (b + _h_half(b)),
-        lambda b: (g - (b + _h_half(b)), -1.0 - _dh(b)),
-        rho,
-        np.full(rho.shape, 0.5),
-    )
+    # (f, g, gdg, lo, hi, args) of _ul_inner_max: the kink root in b = rho + kappa
+    args = ul_mixture_entropy(rho), rho, p1, binary_entropy(rho)
+    return _kink_objective, _kink, _kink_gdg, rho, np.full(rho.shape, 0.5), args
 
 
 # the p1 = h_inv(r1) of the UL differential tests: 0, inner values, the
@@ -233,12 +220,12 @@ def test_newton_narrowed_solves_match_plain_bisection():
     rho = np.concatenate([rng.uniform(0.0, 0.5, 5000), [0.0, 0.5]])
     solves = [_eta_solves(r1) for r1 in r1s] + [_beta_solves(rho)]
     solves += [_kink_solves(rho[-1002:], p1) for p1 in UL_P1S]
-    for f, g, gdg, lo, hi in solves:
-        a, b = _ends(g, gdg, lo, hi)
+    for f, g, gdg, lo, hi, args in solves:
+        a, b = _ends(g, gdg, lo, hi, args=args)
         assert ((np.nextafter(a, 2.0) == b) | (lo == hi)).all()
-        assert ((g(a) > 0.0) | (a == lo)).all() and ((g(b) <= 0.0) | (b == hi)).all()
-        plain = _plain_max(f, g, gdg, lo, hi)[0]
-        assert np.abs(_resolved_max(f, g, gdg, lo, hi)[0] - plain).max() <= 1e-15
+        assert ((g(a, *args) > 0.0) | (a == lo)).all() and ((g(b, *args) <= 0.0) | (b == hi)).all()
+        plain = _plain_max(f, g, gdg, lo, hi, args=args)[0]
+        assert np.abs(_resolved_max(f, g, gdg, lo, hi, args=args)[0] - plain).max() <= 1e-15
 
 
 def test_newton_bracket_without_a_usable_slope():
@@ -470,6 +457,29 @@ def test_adversarial_newton_starts_change_no_result(monkeypatch, start):
     adversarial = lambda f, g, gdg, lo, hi, x0, *rest: resolved(f, g, gdg, lo, hi, start(lo, hi, x0), *rest)
     monkeypatch.setattr(bounds, "_resolved_max", adversarial)
     assert np.abs(_newton_results() - want).max() <= 1e-15
+
+
+def test_every_solve_passes_module_level_functions(monkeypatch):
+    # the one calling convention: every _resolved_max and _sampled_minimize
+    # call made by the bounds, g* and R_sigma takes functions of
+    # adderbound.bounds, with its parameters in args, not captured: 2 outer
+    # minima, 6 + 3 inner solves in their passes, then g* and R_sigma
+    seen, resolved, sampled = [], bounds._resolved_max, bounds._sampled_minimize
+
+    def resolved_recording(f, g, gdg, *rest):
+        seen.append((f, g, gdg))
+        return resolved(f, g, gdg, *rest)
+
+    def sampled_recording(f, *rest):
+        seen.append((f,))
+        return sampled(f, *rest)
+
+    monkeypatch.setattr(bounds, "_resolved_max", resolved_recording)
+    monkeypatch.setattr(bounds, "_sampled_minimize", sampled_recording)
+    ul_bound(1.0), main_bound(1.0), ul_mixture_entropy(np.linspace(0.0, 0.5, 11)), sum_rate_bound(0.1, 0.9)
+    assert [len(fns) for fns in seen].count(1) == 2 and len(seen) == 2 + 6 + 3 + 1 + 1
+    for fn in itertools.chain.from_iterable(seen):
+        assert getattr(bounds, fn.__name__, None) is fn, fn
 
 
 # ---------------------------------------------------------------- envelopes
@@ -1076,14 +1086,14 @@ def _golden_ul_inner_max(rho, p1, iters):
 def _sampled_ul(r1, inner=_ul_inner_max):
     # ul_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
-    v = _sampled_minimize(lambda rho, *starts: inner(rho, p1, *starts), 0.0, 0.5)[0]
+    v = _sampled_minimize(inner, 0.0, 0.5, (p1,))[0]
     return min(max(v - r1, 0.0), 1.0)
 
 
 def _sampled_main(r1, objective=_main_objective):
     # main_bound through the sampled outer minimum, whatever r1
     p1 = binary_entropy_inv(r1)
-    v = _sampled_minimize(lambda alpha, *starts: objective(alpha, p1, *starts), 0.0, p1)[0]
+    v = _sampled_minimize(objective, 0.0, p1, (p1,))[0]
     return min(max(v, 0.0), 1.0, 1.5 - r1)
 
 
@@ -1093,11 +1103,11 @@ def test_outer_argmin_and_inner_roots_at_one():
     # and b* = rho* + kappa* of its g* and kink solves. The argmin is a
     # finished sample: solved alone from a cold start, it gives the minimum
     p1 = binary_entropy_inv(1.0)
-    v, alpha, (eta,) = _sampled_minimize(lambda a, *starts: _main_objective(a, p1, *starts), 0.0, p1)
+    v, alpha, (eta,) = _sampled_minimize(_main_objective, 0.0, p1, (p1,))
     assert v == main_bound(1.0)
     assert abs(alpha - 0.125337) <= 5e-7 and abs(eta - 0.462133) <= 5e-7
     assert abs(_main_objective(np.array([alpha]), p1)[0][0] - v) <= 1e-15
-    v, rho, (beta, b) = _sampled_minimize(lambda r, *starts: _ul_inner_max(r, p1, *starts), 0.0, 0.5)
+    v, rho, (beta, b) = _sampled_minimize(_ul_inner_max, 0.0, 0.5, (p1,))
     assert v == ul_sum_bound(1.0)
     assert abs(rho - 0.357121) <= 5e-7 and abs(beta - 0.538263) <= 5e-7 and abs(b - 0.474352) <= 5e-7
     assert abs(_ul_inner_max(np.array([rho]), p1)[0][0] - v) <= 1e-15

@@ -579,6 +579,26 @@ def test_verify_shift_transfer_counts_a_planted_fault(monkeypatch):
         assert (got.passed, got.samples, got.max_violation) == (False, 200, float(want))
 
 
+def test_verify_shift_transfer_counts_a_shift_that_is_not_down_closed(monkeypatch):
+    # a "shift" that returns the top |f| masks: of the right size, and not
+    # down-closed unless it is the whole cube, when f is the cube too. Each
+    # family that is not down-closed counts once; the cube counts nothing
+    seen = []
+
+    def planted(f):
+        g = Family(f.n, tuple(range((1 << f.n) - len(f), 1 << f.n)))
+        seen.append(g)
+        return g
+
+    monkeypatch.setattr(verify, "shift_monotonize", planted)
+    for seed in (1, 4):
+        seen.clear()
+        got = {c.name: c for c in run_suite("families", seed)}["shift-shattering-transfer"]
+        want = sum(not _is_monotone(g) for g in seen)
+        assert len(seen) == 200 and 0 < want < 200
+        assert (got.passed, got.samples, got.max_violation) == (False, 200, float(want))
+
+
 def test_verify_soft_sauer_counts_every_family_under_a_lowered_bound(monkeypatch):
     # lower the bound for the most frequent (n, d, k) below every family size:
     # each family that meets it must count, although the bound is made once

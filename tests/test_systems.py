@@ -27,7 +27,6 @@ from adderbound.systems import (
     UnionFreeSystem,
     _BLOCK,
     _low_spread,
-    _submasks,
     derive_system,
     is_valid_system,
     log3_construction,
@@ -458,12 +457,6 @@ def _submasks_by_walk(mask):
             break
         sub = (sub - 1) & mask
     return out[::-1]
-
-
-def test_submasks_match_the_decrement_walk():
-    rng = random.Random(2024)
-    for mask in [*range(1 << 12), *(rng.getrandbits(20) for _ in range(200))]:
-        assert _submasks(mask) == _submasks_by_walk(mask)
 
 
 # ----------------------------------------------------------- derive_system
