@@ -75,6 +75,15 @@ class AuxBinaryJoint:
         object.__setattr__(self, "t", tuple(_as_prob(v, "t") for v in self.t))
         object.__setattr__(self, "q", tuple(_as_prob(v, "q") for v in self.q))
 
+    @classmethod
+    def _trusted(cls, u_masses, t, q) -> "AuxBinaryJoint":
+        """A joint of float tuples that __post_init__ would keep as they are: one
+        mass, t and q per u, each in [0, 1], masses summing to 1 within 1e-9; no checks."""
+        d = object.__new__(cls)
+        for name, v in (("u_masses", u_masses), ("t", t), ("q", q)):
+            object.__setattr__(d, name, v)
+        return d
+
     @property
     def support_size(self) -> int:
         return len(self.u_masses)
@@ -193,7 +202,8 @@ def symmetrize(d: AuxBinaryJoint) -> AuxBinaryJoint:
     half = tuple(0.5 * m for m in d.u_masses)
     flip_t = tuple(1.0 - x for x in d.t)
     flip_q = tuple(1.0 - x for x in d.q)
-    return AuxBinaryJoint(half + half, d.t + flip_t, d.q + flip_q)
+    # halves of checked masses and complements of checked conditionals are in range
+    return AuxBinaryJoint._trusted(half + half, d.t + flip_t, d.q + flip_q)
 
 
 def attaining_joint(eta: float) -> AuxBinaryJoint:

@@ -5,6 +5,11 @@ measures its worst violation of a stated inequality, and passes iff that
 violation stays within tolerance. Counting checks (exact combinatorial
 agreement) report the number of failures instead, with tolerance 0. Given
 the same seed the suites produce identical results on any machine.
+
+Draws become Python floats and ints once, by .tolist(), with the same
+generator calls and so the same samples; each cross-check against the
+envelope J collects its samples and evaluates J in one array call, whose
+elements carry the scalar calls' bits.
 """
 
 from __future__ import annotations
@@ -69,16 +74,15 @@ def _random_family(rng, max_n=10, max_size=60) -> Family:
     n = int(rng.integers(1, max_n + 1))
     space = 1 << n
     size = int(rng.integers(1, min(space, max_size) + 1))
-    members = rng.choice(space, size=size, replace=False)
-    return Family(n, tuple(int(m) for m in members))
+    return Family(n, tuple(rng.choice(space, size=size, replace=False).tolist()))
 
 
 def _random_joint(rng, max_support=4) -> AuxBinaryJoint:
     m = int(rng.integers(1, max_support + 1))
     return AuxBinaryJoint(
-        tuple(rng.dirichlet(np.ones(m))),
-        tuple(rng.uniform(0.0, 1.0, m)),
-        tuple(rng.uniform(0.0, 1.0, m)),
+        tuple(rng.dirichlet(np.ones(m)).tolist()),
+        tuple(rng.uniform(0.0, 1.0, m).tolist()),
+        tuple(rng.uniform(0.0, 1.0, m).tolist()),
     )
 
 
@@ -89,11 +93,11 @@ def _entropy_suite(seed: int) -> List[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    ps = np.concatenate([rng.uniform(0.0, 1.0, 2000), [0.0, 1.0, 0.5, 1e-12]])
+    ps = rng.uniform(0.0, 1.0, 2000).tolist() + [0.0, 1.0, 0.5, 1e-12]
     viol = max(abs(binary_entropy(p) - binary_entropy(1.0 - p)) for p in ps)
     out.append(_check("binary-entropy-symmetry", len(ps), viol, 4e-15))
 
-    xs = rng.uniform(0.0, 1.0, 2000)
+    xs = rng.uniform(0.0, 1.0, 2000).tolist()
     viol = 0.0
     for x in xs:
         p = binary_entropy_inv(x)
@@ -103,7 +107,7 @@ def _entropy_suite(seed: int) -> List[CheckResult]:
     out.append(_check("entropy-inverse-roundtrip", len(xs), viol, 1e-9))
 
     # convolution moves probabilities toward 1/2, so entropy cannot drop
-    pq = rng.uniform(0.0, 1.0, (2000, 2))
+    pq = rng.uniform(0.0, 1.0, (2000, 2)).tolist()
     viol = 0.0
     for p, q in pq:
         gain = binary_entropy(binary_convolve(p, q)) - max(
@@ -252,22 +256,27 @@ def _systems_suite(seed: int) -> List[CheckResult]:
 # ------------------------------------------------------------- distributions
 
 
+def _envelope_gap(rows) -> float:
+    """max |value - J(p1, eta)| over rows of (value, p1, eta), from 0.0 in row order."""
+    values, p1s, etas = zip(*rows)
+    return max(0.0, *np.abs(np.subtract(values, conditional_sum_envelope(p1s, etas))).tolist())
+
+
 def _distributions_suite(seed: int) -> List[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
     viol = 0.0
     trials = 2000
-    for _ in range(trials):
-        y1, z1, y2, z2, w = rng.uniform(0.0, 1.0, 5)
+    for y1, z1, y2, z2, w in rng.uniform(0.0, 1.0, (trials, 5)).tolist():
         mid = bernoulli_sum_entropy(w * y1 + (1 - w) * y2, w * z1 + (1 - w) * z2)
         avg = w * bernoulli_sum_entropy(y1, z1) + (1 - w) * bernoulli_sum_entropy(y2, z2)
         viol = max(viol, avg - mid)
     out.append(_check("sum-entropy-concavity", trials, viol, 1e-12))
 
     grid = np.linspace(0.0, 0.25, 500)
-    gv = np.array([quad_entropy_envelope(y) for y in grid])
-    qv = np.array([entropy_at_variance(y) for y in grid])
+    gv = np.array([quad_entropy_envelope(y) for y in grid.tolist()])
+    qv = np.array([entropy_at_variance(y) for y in grid.tolist()])
     viol = max(
         float(np.max(np.diff(gv, 2))),
         float(np.max(np.diff(qv, 2))),
@@ -310,30 +319,26 @@ def _distributions_suite(seed: int) -> List[CheckResult]:
         top = float(np.max(np.abs(pts)))
         if top > 0.5:
             pts = pts * (0.5 / top)
-        rho = float(np.dot(w, [binary_entropy(0.5 + x) for x in pts]))
+        rho = float(np.dot(w, [binary_entropy(0.5 + x) for x in pts.tolist()]))
         ex2 = float(np.dot(w, pts * pts))
         viol = max(viol, rho - entropy_at_variance(min(ex2, 0.25)))
     out.append(_check("variance-cap", trials, viol, 1e-12))
 
-    viol = 0.0
-    etas = np.linspace(0.0, 0.5, 100)
+    rows = []
+    etas = np.linspace(0.0, 0.5, 100).tolist()
     for eta in etas:
         t = entropy_triplet(attaining_joint(eta))
-        p1 = 0.5 * (1.0 - math.sqrt(max(1.0 - 2.0 * eta, 0.0)))
-        viol = max(viol, abs(t.hs_cond - conditional_sum_envelope(p1, eta)))
-    out.append(_check("attaining-joint-meets-envelope", len(etas), viol, 1e-9))
+        rows.append((t.hs_cond, 0.5 * (1.0 - math.sqrt(max(1.0 - 2.0 * eta, 0.0))), eta))
+    out.append(_check("attaining-joint-meets-envelope", len(etas), _envelope_gap(rows), 1e-9))
 
-    viol = 0.0
+    rows = []
     trials = 300
     for _ in range(trials):
         r1 = rng.uniform(0.0, 1.0)
         p1 = binary_entropy_inv(r1)
         eta = rng.uniform(p1, 0.5)
-        viol = max(
-            viol,
-            abs(cond_envelope_via_moments(r1, eta) - conditional_sum_envelope(p1, eta)),
-        )
-    out.append(_check("moment-chain-matches-envelope", trials, viol, 1e-9))
+        rows.append((cond_envelope_via_moments(r1, eta), p1, eta))
+    out.append(_check("moment-chain-matches-envelope", trials, _envelope_gap(rows), 1e-9))
     return out
 
 

@@ -527,6 +527,17 @@ def test_conditional_envelope_vectorized_matches_scalar():
     vec = conditional_sum_envelope(p, etas)
     for e, v in zip(etas, vec):
         assert v == conditional_sum_envelope(p, float(e))
+    # seeded p on [0, 1/2] with 0, 1/4 and 1/2, each with eta at p, at 1/2, at
+    # the branch point p * p and seeded on [p, 1/2]: one 1-d call carries every
+    # scalar call's bits, which verify's batched cross-checks rely on
+    rng = np.random.default_rng(40)
+    ps = np.repeat(np.concatenate([[0.0, 0.25, 0.5], rng.uniform(0.0, 0.5, 300)]), 4)
+    etas = ps + (0.5 - ps) * rng.uniform(0.0, 1.0, ps.size) ** 3
+    etas[0::4], etas[1::4], etas[2::4] = ps[0::4], 0.5, binary_convolve(ps[2::4], ps[2::4])
+    upper = etas >= binary_convolve(ps, ps)
+    assert 0 < upper[3::4].sum() < upper[3::4].size
+    scalar = [conditional_sum_envelope(p, e) for p, e in zip(ps.tolist(), etas.tolist())]
+    assert conditional_sum_envelope(ps, etas).tobytes() == np.array(scalar).tobytes()
 
 
 def test_kernels_match_public_envelopes_bit_for_bit():

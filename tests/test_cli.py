@@ -5,6 +5,8 @@ compared byte for byte; one subprocess test covers the module entry point.
 """
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -27,6 +29,7 @@ from adderbound.families import (
     is_multiset_union_free,
 )
 from adderbound.systems import log3_construction, system_from_json, system_to_json
+from adderbound.verify import run_all
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -161,6 +164,25 @@ def test_verify_all_json(capsys):
 def test_verify_output_is_deterministic(capsys):
     runs = [run_cli(capsys, "verify", "--json", "--seed", "7") for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+VERIFY_SHA256 = {
+    0: "6292ad41b2f01ef9aaf379faf121f1f0a2a645fc1419d19bc9e19daec03bcfd4",
+    1: "0580c6af325c3db94c8f741b352ea4d8f884beb5be5579b4b15ce1b12e7c2cf6",
+    7: "e2bf2da8fd62d04da59db0af33f4297a982db2ffe4e900f566652b4a46de88df",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
+def test_verify_results_pinned(seed):
+    # every field's repr, so a moved sample or a moved bit of a violation shows
+    lines = [
+        repr((suite, *dataclasses.astuple(r)))
+        for suite, results in run_all(seed).items()
+        for r in results
+    ]
+    assert len(lines) == 19
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_SHA256[seed]
 
 
 @pytest.mark.parametrize("suite", [[], ["--suite", "entropy"], ["--suite", "systems"]])

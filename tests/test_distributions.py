@@ -267,6 +267,27 @@ def test_symmetrize_preserves_conditionals():
         assert ts.hs >= td.hs - 1e-12
 
 
+def test_symmetrize_output_passes_the_checks_unchanged():
+    # symmetrize builds its output unchecked: the checked constructor must
+    # accept it as is, for supports 1-4, ends 0.0 and 1.0 and numpy input
+    rng = np.random.default_rng(40)
+    for trial in range(400):
+        m = trial % 4 + 1
+        masses = rng.dirichlet(np.ones(m)) if trial % 5 else np.eye(m)[rng.integers(m)]
+        t, q = rng.uniform(0.0, 1.0, (2, m))
+        if trial % 3 == 0:
+            t[rng.integers(m)], q[rng.integers(m)] = 0.0, 1.0
+        if trial % 7 == 0:
+            t[:], q[:] = 1.0, 0.0
+        fields = [masses, t, q] if trial % 2 else [a.tolist() for a in (masses, t, q)]
+        s = symmetrize(AuxBinaryJoint(*map(tuple, fields)))
+        checked = AuxBinaryJoint(s.u_masses, s.t, s.q)
+        for name in ("u_masses", "t", "q"):
+            got = getattr(s, name)
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in getattr(checked, name)]
+
+
 def test_symmetrize_fixed_point_on_symmetric_input():
     for eta in (0.0, 0.1, 0.3, 0.5):
         d = attaining_joint(eta)
