@@ -14,7 +14,7 @@ empty.
 
 Exit codes: 0 on success, 1 when a verification fails or a bound cannot be
 evaluated, 2 on usage errors.
-Output is deterministic: identical argv (and seed) give identical bytes.
+Output is deterministic: identical argv (and seed) give identical bytes on one host.
 """
 
 from __future__ import annotations

@@ -130,8 +130,8 @@ def binary_entropy_inv(x: float) -> float:
     Returns p with binary_entropy(p) <= x < binary_entropy(p') for p' the
     next float above p, or p = 1/2 at x = 1: the bisection keeps
     h(lo) <= x < h(hi) until lo and hi are adjacent floats (at most 1,073
-    steps, at x = 5e-324) and returns lo. Every bound that takes
-    p = h_inv(r1) only rises as p falls, so this side is the sound one. The
+    steps, at x = 5e-324) and returns lo. That holds for the float h only:
+    p can lie above the exact inverse (see the bounds module docstring). The
     restriction makes the inverse single-valued; the other preimage is 1 - p.
 
     The bisection skips the steps whose outcome is already known. Three

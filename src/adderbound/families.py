@@ -31,7 +31,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .entropy import PROB_SLACK, _as_prob, _integer, _real, binary_entropy, binary_entropy_inv
 
@@ -623,41 +623,33 @@ def exhaustive_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
     return PairSearchResult(f1, f2, len(f1) * len(f2), exact, tally[0])
 
 
-def _element_texts(first: int, count: int) -> List[str]:
-    """The element text of every mask of `count` bits, its elements offset by `first`.
-
-    Entry b lists the set bits of b as `first` + 1 .. `first` + count, ascending
-    and comma-separated, "" for b = 0: _element_texts(8, 8)[0b101] == "9,11".
-    """
+def _element_texts(count: int) -> List[str]:
+    """The element text of every mask of `count` bits: entry b lists the set bits of b
+    as 1 .. count, ascending and comma-separated, "" for b = 0: _element_texts(3)[5] == "1,3"."""
     texts = [""]
-    for e in range(first + 1, first + count + 1):
-        # the entries with bit e - first - 1 set: the ones before, plus e
+    for e in range(1, count + 1):
+        # the entries with bit e - 1 set: the ones before, plus e
         texts += [f"{t},{e}" if t else str(e) for t in texts]
     return texts
 
 
-# one table per byte offset of a mask, shared by every n
-_BYTE_TEXT = tuple(tuple(_element_texts(8 * k, 8)) for k in range(MAX_GROUND // 8))
-# the canonical header of each n: _read_families' fast path reads no other
-_HEADS = {f"n={n}": n for n in range(1, MAX_GROUND + 1)}
-
-
 def _mask_line(m: int) -> str:
-    """The text line of mask m, `-` for the empty set, one lookup per byte of m."""
-    octets = m.to_bytes((m.bit_length() + 7) // 8, "little")
-    return ",".join(filter(None, map(tuple.__getitem__, _BYTE_TEXT, octets))) or "-"
+    """The text line of mask m, `-` for the empty set: one element per set bit."""
+    return ",".join(str(i + 1) for i in range(m.bit_length()) if m >> i & 1) or "-"
 
 
 # the largest n with a line table: log3_construction's largest. Its table takes
 # 11-18 ms to build on a shared 2-core box and 4.4 MB to keep; each n past it doubles both
 _LINE_TABLE_N = 15
+# the canonical header of each n with a line table: _read_families' one-pass read takes no other
+_HEADS = {f"n={n}": n for n in range(1, _LINE_TABLE_N + 1)}
 
 
 @functools.cache
 def _line_table(n: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
     """(lines, masks) for n <= _LINE_TABLE_N: lines[m] is the text line of mask m,
-    masks the mask of each such line. Only a system's writer and reader use it: masks is copied."""
-    lines = ("-", *_element_texts(0, n)[1:])
+    masks the mask of each such line. Only a system's writer and reader read it."""
+    lines = ("-", *_element_texts(n)[1:])
     return lines, dict(zip(lines, range(1 << n)))
 
 
@@ -696,48 +688,18 @@ def _parse_member(ln: str, n: int) -> int:
     return m
 
 
-def _read_family(text: str, memo: Callable[[int], Dict[str, int]]) -> Family:
-    """family_from_text of text, each member line looked up in memo(n), n its
-    header's: each line it misses goes to _parse_member, in order, and into memo(n)."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("family text must start with an n=<int> line")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"bad ground set line {lines[0]!r}") from None
-    if not 1 <= n <= MAX_GROUND:
-        # before any 1 << (elem - 1): a huge n would admit a huge element
-        raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
-    seen, members = memo(n), lines[1:]
-    misses = [*itertools.filterfalse(seen.__contains__, dict.fromkeys(members))]
-    seen.update(zip(misses, map(_parse_member, misses, itertools.repeat(n))))
-    return Family._trusted(n, tuple(sorted(map(seen.__getitem__, members))))
-
-
 def _read_families(texts: Iterable[str]) -> Iterator[Family]:
-    """A system's reader: family_from_text of each text, no line parsed twice for one n.
-
-    One memo per n maps each line read to its mask; for n <= _LINE_TABLE_N it
-    starts as a copy of _line_table(n)'s masks. A text whose header is canonical and
-    whose lines, split at "\n", all hit is read in one pass, as the sorted masks of its
-    lines; at the first KeyError, a header or a line missed, it goes to _read_family.
-    """
-    memos: Dict[int, Dict[str, int]] = {}
-
-    def memo(n: int) -> Dict[str, int]:
-        if n not in memos:
-            memos[n] = dict(_line_table(n)[1]) if n <= _LINE_TABLE_N else {}
-        return memos[n]
-
+    """A system's reader: family_from_text of each text. A text whose header is in
+    _HEADS and whose lines, split at "\n", are all in _line_table(n) is read in one pass,
+    as the sorted masks of its lines; at the first KeyError it goes to family_from_text."""
     for text in texts:
         lines = text.removesuffix("\n").split("\n")
         try:
             n = _HEADS[lines[0]]
-            members = tuple(sorted(map(memo(n).__getitem__, lines[1:])))
+            members = tuple(sorted(map(_line_table(n)[1].__getitem__, lines[1:])))
         except KeyError:
             members = None  # read outside the handler, so no error chains to the KeyError
-        yield Family._trusted(n, members) if members is not None else _read_family(text, memo)
+        yield Family._trusted(n, members) if members is not None else family_from_text(text)
 
 
 def family_from_text(text: str) -> Family:
@@ -749,4 +711,14 @@ def family_from_text(text: str) -> Family:
     like int(), so signs, leading zeros, underscores and blanks around it
     are accepted ("+1, 03" is {1, 3}), and a repeated element counts once.
     """
-    return _read_family(text, lambda n: {})
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines or not lines[0].startswith("n="):
+        raise ValueError("family text must start with an n=<int> line")
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        raise ValueError(f"bad ground set line {lines[0]!r}") from None
+    if not 1 <= n <= MAX_GROUND:
+        # before any 1 << (elem - 1): a huge n would admit a huge element
+        raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
+    return Family._trusted(n, tuple(sorted(_parse_member(ln, n) for ln in lines[1:])))

@@ -4,7 +4,7 @@ Each check draws a fixed number of samples from a deterministic generator,
 measures its worst violation of a stated inequality, and passes iff that
 violation stays within tolerance. Counting checks (exact combinatorial
 agreement) report the number of failures instead, with tolerance 0. Given
-the same seed the suites produce identical results on any machine.
+the same seed the suites produce bit-identical results on one host.
 
 Draws become Python floats and ints once, by .tolist(), with the same
 generator calls and so the same samples; each cross-check against the

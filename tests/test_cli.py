@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adderbound import verify
 from adderbound.bounds import MAX_CURVE_STEPS, BoundCurve, EvaluationError
 from adderbound.cli import main
 from adderbound.families import (
@@ -159,6 +160,22 @@ def test_verify_all_json(capsys):
     }
     for checks in payload["suites"].values():
         assert all(c["passed"] for c in checks)
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    # a union-free check that calls every pair union-free, negating its answer
+    # on the pairs that are not: only the check against the naive one fails
+    monkeypatch.setattr(verify, "is_multiset_union_free", lambda f1, f2: True)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "families")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("FAIL families/union-free-matches-naive  samples=")
+    assert all(line.startswith("PASS families/") for line in lines[1:-1])
+    assert lines[-1] == "1 of 4 checks failed"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "families", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert [c["passed"] for c in payload["suites"]["families"]] == [False, True, True, True]
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -254,6 +254,28 @@ def test_verify_union_free_check_counts_compared_pairs(monkeypatch):
         assert draws == [4] * 600 + [10] * 300 + [6] * 200
 
 
+def test_verify_union_free_counts_every_pair_under_a_negated_check(monkeypatch):
+    # a union-free check that answers the opposite disagrees with the naive one
+    # on every pair compared (69 at seed 1)
+    real = verify.is_multiset_union_free
+    monkeypatch.setattr(verify, "is_multiset_union_free", lambda f1, f2: not real(f1, f2))
+    got = {c.name: c for c in run_suite("families", 1)}["union-free-matches-naive"]
+    assert (got.passed, got.samples, got.max_violation) == (False, 69, 69.0)
+
+
+def test_verify_search_desk_counts_a_wrong_product(monkeypatch):
+    # a search that reports one too many at n = 3 only: that one of the three desk cases counts
+    real = verify.exhaustive_pair_search
+
+    def planted(n):
+        res = real(n)
+        return dataclasses.replace(res, product=res.product + 1) if n == 3 else res
+
+    monkeypatch.setattr(verify, "exhaustive_pair_search", planted)
+    got = {c.name: c for c in run_suite("families", 1)}["search-desk-ground-truth"]
+    assert (got.passed, got.samples, got.max_violation) == (False, 3, 1.0)
+
+
 # ----------------------------------------------------------------- projection
 
 
@@ -597,6 +619,16 @@ def test_verify_shift_transfer_counts_a_shift_that_is_not_down_closed(monkeypatc
         want = sum(not _is_monotone(g) for g in seen)
         assert len(seen) == 200 and 0 < want < 200
         assert (got.passed, got.samples, got.max_violation) == (False, 200, float(want))
+
+
+def test_verify_shift_transfer_counts_a_shift_that_drops_a_member(monkeypatch):
+    # a "shift" one member short fails the size test on every family, before
+    # the down-closed and transfer tests
+    monkeypatch.setattr(
+        verify, "shift_monotonize", lambda f: Family(f.n, shift_monotonize(f).members[1:])
+    )
+    got = {c.name: c for c in run_suite("families", 1)}["shift-shattering-transfer"]
+    assert (got.passed, got.samples, got.max_violation) == (False, 200, 200.0)
 
 
 def test_verify_soft_sauer_counts_every_family_under_a_lowered_bound(monkeypatch):
@@ -1367,8 +1399,8 @@ def test_family_to_text_builds_no_line_table():
 
 
 def test_family_from_text_builds_no_line_table():
-    # one family is read line by line against a memo of its own, canonical
-    # header or not: only a system's reader seeds its memos from the table
+    # one family is read line by line, canonical header or not: only a
+    # system's reader looks lines up in the table
     text = "n=15\n-\n1,3\n1,2,15\n"
     before = _line_table.cache_info()
     got = [family_from_text(text), family_from_text(text.replace("n=15", "n=015"))]
@@ -1406,7 +1438,7 @@ def test_read_families_up_to_the_table_cap_keeps_the_table(n, last, want):
     fams, err = assert_read_as_text_by_text(texts)
     assert err == (want and want.format(n=n, top=n + 1))
     assert [f.members for f in fams[:2]] == [tuple(sorted((0, 1 << (n - 1), 5, 5, 5))), (0, 3)]
-    # the reads memoized "3,1" and "2,1", each in a copy of the table
+    # the reads left the table as built: "3,1" and "2,1" are not in it
     lines, masks = _line_table(n)
     assert len(masks) == 1 << n and "3,1" not in masks and "2,1" not in masks
     assert masks == dict(zip(lines, range(1 << n)))
@@ -1415,7 +1447,7 @@ def test_read_families_up_to_the_table_cap_keeps_the_table(n, last, want):
 @pytest.mark.parametrize("n", [_LINE_TABLE_N + 1, 64])
 @pytest.mark.parametrize("last, want", _TABLE_ENDS)
 def test_read_families_past_the_table_cap(n, last, want):
-    # the same texts and ends as up to the cap, with no table behind the memo
+    # the same texts and ends as up to the cap, with no table to look lines up in
     texts = _table_texts(n) + ([last.format(n=n, top=n + 1)] if last else [])
     fams, err = assert_read_as_text_by_text(texts)
     assert err == (want and want.format(n=n, top=n + 1))
@@ -1423,23 +1455,10 @@ def test_read_families_past_the_table_cap(n, last, want):
 
 
 @pytest.mark.parametrize("n", [_LINE_TABLE_N + 1, 64])
-def test_read_families_past_the_table_cap_parses_each_line_once(n, monkeypatch):
+def test_read_families_past_the_table_cap_reads_repeated_texts(n):
     texts = _table_texts(n)
     want = [family_from_text(t) for t in texts]
-    parsed = []
-    parse = _parse_member
-
-    def counting(ln, n):
-        parsed.append(ln)
-        return parse(ln, n)
-
-    monkeypatch.setattr("adderbound.families._parse_member", counting)
     assert list(_read_families(texts + texts)) == want * 2
-    # the memo starts empty: each distinct member line is parsed once, in the
-    # first copy, and the second copy parses nothing
-    lines = [ln.strip() for t in texts for ln in t.splitlines()[1:] if ln.strip()]
-    assert parsed == list(dict.fromkeys(lines))
-    assert "-" in parsed and f"{n}" in parsed and "01,2" in parsed
 
 
 def test_family_text_fixture_above_one_byte():
@@ -1491,7 +1510,7 @@ def _text_by_text(parse):
 
 
 def assert_read_as_text_by_text(texts):
-    # one memo across the texts reads each as family_from_text alone and as the reference
+    # one read of all the texts reads each as family_from_text alone and as the reference
     got = _each(_read_families, texts)
     assert got == _each(_text_by_text(family_from_text), texts)
     assert got == _each(_text_by_text(_reference_family), texts)
@@ -1528,7 +1547,7 @@ def test_read_families_reads_each_text_as_family_from_text(texts, want):
 @pytest.mark.parametrize(
     "texts, want",
     [
-        # a bad line after memo hits, and after a miss read plainly
+        # a bad line after table hits, and after a miss read plainly
         (["n=3\n1\n2\n", "n=3\n1\n2\n1,x\n2\n"], "bad element 'x' in line '1,x'"),
         (["n=3\n1\n2\n", "n=3\n1\n3\n2\n4\n1,x\n"], "element 4 outside [1, 3]"),
         (["n=3\n1,2\n", "n=3\n1,2\n 4\n"], "element 4 outside [1, 3]"),
@@ -1545,7 +1564,7 @@ def test_read_families_stops_at_the_error_family_from_text_gives(texts, want):
     assert len(fams) == len(texts) - 1
 
 
-# lines and line ends that the memo read, then family_from_text's grammar, meet
+# lines and line ends that the table read, then family_from_text's grammar, meet
 _tricky_line = st.sampled_from(
     ["n=3", "n=2", "n=03", "1", "2", "3", "1,2", "2,3", "1,3", "1,2,3", "-", " 1", "2 ", "01",
      "1,1", "", " ", "4", "x", "1,", "+2"]

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import json
-import math
 import random
 import re
 import tracemalloc
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adderbound import families
+from adderbound import families, verify
 from adderbound.bounds import LOG2_3
 from adderbound.families import (
     Family,
@@ -24,6 +23,7 @@ from adderbound.families import (
 )
 from adderbound.systems import (
     DerivationError,
+    SystemRates,
     UnionFreeSystem,
     _BLOCK,
     _low_spread,
@@ -36,6 +36,7 @@ from adderbound.systems import (
     system_to_json,
     validate_system,
 )
+from adderbound.verify import run_suite
 
 
 # ------------------------------------------------------------------ the type
@@ -459,6 +460,19 @@ def _submasks_by_walk(mask):
     return out[::-1]
 
 
+def test_verify_log3_check_counts_each_rejected_system(monkeypatch):
+    monkeypatch.setattr(verify, "is_valid_system", lambda u: False)
+    got = {c.name: c for c in run_suite("systems", 0)}["log3-construction-validity"]
+    assert (got.passed, got.samples, got.max_violation) == (False, 3, 3.0)
+
+
+def test_verify_log3_check_counts_totals_that_do_not_increase(monkeypatch):
+    # the same rates at n = 3, 6 and 9: the totals tie, which counts once
+    monkeypatch.setattr(verify, "system_rates", lambda u: SystemRates(0.5, 0.5, 0.5))
+    got = {c.name: c for c in run_suite("systems", 0)}["log3-construction-validity"]
+    assert (got.passed, got.samples, got.max_violation) == (False, 3, 1.0)
+
+
 # ----------------------------------------------------------- derive_system
 
 
@@ -669,25 +683,12 @@ def test_system_to_json_matches_json_dumps_on_both_sides_of_the_table_cap(n):
     assert system_from_json(text) == u
 
 
-def test_system_from_json_parses_each_distinct_line_once(monkeypatch):
+def test_system_from_json_reads_leading_zeros():
     payload = json.loads(system_to_json(log3_construction(12)))
-    # a leading zero on every element: no line is canonical, so each distinct
-    # line but "-", which the table-seeded memo answers, takes families._parse_member
+    # a leading zero on every element: no line but "-" is canonical, so each
+    # text is read by family_from_text
     payload["pairs"] = [[re.sub(r"\b(\d)", r"0\1", t) for t in pair] for pair in payload["pairs"]]
-    distinct = {ln for pair in payload["pairs"] for t in pair for ln in t.splitlines()[1:]}
-    parsed = []
-    parse = families._parse_member
-
-    def counting(ln, n):
-        parsed.append(ln)
-        return parse(ln, n)
-
-    monkeypatch.setattr(families, "_parse_member", counting)
     assert system_from_json(json.dumps(payload)) == log3_construction(12)
-    assert "-" in distinct and "-" not in parsed
-    assert set(parsed) == distinct - {"-"}
-    # the nonempty subsets of [12] with at most 8 elements
-    assert len(parsed) == len(distinct) - 1 == sum(math.comb(12, k) for k in range(1, 9)) == 3796
 
 
 def test_system_from_json_families_equal_checked_families():
