@@ -15,6 +15,7 @@ them. See bounds for the optimization layer that consumes these envelopes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -91,11 +92,11 @@ class AuxBinaryJoint:
     @property
     def x1_marginal(self) -> float:
         """P(X1 = 1)."""
-        return math.fsum(map(float.__mul__, self.u_masses, self.t))
+        return math.fsum(map(operator.mul, self.u_masses, self.t))
 
     @property
     def x2_marginal(self) -> float:
-        return math.fsum(map(float.__mul__, self.u_masses, self.q))
+        return math.fsum(map(operator.mul, self.u_masses, self.q))
 
     @property
     def mismatch_probability(self) -> float:

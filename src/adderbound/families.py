@@ -208,7 +208,11 @@ def _thick_sets(f: Family, floor: int, top: int) -> List[Tuple[int, int]]:
     below floor, so a thin child costs only the cells split before it, and
     no superset of it is visited: their cells split its cells.
     """
-    cols = [sum(1 << p for p, m in enumerate(f.members) if m >> i & 1) for i in range(f.n)]
+    cols = [0] * f.n  # cols[i]: the positions of the members holding i, set in one pass
+    for p, m in enumerate(f.members):
+        while m:  # each set bit i of m, highest first
+            cols[i := m.bit_length() - 1] |= 1 << p
+            m ^= 1 << i
     size = len(f)
     found = []
 
@@ -653,14 +657,19 @@ def _line_table(n: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
     return lines, dict(zip(lines, range(1 << n)))
 
 
+def _gather(table, keys: Sequence) -> tuple:
+    """tuple(table[k] for k in keys); itemgetter returns a bare item for one key, refuses none."""
+    return operator.itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[0]],) if keys else ()
+
+
 def _family_texts(fams: Iterable[Family], n: int, nl: str) -> Iterator[str]:
-    """A system's writer: family_to_text of each family in fams, all on [n], its
-    newlines spelled nl. Each member line is read from _line_table(n) for
-    n <= _LINE_TABLE_N, else _mask_line writes it."""
-    line = _line_table(n)[0].__getitem__ if n <= _LINE_TABLE_N else _mask_line
+    """A system's writer: family_to_text of each family in fams, all on [n], newlines spelled nl.
+    At n <= _LINE_TABLE_N one itemgetter call takes a family's lines, a C loop: no call per line."""
+    table = _line_table(n)[0] if n <= _LINE_TABLE_N else None
     head = f"n={n}"
     for f in fams:
-        yield nl.join([head, *map(line, f.members), ""])
+        lines = _gather(table, f.members) if table else map(_mask_line, f.members)
+        yield nl.join([head, *lines, ""])
 
 
 def family_to_text(f: Family) -> str:
@@ -689,14 +698,14 @@ def _parse_member(ln: str, n: int) -> int:
 
 
 def _read_families(texts: Iterable[str]) -> Iterator[Family]:
-    """A system's reader: family_from_text of each text. A text whose header is in
-    _HEADS and whose lines, split at "\n", are all in _line_table(n) is read in one pass,
-    as the sorted masks of its lines; at the first KeyError it goes to family_from_text."""
+    """A system's reader: family_from_text of each text. A text whose header is in _HEADS and
+    whose lines, split at "\n", are all in _line_table(n) is read in one pass: the sorted masks
+    of its lines by one itemgetter call, as the writer; at the first KeyError, family_from_text."""
     for text in texts:
         lines = text.removesuffix("\n").split("\n")
         try:
             n = _HEADS[lines[0]]
-            members = tuple(sorted(map(_line_table(n)[1].__getitem__, lines[1:])))
+            members = tuple(sorted(_gather(_line_table(n)[1], lines[1:])))
         except KeyError:
             members = None  # read outside the handler, so no error chains to the KeyError
         yield Family._trusted(n, members) if members is not None else family_from_text(text)

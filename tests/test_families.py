@@ -27,6 +27,7 @@ from adderbound.families import (
     SearchBudgetError,
     _LINE_TABLE_N,
     _cliques,
+    _family_texts,
     _least_in_orbit,
     _line_table,
     _mask_line,
@@ -1459,6 +1460,27 @@ def test_read_families_past_the_table_cap_reads_repeated_texts(n):
     texts = _table_texts(n)
     want = [family_from_text(t) for t in texts]
     assert list(_read_families(texts + texts)) == want * 2
+
+
+def _small_families(n):
+    # 0, 1 and 2 members: itemgetter returns a bare item for one key and refuses none
+    return [Family(n, ()), Family(n, (0,)), Family(n, (5,)), Family(n, (1 << (n - 1), 3))]
+
+
+@pytest.mark.parametrize("n", [3, _LINE_TABLE_N, _LINE_TABLE_N + 1])
+@pytest.mark.parametrize("nl", ["\n", "\\n"])
+def test_family_texts_of_small_families(n, nl):
+    fams = _small_families(n)
+    assert list(_family_texts(fams, n, nl)) == [family_to_text(f).replace("\n", nl) for f in fams]
+
+
+@pytest.mark.parametrize("n", [3, _LINE_TABLE_N])
+def test_read_families_of_small_texts(n):
+    texts = [family_to_text(f) for f in _small_families(n)]
+    # member lines the table misses, alone and after a hit: family_from_text reads those texts
+    texts += [f"n={n}\n2,1\n", f"n={n}\n01\n", f"n={n}\n-\n3,1\n"]
+    assert list(_read_families(texts)) == list(map(family_from_text, texts))
+    assert [f.members for f in _read_families(texts[-3:])] == [(3,), (1,), (0, 5)]
 
 
 def test_family_text_fixture_above_one_byte():
