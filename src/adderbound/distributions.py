@@ -122,11 +122,11 @@ class EntropyTriplet:
     h1_cond: float
 
     def __post_init__(self) -> None:
-        for name in ("hs", "hs_cond", "h1_cond"):
-            v = _real(getattr(self, name), name)
+        for name, v in (("hs", self.hs), ("hs_cond", self.hs_cond), ("h1_cond", self.h1_cond)):
+            if type(v) is not float:  # a float is its own _real
+                object.__setattr__(self, name, v := _real(v, name))
             if not -1e-9 <= v <= _LOG2_3 + 1e-9:  # NaN fails too
                 raise ValueError(f"{name}={v!r} outside [0, log2(3)]")
-            object.__setattr__(self, name, v)
         # conditioning can only lose entropy
         if self.hs_cond > self.hs + 1e-12:
             raise ValueError("hs_cond exceeds hs")

@@ -156,17 +156,17 @@ def binary_entropy_inv(x: float) -> float:
         return 0.0
     if x == 1.0:
         return 0.5
-    lo, hi = 0.0, 0.5
+    lo, hi, log2 = 0.0, 0.5, math.log2
     if x > 2.0**-8:
         p = 0.5 * (1.0 - math.sqrt(1.0 - x ** (4.0 / 3.0)))
         for _ in range(3):
-            if 0.0 < p < 0.5:
-                p -= (_h_half(p) - x) / math.log2((1.0 - p) / p)
+            if 0.0 < p < 0.5:  # _h_half(p) inline
+                p -= (-p * log2(p) - (1.0 - p) * log2(1.0 - p) - x) / log2((1.0 - p) / p)
         a, b, m = p * (1.0 - 2.0**-40), p * (1.0 + 2.0**-40), 2.0**-48 * (1.0 + x)
         if 0.0 < a and b < 0.5 and _h_half(a) <= x - m and _h_half(b) >= x + m:
             lo, hi = _bisection_cell(a, b)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if -mid * math.log2(mid) - (1.0 - mid) * math.log2(1.0 - mid) <= x:  # _h_half(mid) inline
+        if -mid * log2(mid) - (1.0 - mid) * log2(1.0 - mid) <= x:  # _h_half(mid) inline
             lo = mid
         else:
             hi = mid
@@ -189,15 +189,17 @@ def entropy(pmf: Sequence[float]) -> float:
 
     The masses must be nonnegative and sum to 1 within 1e-12.
     """
-    masses = [_as_prob(m, "mass") for m in pmf]
-    if not masses:
+    total = acc = 0.0
+    empty = True
+    for m in pmf:
+        empty = False
+        if type(m) is not float or not 0.0 <= m <= 1.0:  # a float in [0, 1] is its own _as_prob
+            m = _as_prob(m, "mass")
+        total += m
+        if m > 0.0:
+            acc -= m * math.log2(m)
+    if empty:
         raise ValueError("empty pmf")
-    total = 0.0
-    acc = 0.0
-    for mm in masses:
-        total += mm
-        if mm > 0.0:
-            acc -= mm * math.log2(mm)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"pmf sums to {total!r}, not 1")
     return acc

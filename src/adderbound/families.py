@@ -206,7 +206,10 @@ def _thick_sets(f: Family, floor: int, top: int) -> List[Tuple[int, int]]:
     counts twice); adding element i splits every cell by i, and the
     smallest cell is the multiplicity. The split stops at the first half
     below floor, so a thin child costs only the cells split before it, and
-    no superset of it is visited: their cells split its cells.
+    no superset of it is visited: their cells split its cells. Nor is any
+    superset of a thick set whose smallest cell holds fewer than 2 * floor
+    members: one more element splits that cell into two halves, and the
+    smaller half holds fewer than floor.
     """
     cols = [0] * f.n  # cols[i]: the positions of the members holding i, set in one pass
     for p, m in enumerate(f.members):
@@ -233,7 +236,7 @@ def _thick_sets(f: Family, floor: int, top: int) -> List[Tuple[int, int]]:
                 split += (on, off)
             else:
                 found.append((mask | 1 << i, least))
-                if child_size < top:
+                if child_size < top and least >= 2 * floor:
                     grow(mask | 1 << i, split, i, child_size + 1)
 
     grow(0, [(1 << size) - 1], f.n, 1)

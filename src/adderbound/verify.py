@@ -7,9 +7,10 @@ agreement) report the number of failures instead, with tolerance 0. Given
 the same seed the suites produce bit-identical results on one host.
 
 Draws become Python floats and ints once, by .tolist(), with the same
-generator calls and so the same samples; each cross-check against the
-envelope J collects its samples and evaluates J in one array call, whose
-elements carry the scalar calls' bits.
+generator calls and so the same samples. A drawn family or joint is trusted
+by construction, built without the checks that its draw already meets. Each
+cross-check against the envelope J collects its samples and evaluates J in
+one array call, whose elements carry the scalar calls' bits.
 """
 
 from __future__ import annotations
@@ -74,16 +75,14 @@ def _random_family(rng, max_n=10, max_size=60) -> Family:
     n = int(rng.integers(1, max_n + 1))
     space = 1 << n
     size = int(rng.integers(1, min(space, max_size) + 1))
-    return Family(n, tuple(rng.choice(space, size=size, replace=False).tolist()))
+    return Family._trusted(n, tuple(sorted(rng.choice(space, size=size, replace=False).tolist())))
 
 
 def _random_joint(rng, max_support=4) -> AuxBinaryJoint:
     m = int(rng.integers(1, max_support + 1))
-    return AuxBinaryJoint(
-        tuple(rng.dirichlet(np.ones(m)).tolist()),
-        tuple(rng.uniform(0.0, 1.0, m).tolist()),
-        tuple(rng.uniform(0.0, 1.0, m).tolist()),
-    )
+    masses = tuple(rng.dirichlet(np.ones(m)).tolist())
+    tq = tuple(rng.uniform(0.0, 1.0, 2 * m).tolist())  # the doubles of two draws of m, in order
+    return AuxBinaryJoint._trusted(masses, tq[:m], tq[m:])
 
 
 # ------------------------------------------------------------------- entropy

@@ -1,5 +1,6 @@
 """Tests for auxiliary joints, entropy triplets, and the moment envelopes."""
 
+import copy
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from adderbound.entropy import (
 )
 from adderbound.families import exhaustive_pair_search, max_k_shattered
 from adderbound.systems import derive_system, log3_construction, system_rates
+from adderbound import verify
 
 
 def random_joint(rng, max_support=4):
@@ -74,6 +76,41 @@ def test_triplet_validation():
         EntropyTriplet(0.5, 1.0, 0.5)
     t = EntropyTriplet(1.5, 1.5, 1.0)
     assert t.as_tuple() == (1.5, 1.5, 1.0)
+
+
+def test_triplet_stores_every_field_as_a_float():
+    for v in (1, np.float64(1.0)):
+        t = EntropyTriplet(v, v, v)
+        assert t.as_tuple() == (1.0, 1.0, 1.0)
+        assert all(type(x) is float for x in t.as_tuple())
+    t = EntropyTriplet(1.5, 1.25, 0.5)
+    assert all(type(x) is float for x in t.as_tuple())
+    for fields, name, bad in (
+        ((True, 0.5, 0.5), "hs", True),
+        ((1.0, False, 0.5), "hs_cond", False),
+        ((1.0, 0.5, "0.5"), "h1_cond", "0.5"),
+        (("a", "b", 0.5), "hs", "a"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            EntropyTriplet(*fields)
+        assert str(exc.value) == f"{name}={bad!r} is not a real number"
+
+
+def test_verify_random_joint_is_what_the_checked_constructor_builds():
+    # _random_joint skips AuxBinaryJoint's checks, and takes t and q from one
+    # draw of 2m uniforms: the doubles two draws of m give, in the same order
+    rng = np.random.default_rng(44)
+    for _ in range(1000):
+        clone = copy.deepcopy(rng)
+        d = verify._random_joint(rng)
+        assert d == AuxBinaryJoint(d.u_masses, d.t, d.q)
+        for field in (d.u_masses, d.t, d.q):
+            assert type(field) is tuple and all(type(v) is float for v in field)
+        m = int(clone.integers(1, 5))
+        assert d.u_masses == tuple(clone.dirichlet(np.ones(m)).tolist())
+        assert d.t == tuple(clone.uniform(0.0, 1.0, m).tolist())
+        assert d.q == tuple(clone.uniform(0.0, 1.0, m).tolist())
+        assert clone.bit_generator.state == rng.bit_generator.state
 
 
 # ------------------------------------------------------------- entropy triplet

@@ -25,6 +25,7 @@ from adderbound.distributions import (
     moment_ratio_floor,
 )
 from adderbound.entropy import (
+    _as_prob,
     binary_convolve,
     binary_entropy,
     binary_entropy_inv,
@@ -185,6 +186,54 @@ def test_input_clamping_and_rejection():
         entropy((0.5, -0.1, 0.6))
     with pytest.raises(ValueError):
         entropy(())
+
+
+def two_pass_entropy(pmf):
+    # entropy() reading every mass first and summing in a second pass: the
+    # reference its one pass must match
+    masses = [_as_prob(m, "mass") for m in pmf]
+    if not masses:
+        raise ValueError("empty pmf")
+    total = 0.0
+    acc = 0.0
+    for mm in masses:
+        total += mm
+        if mm > 0.0:
+            acc -= mm * math.log2(mm)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"pmf sums to {total!r}, not 1")
+    return acc
+
+
+def test_entropy_matches_the_two_pass_reference():
+    rng = np.random.default_rng(44)
+    pmfs = []
+    for _ in range(300):
+        w = rng.dirichlet(np.ones(int(rng.integers(1, 7))))
+        w[rng.random(len(w)) < 0.2] = 0.0  # zero masses
+        w = w / w.sum() if w.any() else w
+        pmfs += [tuple(w.tolist()), w]  # plain floats, then numpy float64 masses
+    pmfs += [
+        (0, 1), (1,), (1, 0, 0), (0.5, 0.5, 0),  # int masses
+        (1 + 5e-13,), (-5e-13, 1.0), (0.5, 0.5 + 5e-13), (np.float64(1 + 5e-13),),  # clamped
+        (), (0.5, 0.5 + 2e-12), (0.5, 0.5 - 2e-12), (0.3, 0.3),  # empty, sums off
+        (0.5, -0.1, 1.5), (0.5, 2.0, "a"), (float("nan"), -1.0), (True, 0.0), (0.5, None, 0.5),
+        (0.5, float("inf")), (np.float64(-0.5), 1.5),  # the first bad mass names the error
+    ]
+
+    def outcome(fn, pmf):
+        try:
+            return fn(pmf).hex()
+        except Exception as exc:  # the type and message must match too
+            return type(exc), str(exc)
+
+    for pmf in pmfs:
+        want = outcome(two_pass_entropy, pmf)
+        assert outcome(entropy, pmf) == want, pmf
+        assert outcome(entropy, (m for m in list(pmf))) == want, pmf  # a generator is read once
+    assert outcome(entropy, (0.5, -0.1, 1.5)) == (ValueError, "mass=-0.1 outside [0, 1.0]")
+    assert outcome(entropy, ()) == (ValueError, "empty pmf")
+    assert sum(isinstance(outcome(entropy, p), str) for p in pmfs) >= 550  # most give a value
 
 
 @given(probs, probs)

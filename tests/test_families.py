@@ -39,6 +39,7 @@ from adderbound.families import (
     _product_seed,
     _read_families,
     _spread,
+    _thick_sets,
     exhaustive_pair_search,
     family_from_text,
     family_to_text,
@@ -277,6 +278,18 @@ def test_verify_search_desk_counts_a_wrong_product(monkeypatch):
     assert (got.passed, got.samples, got.max_violation) == (False, 3, 1.0)
 
 
+def test_verify_random_family_is_what_the_checked_constructor_builds():
+    # _random_family skips Family's checks: its members must already be sorted
+    # ints in range, for every draw size the families suite makes
+    rng = np.random.default_rng(44)
+    for i in range(1000):
+        max_n, max_size = ((4, 6), (10, 60), (6, 20))[i % 3]
+        f = verify._random_family(rng, max_n=max_n, max_size=max_size)
+        assert f == Family(f.n, f.members)
+        assert 1 <= f.n <= max_n and 1 <= len(f) <= max_size and not f.has_duplicates
+        assert all(type(m) is int for m in f.members)
+
+
 # ----------------------------------------------------------------- projection
 
 
@@ -496,6 +509,65 @@ def test_shattering_results_pinned():
     for f, want in zip(fams, PINNED_PROFILES):
         assert shattering_profile(f, (1, 2, 3, 4)) == want, f.members
         assert {k: max_k_shattered(f, k) for k in want} == want, f.members
+
+
+def unpruned_thick_sets(f, floor, top):
+    # _thick_sets without its 2 * floor stop: every thick set below top is
+    # grown, so this walk visits a superset of the sets _thick_sets visits
+    cols = [0] * f.n
+    for p, m in enumerate(f.members):
+        while m:
+            cols[i := m.bit_length() - 1] |= 1 << p
+            m ^= 1 << i
+    size = len(f)
+    found = []
+
+    def grow(mask, cells, below, child_size):
+        for i in range(below):
+            col = cols[i]
+            split = []
+            least = size
+            for c in cells:
+                on = c & col
+                off = c ^ on
+                if (a := on.bit_count()) < least:
+                    least = a
+                if (b := off.bit_count()) < least:
+                    least = b
+                if least < floor:
+                    break
+                split += (on, off)
+            else:
+                found.append((mask | 1 << i, least))
+                if child_size < top:
+                    grow(mask | 1 << i, split, i, child_size + 1)
+
+    grow(0, [(1 << size) - 1], f.n, 1)
+    return found
+
+
+def test_thick_sets_match_the_unpruned_walk():
+    rng = np.random.default_rng(44)
+    fams = []
+    for _ in range(120):
+        n = int(rng.integers(1, 11))
+        size = int(rng.integers(1, min(1 << n, 60) + 1))
+        fams.append(Family(n, rng.choice(1 << n, size=size, replace=False).tolist()))
+    for _ in range(60):  # repeated members count twice in a cell
+        n = int(rng.integers(1, 11))
+        fams.append(Family(n, rng.integers(0, 1 << n, size=int(rng.integers(1, 61))).tolist()))
+    # {0} is thick at floor 2 with cells of 2 and 3 members, below 2 * floor:
+    # the walk stops there, and {0, 1} has the one-member cell {001}
+    planted = Family(3, (0b000, 0b001, 0b010, 0b011, 0b100))
+    assert (1, 2) in _thick_sets(planted, 2, 3)
+    stopped = 0
+    for f in fams + [planted]:
+        for floor in (1, 2, 4):
+            for top in sorted({max(1, f.n // 2), f.n}):
+                got = _thick_sets(f, floor, top)
+                assert got == unpruned_thick_sets(f, floor, top), (f.members, floor, top)
+                stopped += any(least < 2 * floor and m.bit_count() < top for m, least in got)
+    assert stopped >= 100
 
 
 # ------------------------------------------------------------------- shifting
