@@ -141,9 +141,9 @@ def _check_same_ground(f1: Family, f2: Family) -> None:
 def _spread(mask: int) -> int:
     """The binary digits of `mask` read in base 3: bit i weighs 3^i.
 
-    The one sum key of the package. Sums of two spread masks have digits at
-    most 2, so no carries occur and integer equality of spread sums is
-    equality of the element-wise vector sums a+c in {0,1,2}^n.
+    The pair check's sum key. Sums of two spread masks have digits at most 2,
+    so no carries occur and integer equality of spread sums is equality of
+    the element-wise vector sums a+c in {0,1,2}^n.
     """
     return int(f"{mask:b}", 3)
 

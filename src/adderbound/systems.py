@@ -32,7 +32,6 @@ from .families import (
     _check_same_ground,
     _family_texts,
     _read_families,
-    _spread,
     is_k_shattered,
     is_multiset_union_free,
 )
@@ -114,32 +113,8 @@ class DerivationError(ValueError):
     """The pair/shattered-set reduction cannot produce a system."""
 
 
-# _BYTE_SPREADS[k][v] = _spread(v << 8k) for every byte v, k < 5: bit j weighs 3^j
-_BYTE_SPREADS = [np.array([_spread(v << 8 * k) for v in range(256)], np.uint64) for k in range(5)]
-
-# masks per block of _low_spread, which keeps its temporaries small
-_BLOCK = 1 << 16
 # pairs per gather of log3_construction, whose temporaries then take 128 KiB each at n = 15
 _GATHER_BLOCK = 16
-
-
-def _low_spread(masks: np.ndarray, n: int) -> np.ndarray:
-    """_spread of each mask's first 40 coordinates, for a contiguous 1-d unsigned array
-    of any width.
-
-    A sum of two such keys is at most 3^40 - 1 < 2^64, so it never overflows.
-    Each mask is read as its little-endian bytes, of which the width must hold
-    the first min(n, 40) coordinates, and the uint64 keys are added up in place
-    a block at a time, so the only array as large as masks is the result.
-    """
-    low = np.zeros(masks.shape, dtype=np.uint64)
-    octets = masks.astype(masks.dtype.newbyteorder("<"), copy=False).view(np.uint8)
-    octets = octets.reshape(-1, masks.itemsize)
-    for start in range(0, masks.size, _BLOCK):
-        acc = low[start : start + _BLOCK]
-        for k in range((min(n, 40) + 7) // 8):
-            acc += _BYTE_SPREADS[k][octets[start : start + _BLOCK, k]]
-    return low
 
 
 def validate_system(u: UnionFreeSystem) -> Optional[str]:
@@ -152,40 +127,43 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     ValueError, as is_multiset_union_free does, at the first pair whose
     families repeat a member.
 
-    The members are held in the narrowest unsigned width that holds 2^n - 1.
-    All m0*m1*m2 sums are formed at once as uint64 low keys (_low_spread), in pair
-    order, a-major. If the low keys, sorted, are all distinct, so are the
-    sums. Otherwise only sums whose low key repeats can collide (a repeated
-    member repeats its sums too), and those alone are replayed in pair order
-    through one dict of exact sums _spread(a) + _spread(c). The keys are
-    sorted in place and formed again, in pair order, only when one repeats.
+    A sum a + c is 2 where both masks hold a coordinate and 1 where one does,
+    so (a | c, a & c) determines it. The members are held in the narrowest
+    unsigned width that holds 2^n - 1, and all m0*m1*m2 sums are keyed at once,
+    in pair order, a-major, by the first w = min(n, 32) coordinates of that
+    pair, (a | c) << w | a & c (uint32 up to w = 16, else uint64). If the
+    keys, sorted, are all distinct, so are the sums. Otherwise only sums whose
+    key repeats can collide (a repeated member repeats its sums too), and
+    those alone are replayed in pair order through one dict of exact keys
+    (a | c) << n | a & c. The keys are sorted in place and formed again, in
+    pair order, only when one repeats.
     """
-    m0, m1, m2 = u.m0, u.m1, u.m2
+    n, m0, m1, m2 = u.n, u.m0, u.m1, u.m2
     chain = itertools.chain.from_iterable
-    dtype = np.min_scalar_type((1 << u.n) - 1).newbyteorder("<")
+    dtype = np.min_scalar_type((1 << n) - 1)
     firsts = np.fromiter(chain(f.members for f, _ in u.pairs), dtype, m0 * m1)
     seconds = np.fromiter(chain(f.members for _, f in u.pairs), dtype, m0 * m2)
+    a, c = firsts.reshape(m0, m1, 1), seconds.reshape(m0, 1, m2)
+    w = min(n, 32)
 
-    def low_keys() -> np.ndarray:
-        low1 = _low_spread(firsts, u.n).reshape(m0, m1, 1)
-        low2 = _low_spread(seconds, u.n).reshape(m0, 1, m2)
-        # in place when a side has one member per pair, as log3_construction's first does
-        return np.add(low1, low2, out=low2 if m1 == 1 else low1 if m2 == 1 else None).ravel()
+    def window_keys() -> np.ndarray:
+        k = np.bitwise_or(a, c, dtype=np.uint32 if w <= 16 else np.uint64)
+        k <<= w
+        k |= a & c & (1 << w) - 1
+        return k.ravel()
 
-    ordered = low_keys()
+    ordered = window_keys()
     ordered.sort()
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if not repeated.size:
         return None
     del ordered
-    low = low_keys()
     # sum h of pair i = h // (m1*m2) adds firsts[h // m2] and seconds[i*m2 + h % m2]
-    hits = np.flatnonzero(np.isin(low, repeated))
+    hits = np.flatnonzero(np.isin(window_keys(), repeated))
     owners = hits // (m1 * m2)
     a_hits = firsts[hits // m2].tolist()
     c_hits = seconds[owners * m2 + hits % m2].tolist()
-    spread = {m: _spread(m) for m in {*a_hits, *c_hits}}
-    keys = [spread[a] + spread[c] for a, c in zip(a_hits, c_hits)]
+    keys = [(x | y) << n | x & y for x, y in zip(a_hits, c_hits)]
     seen: Dict[int, int] = {}
     for i, group in itertools.groupby(zip(owners.tolist(), keys), operator.itemgetter(0)):
         f1, f2 = u.pairs[i]
