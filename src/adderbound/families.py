@@ -138,29 +138,25 @@ def _check_same_ground(f1: Family, f2: Family) -> None:
         raise ValueError(f"ground set mismatch: {f1.n} vs {f2.n}")
 
 
-def _spread(mask: int) -> int:
-    """The binary digits of `mask` read in base 3: bit i weighs 3^i.
+def _pair_sums(f1: Family, f2: Family) -> List[int]:
+    """The |f1|*|f2| vector sums a+c, a-major, as exact keys (a | c) << n | a & c.
 
-    The pair check's sum key. Sums of two spread masks have digits at most 2,
-    so no carries occur and integer equality of spread sums is equality of
-    the element-wise vector sums a+c in {0,1,2}^n.
-    """
-    return int(f"{mask:b}", 3)
-
-
-def is_multiset_union_free(f1: Family, f2: Family) -> bool:
-    """True iff all |f1|*|f2| vector sums a+c are distinct.
-
-    Each sum is compared as the exact integer _spread(a) + _spread(c).
-    Requires duplicate-free families on a common ground set; a duplicated
-    member would make the sums trivially collide.
+    A sum is 2 where both masks hold a coordinate and 1 where one does, so
+    (a | c, a & c) determines it. Raises ValueError unless the families share
+    a ground set and are duplicate-free: a repeated member would make the sums
+    trivially collide.
     """
     _check_same_ground(f1, f2)
     if f1.has_duplicates or f2.has_duplicates:
         raise ValueError("union-freeness is only defined for duplicate-free families")
-    s2 = list(map(_spread, f2.members))
-    sums = {sa + sc for sa in map(_spread, f1.members) for sc in s2}
-    return len(sums) == len(f1) * len(f2)
+    n = f1.n
+    return [(a | c) << n | a & c for a in f1.members for c in f2.members]
+
+
+def is_multiset_union_free(f1: Family, f2: Family) -> bool:
+    """True iff all |f1|*|f2| vector sums a+c are distinct; raises ValueError as _pair_sums does."""
+    sums = _pair_sums(f1, f2)
+    return len(set(sums)) == len(sums)
 
 
 def project(f: Family, s_mask: int) -> Counter:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -31,6 +30,7 @@ from .families import (
     _check_mask,
     _check_same_ground,
     _family_texts,
+    _pair_sums,
     _read_families,
     is_k_shattered,
     is_multiset_union_free,
@@ -133,17 +133,16 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     in pair order, a-major, by the first w = min(n, 32) coordinates of that
     pair, (a | c) << w | a & c (uint32 up to w = 16, else uint64). If the
     keys, sorted, are all distinct, so are the sums. Otherwise only sums whose
-    key repeats can collide (a repeated member repeats its sums too), and
-    those alone are replayed in pair order through one dict of exact keys
-    (a | c) << n | a & c. The keys are sorted in place and formed again, in
-    pair order, only when one repeats.
+    key repeats can collide (a repeated member repeats its sums too), so
+    only the pairs that own such a key are replayed, in order, through one
+    dict of the exact keys of _pair_sums. The keys are sorted in place and
+    formed again only when one repeats.
     """
     n, m0, m1, m2 = u.n, u.m0, u.m1, u.m2
     chain = itertools.chain.from_iterable
     dtype = np.min_scalar_type((1 << n) - 1)
-    firsts = np.fromiter(chain(f.members for f, _ in u.pairs), dtype, m0 * m1)
-    seconds = np.fromiter(chain(f.members for _, f in u.pairs), dtype, m0 * m2)
-    a, c = firsts.reshape(m0, m1, 1), seconds.reshape(m0, 1, m2)
+    a = np.fromiter(chain(f.members for f, _ in u.pairs), dtype, m0 * m1).reshape(m0, m1, 1)
+    c = np.fromiter(chain(f.members for _, f in u.pairs), dtype, m0 * m2).reshape(m0, 1, m2)
     w = min(n, 32)
 
     def window_keys() -> np.ndarray:
@@ -158,18 +157,10 @@ def validate_system(u: UnionFreeSystem) -> Optional[str]:
     if not repeated.size:
         return None
     del ordered
-    # sum h of pair i = h // (m1*m2) adds firsts[h // m2] and seconds[i*m2 + h % m2]
-    hits = np.flatnonzero(np.isin(window_keys(), repeated))
-    owners = hits // (m1 * m2)
-    a_hits = firsts[hits // m2].tolist()
-    c_hits = seconds[owners * m2 + hits % m2].tolist()
-    keys = [(x | y) << n | x & y for x, y in zip(a_hits, c_hits)]
+    owners = np.isin(window_keys(), repeated).reshape(m0, m1 * m2).any(axis=1)
     seen: Dict[int, int] = {}
-    for i, group in itertools.groupby(zip(owners.tolist(), keys), operator.itemgetter(0)):
-        f1, f2 = u.pairs[i]
-        if f1.has_duplicates or f2.has_duplicates:
-            raise ValueError("union-freeness is only defined for duplicate-free families")
-        sums = [key for _, key in group]
+    for i in np.flatnonzero(owners).tolist():
+        sums = _pair_sums(*u.pairs[i])
         mine = dict.fromkeys(sums, i)
         if len(mine) != len(sums):
             return f"pair {i} is not multiset-union-free"

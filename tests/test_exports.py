@@ -47,3 +47,13 @@ def test_systems_leaves_the_family_text_format_to_families():
                  "_parse_member"]
     assert all(hasattr(families, name) for name in internals)
     assert [name for name in internals if hasattr(systems, name)] == []
+
+
+def test_sum_keys_live_in_families():
+    # the pair check and validate_system's replay key sums by one function in
+    # families, and systems forms no exact key of its own
+    systems = importlib.import_module("adderbound.systems")
+    families = importlib.import_module("adderbound.families")
+    assert systems._pair_sums is families._pair_sums
+    assert not hasattr(families, "_spread")
+    assert not hasattr(systems, "operator")

@@ -9,6 +9,7 @@ import math
 import operator
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import List, Tuple
@@ -38,7 +39,6 @@ from adderbound.families import (
     _permutation_keys,
     _product_seed,
     _read_families,
-    _spread,
     _thick_sets,
     exhaustive_pair_search,
     family_from_text,
@@ -214,15 +214,6 @@ def test_union_free_matches_naive_up_to_64_bits():
         assert is_multiset_union_free(f1, f2) == want, (n, f1.members, f2.members)
         verdicts.add(want)
     assert verdicts == {True, False}
-
-
-def test_spread_reads_binary_digits_in_base_3():
-    def by_digits(mask):
-        return sum(3**i for i in range(mask.bit_length()) if mask >> i & 1)
-
-    rng = random.Random(13)
-    for mask in [*range(1 << 16), *(rng.getrandbits(64) for _ in range(2000))]:
-        assert _spread(mask) == by_digits(mask), mask
 
 
 def test_union_free_rejects_bad_input():
@@ -568,6 +559,36 @@ def test_thick_sets_match_the_unpruned_walk():
                 assert got == unpruned_thick_sets(f, floor, top), (f.members, floor, top)
                 stopped += any(least < 2 * floor and m.bit_count() < top for m, least in got)
     assert stopped >= 100
+
+
+def thick_set_grow_calls(f, floor, top):
+    # the calls of _thick_sets' inner grow, the walk's work
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "grow" and code.co_filename == families_file:
+            calls += 1
+
+    families_file = _thick_sets.__code__.co_filename
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _thick_sets(f, floor, top)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_thick_sets_stop_at_sets_that_cannot_grow():
+    # the prune leaves the list unchanged, so only the work shows it: with the
+    # stop at least >= floor in place of 2 * floor these read 3 and
+    # [328, 213, 137]
+    planted = Family(3, (0b000, 0b001, 0b010, 0b011, 0b100))
+    assert thick_set_grow_calls(planted, 2, 3) == 1
+    f = Family(10, np.random.default_rng(44).choice(1024, 60, replace=False).tolist())
+    assert [thick_set_grow_calls(f, floor, 10) for floor in (1, 2, 4)] == [213, 137, 53]
 
 
 # ------------------------------------------------------------------- shifting
@@ -920,7 +941,7 @@ def _reference_pair_search(n: int, budget_secs: float = 10.0) -> PairSearchResul
         raise ValueError(f"budget must be positive and finite, got {budget_secs}")
     node_budget = int(budget_secs * SEARCH_NODES_PER_SEC)
     num = 1 << n
-    spreads = [_spread(m) for m in range(num)]
+    spreads = [int(f"{m:b}", 3) for m in range(num)]  # binary digits read in base 3
     cap = 3**n
 
     best_product = 0
